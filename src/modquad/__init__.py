@@ -11,7 +11,6 @@ entry point.
 
 from .actuation import (
     ActuationAnalysis,
-    allocate,
     analyze,
     analyze_structure,
     applicability,
@@ -20,12 +19,12 @@ from .actuation import (
     f_frame,
     pitch_feasibility_limit,
 )
-from .control import Controller, ControllerGains, Setpoint, Wrench, control_step
+from .control import Controller, ControllerGains, Setpoint
 from .simulation import (
     MotorModel,
     Telemetry,
     VehicleState,
-    dynamics_derivative,
+    accelerations,
     motor_apply,
     run_scenario,
     step,
@@ -58,18 +57,15 @@ __all__ = [
     "Telemetry",
     "TorqueBalanceReport",
     "VehicleState",
-    "Wrench",
-    "allocate",
+    "accelerations",
     "analyze",
     "analyze_structure",
     "applicability",
     "assemble_structure",
     "check_torque_balance",
-    "control_step",
     "design_in_f_frame",
     "design_matrix",
     "dimensioning_matrix",
-    "dynamics_derivative",
     "f_frame",
     "make_r_module",
     "make_t_module",

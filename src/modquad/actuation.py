@@ -8,8 +8,7 @@ The 6x4n design matrix splits into force rows (top three) and torque rows
 which lands in {4, 5, 6} for valid structures. The thrust frame ("F-frame")
 is a body-fixed frame whose z-axis points along the direction of maximum
 achievable thrust, obtained from the SVD of the force rows; the controller
-tracks this frame's attitude. Allocation solves the (row-reduced) wrench
-equation by pseudo-inverse, which yields the minimum-norm thrust vector.
+tracks this frame's attitude.
 """
 
 from dataclasses import dataclass
@@ -18,12 +17,10 @@ import numpy as np
 
 from . import geometry
 from .errors import DegenerateStructure, InvalidDOF
-from .vehicle import DEFAULT_F_MAX
+from .vehicle import DEFAULT_F_MAX, GRAVITY
 
 RANK_TOL = 1e-8
 TIE_TOL = 1e-8
-
-GRAVITY = 9.81
 
 
 @dataclass
@@ -43,24 +40,24 @@ class ActuationAnalysis:
     hover_residual: float = None
 
 
-def _numeric_rank(matrix, tol_rel):
+def _numeric_rank(matrix):
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.sum(sigma > tol_rel * sigma[0]))
+    return int(np.sum(sigma > RANK_TOL * sigma[0]))
 
 
-def analyze(a, tol_rel=RANK_TOL):
+def analyze(a):
     """Rank/DOF analysis of a 6x4n design matrix.
 
-    A singular value counts toward rank when it exceeds tol_rel times the
+    A singular value counts toward rank when it exceeds RANK_TOL times the
     largest one. Raises DegenerateStructure when the torque rows are rank
     deficient, which no valid module arrangement produces.
     """
     a = np.asarray(a, dtype=float)
-    rank_total = _numeric_rank(a, tol_rel)
-    rank_force = _numeric_rank(a[:3], tol_rel)
-    rank_torque = _numeric_rank(a[3:], tol_rel)
+    rank_total = _numeric_rank(a)
+    rank_force = _numeric_rank(a[:3])
+    rank_torque = _numeric_rank(a[3:])
     if rank_torque < 3:
         raise DegenerateStructure(f"torque rows have rank {rank_torque} < 3")
     dependent = rank_torque + rank_force - rank_total
@@ -84,12 +81,7 @@ def _signed(v, reference, fallback):
     return -v if d < 0 else v
 
 
-def _max_trace_angle(a, b):
-    """Angle maximizing a*cos(t) + b*sin(t)."""
-    return float(np.arctan2(b, a))
-
-
-def _f_frame_with_ties(a_f, structure, tol_rel=RANK_TOL, tie_tol=TIE_TOL):
+def _f_frame_with_ties(a_f, structure):
     """Thrust-frame rotation plus a flag for tie-broken singular values.
 
     Equal singular values leave the SVD axes free inside their subspace;
@@ -99,17 +91,17 @@ def _f_frame_with_ties(a_f, structure, tol_rel=RANK_TOL, tie_tol=TIE_TOL):
     """
     a_f = np.asarray(a_f, dtype=float)
     u, sigma, _ = np.linalg.svd(a_f)
-    rank = int(np.sum(sigma > tol_rel * sigma[0])) if sigma[0] > 0 else 0
+    rank = int(np.sum(sigma > RANK_TOL * sigma[0])) if sigma[0] > 0 else 0
 
     if rank <= 1:
         # every rotor thrust is collinear: reuse the rotor rotation itself
         return structure.rotor_orientations[0].copy(), False
 
     mean_thrust = structure.rotor_axes.sum(axis=0)
-    top_tied = sigma[0] - sigma[1] <= tie_tol * sigma[0]
-    second_tied = (not top_tied) and sigma[1] - sigma[2] <= tie_tol * sigma[0]
+    top_tied = sigma[0] - sigma[1] <= TIE_TOL * sigma[0]
+    second_tied = (not top_tied) and sigma[1] - sigma[2] <= TIE_TOL * sigma[0]
 
-    if top_tied and sigma[0] - sigma[2] <= tie_tol * sigma[0]:
+    if top_tied and sigma[0] - sigma[2] <= TIE_TOL * sigma[0]:
         # fully isotropic thrust capability; keep the structure axes
         return np.eye(3), True
 
@@ -120,9 +112,10 @@ def _f_frame_with_ties(a_f, structure, tol_rel=RANK_TOL, tie_tol=TIE_TOL):
         best = None
         for s in (1.0, -1.0):
             # trace(t) = z(t).e3 + s*x_perp(t).e1 + s*y0.e2
+            #          = a_c cos(t) + b_c sin(t) + const, largest at atan2(b_c, a_c)
             a_c = u1[2] + s * u2[0]
             b_c = u2[2] - s * u1[0]
-            t = _max_trace_angle(a_c, b_c)
+            t = float(np.arctan2(b_c, a_c))
             for cand_t in (t, t + np.pi):
                 z = np.cos(cand_t) * u1 + np.sin(cand_t) * u2
                 if np.dot(z, mean_thrust) < 0:
@@ -142,7 +135,7 @@ def _f_frame_with_ties(a_f, structure, tol_rel=RANK_TOL, tie_tol=TIE_TOL):
         # x free in span{u2, u3}: maximize x.e1 + (z cross x).e2
         u2, u3 = u[:, 1], u[:, 2]
         zx2, zx3 = np.cross(z, u2), np.cross(z, u3)
-        t = _max_trace_angle(u2[0] + zx2[1], u3[0] + zx3[1])
+        t = float(np.arctan2(u3[0] + zx3[1], u2[0] + zx2[1]))
         x = np.cos(t) * u2 + np.sin(t) * u3
         return np.column_stack([x, np.cross(z, x), z]), True
 
@@ -150,9 +143,9 @@ def _f_frame_with_ties(a_f, structure, tol_rel=RANK_TOL, tie_tol=TIE_TOL):
     return np.column_stack([x, np.cross(z, x), z]), False
 
 
-def f_frame(a_f, structure, tol_rel=RANK_TOL, tie_tol=TIE_TOL):
+def f_frame(a_f, structure):
     """Rotation from the structure frame to its thrust frame."""
-    rotation, _ = _f_frame_with_ties(a_f, structure, tol_rel, tie_tol)
+    rotation, _ = _f_frame_with_ties(a_f, structure)
     return rotation
 
 
@@ -175,16 +168,6 @@ def design_in_f_frame(a, f_frame_rotation):
     """Re-express the design matrix with force and torque rows in the thrust frame."""
     rt = np.asarray(f_frame_rotation, dtype=float).T
     return np.vstack([rt @ a[:3], rt @ a[3:]])
-
-
-def allocate(a_f_frame, dimensioning, wrench):
-    """Minimum-norm thrusts solving the row-reduced wrench equation.
-
-    Entries may be negative; clamping to the motor range is the
-    simulator's job.
-    """
-    reduced = dimensioning @ a_f_frame
-    return np.linalg.pinv(reduced) @ (dimensioning @ np.asarray(wrench, dtype=float))
 
 
 def bounded_least_squares(a, b, upper, iters=500, tol=0.0):
@@ -210,8 +193,7 @@ def bounded_least_squares(a, b, upper, iters=500, tol=0.0):
     return u, float(np.linalg.norm(a @ u - b))
 
 
-def applicability(a_f, structure, mass, f_max=DEFAULT_F_MAX,
-                  gravity=GRAVITY, iters=500):
+def applicability(a_f, structure, mass, f_max=DEFAULT_F_MAX):
     """Whether the structure can hover along its thrust axis with
     non-negative, bounded rotor thrusts.
 
@@ -224,69 +206,59 @@ def applicability(a_f, structure, mass, f_max=DEFAULT_F_MAX,
     if np.min(gram) < -1e-9:
         return False
     z_f = f_frame(a_f, structure)[:, 2]
-    target = mass * gravity * z_f
-    _, residual = bounded_least_squares(
-        a_f, target, f_max, iters=iters, tol=1e-7 * mass * gravity
-    )
-    return residual <= 1e-6 * mass * gravity
+    target = mass * GRAVITY * z_f
+    _, residual = bounded_least_squares(a_f, target, f_max, tol=1e-7 * mass * GRAVITY)
+    return residual <= 1e-6 * mass * GRAVITY
 
 
-def analyze_structure(structure, f_max=DEFAULT_F_MAX, tol_rel=RANK_TOL,
-                      tie_tol=TIE_TOL, gravity=GRAVITY):
+def analyze_structure(structure, f_max=DEFAULT_F_MAX):
     """Full actuation analysis of an assembled structure."""
     a = structure.design_matrix
-    analysis = analyze(a, tol_rel)
-    rotation, tie = _f_frame_with_ties(a[:3], structure, tol_rel, tie_tol)
+    analysis = analyze(a)
+    rotation, tie = _f_frame_with_ties(a[:3], structure)
     analysis.f_frame = rotation
     analysis.tie_broken = tie
     analysis.dimensioning = dimensioning_matrix(analysis.controllable_dof)
-    analysis.applicable = applicability(
-        a[:3], structure, structure.mass, f_max=f_max, gravity=gravity
-    )
-    target = structure.mass * gravity * rotation[:, 2]
+    analysis.applicable = applicability(a[:3], structure, structure.mass, f_max)
+    target = structure.mass * GRAVITY * rotation[:, 2]
     _, analysis.hover_residual = bounded_least_squares(
-        a[:3], target, f_max, tol=1e-7 * structure.mass * gravity
+        a[:3], target, f_max, tol=1e-7 * structure.mass * GRAVITY
     )
     return analysis
 
 
-def hover_wrench(mass, attitude=None, gravity=GRAVITY):
+def hover_wrench(mass, attitude):
     """Body wrench that holds the given attitude static (zero torque)."""
-    if attitude is None:
-        force = np.array([0.0, 0.0, mass * gravity])
-    else:
-        force = np.asarray(attitude, dtype=float).T @ np.array([0.0, 0.0, mass * gravity])
+    force = np.asarray(attitude, dtype=float).T @ np.array([0.0, 0.0, mass * GRAVITY])
     return np.concatenate([force, np.zeros(3)])
 
 
-def static_hover_feasible(structure, attitude=None, f_max=DEFAULT_F_MAX,
-                          gravity=GRAVITY, iters=2000, rel_tol=1e-6):
-    """Whether bounded thrusts can hold the structure static at `attitude`."""
-    w = hover_wrench(structure.mass, attitude, gravity)
+def static_hover_feasible(structure, attitude, f_max=DEFAULT_F_MAX):
+    """Whether bounded thrusts can hold the structure static at `attitude`:
+    a residual below 1e-6 of the weight within 2000 solver steps."""
+    w = hover_wrench(structure.mass, attitude)
     _, residual = bounded_least_squares(
-        structure.design_matrix, w, f_max, iters=iters,
-        tol=0.1 * rel_tol * structure.mass * gravity,
+        structure.design_matrix, w, f_max, iters=2000,
+        tol=0.1 * 1e-6 * structure.mass * GRAVITY,
     )
-    return residual <= rel_tol * structure.mass * gravity
+    return residual <= 1e-6 * structure.mass * GRAVITY
 
 
-def pitch_feasibility_limit(structure, f_max=DEFAULT_F_MAX, lo=0.0,
-                            hi=np.pi / 2, angle_tol=1e-4, gravity=GRAVITY):
-    """Largest pitch angle at which a bounded-thrust static hover exists.
+def pitch_feasibility_limit(structure, f_max=DEFAULT_F_MAX, angle_tol=1e-4):
+    """Largest pitch angle in [0, pi/2] at which a bounded-thrust static
+    hover exists.
 
     Bisects on the pitch angle; assumes feasibility is monotone in pitch,
     which holds for the symmetric structures this is used on.
     """
-    if not static_hover_feasible(structure, geometry.rot_principal("y", lo),
-                                 f_max, gravity):
+    lo, hi = 0.0, np.pi / 2
+    if not static_hover_feasible(structure, geometry.rot_principal("y", lo), f_max):
         return lo
-    if static_hover_feasible(structure, geometry.rot_principal("y", hi),
-                             f_max, gravity):
+    if static_hover_feasible(structure, geometry.rot_principal("y", hi), f_max):
         return hi
     while hi - lo > angle_tol:
         mid = 0.5 * (lo + hi)
-        if static_hover_feasible(structure, geometry.rot_principal("y", mid),
-                                 f_max, gravity):
+        if static_hover_feasible(structure, geometry.rot_principal("y", mid), f_max):
             lo = mid
         else:
             hi = mid

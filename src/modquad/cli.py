@@ -39,16 +39,16 @@ def _configure_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _report(path, exc):
+    for problem in getattr(exc, "problems", [exc]):
+        print(f"{path}: {problem}", file=sys.stderr)
+
+
 def _load(path):
     try:
         return config_mod.load_config(path)
-    except (ParseError, SchemaError) as exc:
-        problems = getattr(exc, "problems", [str(exc)])
-        for problem in problems:
-            print(f"{path}: {problem}", file=sys.stderr)
-        raise SystemExit(EXIT_SCHEMA) from exc
-    except OSError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
+    except (ParseError, SchemaError, OSError, UnicodeDecodeError) as exc:
+        _report(path, exc)
         raise SystemExit(EXIT_SCHEMA) from exc
 
 
@@ -122,12 +122,17 @@ def _print_analysis_text(payload):
 def _build_and_analyze(path, cfg):
     try:
         structure = config_mod.build_structure(cfg)
-        return structure, actuation.analyze_structure(
-            structure, f_max=cfg.physical.f_max_n
-        )
+        analysis = actuation.analyze_structure(structure, f_max=cfg.physical.f_max_n)
     except ModquadError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
+        _report(path, exc)
         raise SystemExit(EXIT_SCHEMA) from exc
+    _log_analysis(path, analysis)
+    return structure, analysis
+
+
+def _log_analysis(path, analysis):
+    log.info("%s: %d-DOF, applicable %s, hover residual %.3g N", path,
+             analysis.controllable_dof, analysis.applicable, analysis.hover_residual)
 
 
 def cmd_analyze(args):
@@ -151,6 +156,7 @@ def _simulate_one(config_path, output_path):
         raise SchemaError(["config has no scenario block"])
     structure = config_mod.build_structure(cfg)
     analysis = actuation.analyze_structure(structure, f_max=cfg.physical.f_max_n)
+    _log_analysis(config_path, analysis)
     trajectory = config_mod.build_trajectory(cfg, analysis.controllable_dof)
     motor = simulation.MotorModel(f_max=cfg.physical.f_max_n)
     try:
@@ -168,24 +174,42 @@ def _simulate_one(config_path, output_path):
     return len(log_data)
 
 
-def _output_path_for(config_path, output, multiple):
-    if not multiple:
-        return Path(output)
-    directory = Path(output)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory / (Path(config_path).stem + ".csv")
+def _output_paths(configs, output):
+    """Output CSV of each config: `output` itself for one config, else one
+    file per config stem inside the directory `output`. Exits 2 before any
+    flight when the outputs clash or cannot be written."""
+    if len(configs) == 1:
+        paths = [Path(output)]
+    else:
+        paths = [Path(output) / (Path(c).stem + ".csv") for c in configs]
+        if len(set(paths)) != len(paths):
+            print(f"{output}: two configs share a file name, so their CSVs "
+                  "would overwrite each other", file=sys.stderr)
+            raise SystemExit(EXIT_SCHEMA)
+        try:
+            Path(output).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _report(output, exc)
+            raise SystemExit(EXIT_SCHEMA) from exc
+    for path in paths:
+        if path.is_dir() or not path.parent.is_dir():
+            print(f"{path}: not a file in an existing directory", file=sys.stderr)
+            raise SystemExit(EXIT_SCHEMA)
+    return paths
 
 
 def cmd_simulate(args):
-    multiple = len(args.configs) > 1
-    jobs = []
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_SCHEMA
     for config_path in args.configs:
         _load(config_path)  # validate up front so schema errors exit 2
-        jobs.append((config_path, _output_path_for(config_path, args.output,
-                                                   multiple)))
+    jobs = list(zip(args.configs, _output_paths(args.configs, args.output)))
+    # under fork a process pool starts all its workers at once
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     status = EXIT_OK
-    if multiple and args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(_simulate_one, cfg_path, out): (cfg_path, out)
                 for cfg_path, out in jobs
@@ -208,12 +232,8 @@ def _report_sim_result(future, cfg_path, out):
     except InapplicableDesign as exc:
         print(f"{cfg_path}: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (ParseError, SchemaError) as exc:
-        for problem in getattr(exc, "problems", [str(exc)]):
-            print(f"{cfg_path}: {problem}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ModquadError as exc:
-        print(f"{cfg_path}: {exc}", file=sys.stderr)
+    except (ModquadError, OSError) as exc:
+        _report(cfg_path, exc)
         return EXIT_SCHEMA
     print(f"{cfg_path}: {rows} rows -> {out}")
     return EXIT_OK
@@ -222,8 +242,8 @@ def _report_sim_result(future, cfg_path, out):
 def cmd_metrics(args):
     try:
         table = telemetry.read_csv(args.telemetry)
-    except MalformedTelemetry as exc:
-        print(f"{args.telemetry}: {exc}", file=sys.stderr)
+    except (MalformedTelemetry, OSError, UnicodeDecodeError) as exc:
+        _report(args.telemetry, exc)
         return EXIT_SCHEMA
     frame_rotation = None
     if args.config is not None:
@@ -262,8 +282,6 @@ def build_parser():
         prog="modquad",
         description="Model, analyze, and simulate modular multi-rotor structures.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved for future stochastic features")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="static actuation analysis")

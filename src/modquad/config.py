@@ -4,9 +4,15 @@ Keys carry their units (``eta_rad``, ``mass_kg``); unknown keys are
 rejected with their location so typos in scientific configs surface
 immediately. A config describes the module grid, physical defaults,
 controller gains, and optionally one scenario (trajectory plus timing).
+
+Apart from the module list and the quintic-chain waypoints, every block
+is read and written from the fields of its dataclass: a field's metadata
+gives the unit suffix of its key and whether it must be positive, and
+its default gives its shape (string, number or vector).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -55,21 +61,24 @@ class ModuleEntry:
     propellers: tuple = None
 
 
+_POSITIVE = {"positive": True}
+
+
 @dataclass
 class PhysicalParams:
-    module_mass_kg: float = vehicle.DEFAULT_MASS
-    arm_m: float = vehicle.DEFAULT_ARM
+    module_mass_kg: float = field(default=vehicle.DEFAULT_MASS, metadata=_POSITIVE)
+    arm_m: float = field(default=vehicle.DEFAULT_ARM, metadata=_POSITIVE)
     body_size_m: tuple = vehicle.DEFAULT_BODY_SIZE
     drag_to_thrust_m: float = vehicle.DEFAULT_K_M
-    f_max_n: float = vehicle.DEFAULT_F_MAX
+    f_max_n: float = field(default=vehicle.DEFAULT_F_MAX, metadata=_POSITIVE)
 
 
 @dataclass
 class ScenarioParams:
     trajectory: object
-    duration_s: float = 30.0
-    dt_ctrl_s: float = 0.002
-    dt_sim_s: float = 0.001
+    duration_s: float = 30.0  # must be non-negative; checked by the parser
+    dt_ctrl_s: float = field(default=0.002, metadata=_POSITIVE)
+    dt_sim_s: float = field(default=0.001, metadata=_POSITIVE)
     skip_s: float = 5.0
 
 
@@ -94,19 +103,16 @@ class _Validator:
             if key not in allowed:
                 self.fail(path, f"unknown key {key!r}", node)
 
-    def number(self, node, path, key, default=None, positive=False):
+    def number(self, node, path, key, default, positive=False):
         if key not in node:
-            if default is None:
-                self.fail(path, f"missing key {key!r}", node)
-                return 0.0
             return default
-        value = node[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.fail(path, f"{key} must be a number", node)
+        value = _finite(node[key])
+        if value is None:
+            self.fail(path, f"{key} must be a finite number", node)
             return 0.0
         if positive and value <= 0:
             self.fail(path, f"{key} must be positive", node)
-        return float(value)
+        return value
 
     def vector(self, node, path, key, size, default=None):
         if key not in node:
@@ -115,12 +121,12 @@ class _Validator:
                 return (0.0,) * size
             return default
         value = node[key]
-        if (not isinstance(value, (list, tuple)) or len(value) != size
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in value)):
-            self.fail(path, f"{key} must be a list of {size} numbers", node)
+        values = ([_finite(v) for v in value]
+                  if isinstance(value, (list, tuple)) and len(value) == size else [None])
+        if None in values:
+            self.fail(path, f"{key} must be a list of {size} finite numbers", node)
             return (0.0,) * size
-        return tuple(float(v) for v in value)
+        return tuple(values)
 
     def mapping(self, value, path):
         if not isinstance(value, dict):
@@ -128,24 +134,59 @@ class _Validator:
             return _LocatedDict()
         return value
 
+    def dataclass(self, cls, node, path, extra_keys=(), **given):
+        """Instance of `cls` read field by field from the mapping `node`.
+
+        Fields in `given` were read by the caller. Returns None once a value
+        was rejected, so that the constructor does not report it again.
+        """
+        node = self.mapping(node, path)
+        self.check_keys(node, path, {_key(f) for f in fields(cls)} | set(extra_keys))
+        problems = len(self.problems)
+        kwargs = dict(given)
+        for f in fields(cls):
+            if f.name in given:
+                continue
+            key = _key(f)
+            default = f.default if f.default is not MISSING else f.default_factory()
+            if isinstance(default, str):
+                kwargs[f.name] = node.get(key, default)
+            elif np.ndim(default) == 0:
+                kwargs[f.name] = self.number(node, path, key, default,
+                                             positive=f.metadata.get("positive", False))
+            else:
+                kwargs[f.name] = self.vector(node, path, key, len(default), default)
+        if len(self.problems) > problems:
+            return None
+        try:
+            return cls(**kwargs)
+        except InvalidParams as exc:
+            self.fail(path, str(exc), node)
+            return None
+
+
+def _finite(value):
+    """The value as a float when it is a finite int or float, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _key(f):
+    """Config key of a dataclass field: its name plus its unit suffix."""
+    unit = f.metadata.get("unit")
+    return f"{f.name}_{unit}" if unit else f.name
+
 
 _MODULE_KEYS = {"kind", "cell", "yaw_rad", "tilt_axis", "tilt_angle_rad",
                 "eta_rad", "propellers"}
 _PROP_KEYS = {"tilt_axis", "tilt_angle_rad", "spin"}
-_PHYSICAL_KEYS = {"module_mass_kg", "arm_m", "body_size_m",
-                  "drag_to_thrust_m", "f_max_n"}
-_GAIN_KEYS = {"k_pos", "k_vel", "k_att", "k_omega", "k_int", "integral_limit"}
-_SCENARIO_KEYS = {"trajectory", "duration_s", "dt_ctrl_s", "dt_sim_s", "skip_s"}
-_TRAJECTORY_KEYS = {
-    "helix": {"kind", "center_m", "radius_m", "z_min_m", "z_max_m",
-              "z_period_s", "xy_period_s", "yaw_period_s"},
-    "rectangle": {"kind", "length_m", "width_m", "height_m", "lap_time_s",
-                  "pitch_hold_rad", "yaw_hold_rad"},
-    "attitude_sine": {"kind", "axis", "amplitude_rad", "period_s",
-                      "hover_point_m"},
-    "quintic_chain": {"kind", "waypoints", "durations_s"},
-    "hover": {"kind", "point_m", "yaw_rad", "pitch_rad"},
-}
+_TRAJECTORIES = {cls.kind: cls for cls in (HelixDef, RectangleDef,
+                                           AttitudeSineDef, HoverDef)}
 
 
 def _parse_module(node, path, v):
@@ -156,6 +197,8 @@ def _parse_module(node, path, v):
         v.fail(path, f"kind must be R, T or custom, got {kind!r}", node)
         kind = "R"
     cell = v.vector(node, path, "cell", 3)
+    if any(c != int(c) for c in cell):
+        v.fail(path, "cell must hold three integers", node)
     entry = ModuleEntry(
         kind=kind,
         cell=tuple(int(c) for c in cell),
@@ -204,74 +247,44 @@ def _parse_module(node, path, v):
 def _parse_trajectory(node, path, v):
     node = v.mapping(node, path)
     kind = node.get("kind")
-    if kind not in _TRAJECTORY_KEYS:
+    if kind == "quintic_chain":
+        return _parse_quintic_chain(node, path, v)
+    if not isinstance(kind, str) or kind not in _TRAJECTORIES:
         v.fail(path, f"unknown trajectory kind {kind!r}", node)
         return None
-    v.check_keys(node, path, _TRAJECTORY_KEYS[kind])
-    if kind == "helix":
-        return HelixDef(
-            center=v.vector(node, path, "center_m", 2, default=(-0.5, 0.0)),
-            radius=v.number(node, path, "radius_m", default=0.45, positive=True),
-            z_min=v.number(node, path, "z_min_m", default=0.45),
-            z_max=v.number(node, path, "z_max_m", default=0.95),
-            z_period=v.number(node, path, "z_period_s", default=14.0, positive=True),
-            xy_period=v.number(node, path, "xy_period_s", default=14.0, positive=True),
-            yaw_period=v.number(node, path, "yaw_period_s", default=18.0, positive=True),
-        )
-    if kind == "rectangle":
-        return RectangleDef(
-            length=v.number(node, path, "length_m", default=0.8, positive=True),
-            width=v.number(node, path, "width_m", default=0.6, positive=True),
-            height=v.number(node, path, "height_m", default=0.5),
-            lap_time=v.number(node, path, "lap_time_s", default=24.0, positive=True),
-            pitch_hold=v.number(node, path, "pitch_hold_rad", default=0.0),
-            yaw_hold=v.number(node, path, "yaw_hold_rad", default=0.0),
-        )
-    if kind == "attitude_sine":
-        axis = node.get("axis", "y")
-        if axis not in ("x", "y", "z"):
-            v.fail(path, f"axis must be x, y or z, got {axis!r}", node)
-            axis = "y"
-        return AttitudeSineDef(
-            axis=axis,
-            amplitude=v.number(node, path, "amplitude_rad", default=np.radians(20.0)),
-            period=v.number(node, path, "period_s", default=90.0, positive=True),
-            hover_point=v.vector(node, path, "hover_point_m", 3,
-                                 default=(0.0, 0.0, 0.5)),
-        )
-    if kind == "quintic_chain":
-        raw_wps = node.get("waypoints")
-        if not isinstance(raw_wps, list) or len(raw_wps) < 2:
-            v.fail(path, "waypoints must list at least two entries", node)
-            return None
-        waypoints = []
-        for i, wp in enumerate(raw_wps):
-            wpath = f"{path}.waypoints[{i}]"
-            wp = v.mapping(wp, wpath)
-            v.check_keys(wp, wpath, {"position_m", "rotation_rad"})
-            waypoints.append(Waypoint(
-                position=v.vector(wp, wpath, "position_m", 3),
-                rotation=v.vector(wp, wpath, "rotation_rad", 3,
-                                  default=(0.0, 0.0, 0.0)),
-            ))
-        durations = node.get("durations_s")
-        if (not isinstance(durations, list)
-                or len(durations) != len(waypoints) - 1
-                or any(not isinstance(d, (int, float)) or d <= 0 for d in durations)):
-            v.fail(path, "durations_s must hold one positive number per segment",
-                   node)
-            return None
-        try:
-            return QuinticChainDef(waypoints=tuple(waypoints),
-                                   durations=tuple(float(d) for d in durations))
-        except InvalidParams as exc:
-            v.fail(path, str(exc), node)
-            return None
-    return HoverDef(
-        point=v.vector(node, path, "point_m", 3, default=(0.0, 0.0, 0.5)),
-        yaw=v.number(node, path, "yaw_rad", default=0.0),
-        pitch=v.number(node, path, "pitch_rad", default=0.0),
-    )
+    return v.dataclass(_TRAJECTORIES[kind], node, path, extra_keys={"kind"})
+
+
+def _parse_quintic_chain(node, path, v):
+    v.check_keys(node, path, {"kind", "waypoints", "durations_s"})
+    raw_wps = node.get("waypoints")
+    if not isinstance(raw_wps, list) or len(raw_wps) < 2:
+        v.fail(path, "waypoints must list at least two entries", node)
+        return None
+    waypoints = []
+    for i, wp in enumerate(raw_wps):
+        wpath = f"{path}.waypoints[{i}]"
+        wp = v.mapping(wp, wpath)
+        v.check_keys(wp, wpath, {"position_m", "rotation_rad"})
+        waypoints.append(Waypoint(
+            position=v.vector(wp, wpath, "position_m", 3),
+            rotation=v.vector(wp, wpath, "rotation_rad", 3,
+                              default=(0.0, 0.0, 0.0)),
+        ))
+    durations = node.get("durations_s")
+    if not isinstance(durations, list) or len(durations) != len(waypoints) - 1:
+        durations = [None]
+    durations = [_finite(d) for d in durations]
+    if any(d is None or d <= 0 for d in durations):
+        v.fail(path, "durations_s must hold one positive number per segment",
+               node)
+        return None
+    try:
+        return QuinticChainDef(waypoints=tuple(waypoints),
+                               durations=tuple(durations))
+    except InvalidParams as exc:
+        v.fail(path, str(exc), node)
+        return None
 
 
 def parse_config(text):
@@ -303,58 +316,23 @@ def parse_config(text):
 
     physical = PhysicalParams()
     if "physical" in root:
-        node = v.mapping(root["physical"], "physical")
-        v.check_keys(node, "physical", _PHYSICAL_KEYS)
-        physical = PhysicalParams(
-            module_mass_kg=v.number(node, "physical", "module_mass_kg",
-                                    default=vehicle.DEFAULT_MASS, positive=True),
-            arm_m=v.number(node, "physical", "arm_m",
-                           default=vehicle.DEFAULT_ARM, positive=True),
-            body_size_m=v.vector(node, "physical", "body_size_m", 3,
-                                 default=vehicle.DEFAULT_BODY_SIZE),
-            drag_to_thrust_m=v.number(node, "physical", "drag_to_thrust_m",
-                                      default=vehicle.DEFAULT_K_M),
-            f_max_n=v.number(node, "physical", "f_max_n",
-                             default=vehicle.DEFAULT_F_MAX, positive=True),
-        )
+        physical = v.dataclass(PhysicalParams, root["physical"], "physical")
 
     gains = ControllerGains()
     if "gains" in root:
-        node = v.mapping(root["gains"], "gains")
-        v.check_keys(node, "gains", _GAIN_KEYS)
-        try:
-            gains = ControllerGains(
-                k_pos=v.vector(node, "gains", "k_pos", 3, default=(6.0,) * 3),
-                k_vel=v.vector(node, "gains", "k_vel", 3, default=(4.0,) * 3),
-                k_att=v.vector(node, "gains", "k_att", 3, default=(10.0,) * 3),
-                k_omega=v.vector(node, "gains", "k_omega", 3, default=(2.0,) * 3),
-                k_int=v.vector(node, "gains", "k_int", 3, default=(0.0,) * 3),
-                integral_limit=v.number(node, "gains", "integral_limit",
-                                        default=2.0, positive=True),
-            )
-        except InvalidParams as exc:
-            v.fail("gains", str(exc), node)
+        gains = v.dataclass(ControllerGains, root["gains"], "gains")
 
     scenario = None
     if "scenario" in root:
         node = v.mapping(root["scenario"], "scenario")
-        v.check_keys(node, "scenario", _SCENARIO_KEYS)
+        traj = None
         if "trajectory" not in node:
             v.fail("scenario", "missing key 'trajectory'", node)
         else:
             traj = _parse_trajectory(node["trajectory"], "scenario.trajectory", v)
-            duration = v.number(node, "scenario", "duration_s", default=30.0)
-            if duration < 0:
-                v.fail("scenario", "duration_s must be non-negative", node)
-            scenario = ScenarioParams(
-                trajectory=traj,
-                duration_s=duration,
-                dt_ctrl_s=v.number(node, "scenario", "dt_ctrl_s",
-                                   default=0.002, positive=True),
-                dt_sim_s=v.number(node, "scenario", "dt_sim_s",
-                                  default=0.001, positive=True),
-                skip_s=v.number(node, "scenario", "skip_s", default=5.0),
-            )
+        scenario = v.dataclass(ScenarioParams, node, "scenario", trajectory=traj)
+        if scenario is not None and scenario.duration_s < 0:
+            v.fail("scenario", "duration_s must be non-negative", node)
 
     if v.problems:
         raise SchemaError(v.problems)
@@ -381,7 +359,6 @@ def build_module(entry, physical):
         mass=physical.module_mass_kg,
         arm=physical.arm_m,
         body_size=tuple(physical.body_size_m),
-        k_f=1.0,
         k_m=physical.drag_to_thrust_m,
     )
     if entry.kind == "R":
@@ -389,9 +366,7 @@ def build_module(entry, physical):
         return vehicle.make_r_module(rstar, **kwargs)
     if entry.kind == "T":
         return vehicle.make_t_module(entry.eta_rad, **kwargs)
-    positions = physical.arm_m * np.array(
-        [[1, 1, 0], [1, -1, 0], [-1, -1, 0], [-1, 1, 0]], dtype=float
-    )
+    positions = vehicle.square_positions(physical.arm_m)
     props = tuple(
         vehicle.PropellerSpec(
             pos, geometry.rodrigues(_unit_axis(axis), angle), spin
@@ -435,59 +410,37 @@ def _module_to_dict(entry):
     return out
 
 
+def _fields_to_dict(obj):
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _trajectory_to_dict(value)
+        elif not isinstance(value, str):
+            value = float(value) if np.ndim(value) == 0 else [float(x) for x in value]
+        out[_key(f)] = value
+    return out
+
+
 def _trajectory_to_dict(defn):
-    if defn.kind == "helix":
-        return {"kind": "helix", "center_m": list(defn.center),
-                "radius_m": defn.radius, "z_min_m": defn.z_min,
-                "z_max_m": defn.z_max, "z_period_s": defn.z_period,
-                "xy_period_s": defn.xy_period, "yaw_period_s": defn.yaw_period}
-    if defn.kind == "rectangle":
-        return {"kind": "rectangle", "length_m": defn.length,
-                "width_m": defn.width, "height_m": defn.height,
-                "lap_time_s": defn.lap_time, "pitch_hold_rad": defn.pitch_hold,
-                "yaw_hold_rad": defn.yaw_hold}
-    if defn.kind == "attitude_sine":
-        return {"kind": "attitude_sine", "axis": defn.axis,
-                "amplitude_rad": defn.amplitude, "period_s": defn.period,
-                "hover_point_m": list(defn.hover_point)}
     if defn.kind == "quintic_chain":
         return {"kind": "quintic_chain",
                 "waypoints": [{"position_m": list(wp.position),
                                "rotation_rad": list(wp.rotation)}
                               for wp in defn.waypoints],
                 "durations_s": list(defn.durations)}
-    return {"kind": "hover", "point_m": list(defn.point),
-            "yaw_rad": defn.yaw, "pitch_rad": defn.pitch}
+    return {"kind": defn.kind, **_fields_to_dict(defn)}
 
 
 def render_config(config):
     """Canonical YAML text that parses back to an equal config."""
     doc = {
         "modules": [_module_to_dict(m) for m in config.modules],
-        "physical": {
-            "module_mass_kg": config.physical.module_mass_kg,
-            "arm_m": config.physical.arm_m,
-            "body_size_m": list(config.physical.body_size_m),
-            "drag_to_thrust_m": config.physical.drag_to_thrust_m,
-            "f_max_n": config.physical.f_max_n,
-        },
-        "gains": {
-            "k_pos": [float(g) for g in config.gains.k_pos],
-            "k_vel": [float(g) for g in config.gains.k_vel],
-            "k_att": [float(g) for g in config.gains.k_att],
-            "k_omega": [float(g) for g in config.gains.k_omega],
-            "k_int": [float(g) for g in config.gains.k_int],
-            "integral_limit": config.gains.integral_limit,
-        },
+        "physical": _fields_to_dict(config.physical),
+        "gains": _fields_to_dict(config.gains),
     }
     if config.scenario is not None:
-        doc["scenario"] = {
-            "trajectory": _trajectory_to_dict(config.scenario.trajectory),
-            "duration_s": config.scenario.duration_s,
-            "dt_ctrl_s": config.scenario.dt_ctrl_s,
-            "dt_sim_s": config.scenario.dt_sim_s,
-            "skip_s": config.scenario.skip_s,
-        }
+        doc["scenario"] = _fields_to_dict(config.scenario)
     return yaml.dump(doc, sort_keys=False, default_flow_style=None,
                      Dumper=_ReprDumper)
 

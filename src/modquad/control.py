@@ -4,7 +4,8 @@ The position loop turns tracking errors into a commanded acceleration;
 depending on the controllable DOF the desired attitude is constructed from
 that acceleration (4 DOF), from yaw/pitch targets (5 DOF), or taken from
 the setpoint (6 DOF). The attitude loop runs on the thrust-frame error and
-the resulting wrench is allocated to rotor thrusts by pseudo-inverse.
+the resulting wrench is allocated to rotor thrusts by pseudo-inverse,
+which yields the minimum-norm thrust vector.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +16,7 @@ from . import geometry
 from .actuation import design_in_f_frame
 from .errors import DegenerateThrust, GimbalDegenerate, InvalidParams, ModeMismatch
 from .geometry import E3, vee
-
-GRAVITY = 9.81
+from .vehicle import GRAVITY
 
 _EPS = 1e-6
 
@@ -65,6 +65,7 @@ class ControllerGains:
 
     k_int defaults to zero; enabling it adds an integral correction on
     position with the accumulator clamped to +-integral_limit (m*s).
+    Field metadata is the config schema, as for the trajectory definitions.
     """
 
     k_pos: np.ndarray = field(default_factory=lambda: np.full(3, 6.0))
@@ -72,7 +73,7 @@ class ControllerGains:
     k_att: np.ndarray = field(default_factory=lambda: np.full(3, 10.0))
     k_omega: np.ndarray = field(default_factory=lambda: np.full(3, 2.0))
     k_int: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    integral_limit: float = 2.0
+    integral_limit: float = field(default=2.0, metadata={"positive": True})
 
     def __post_init__(self):
         self.k_pos = _positive_diag(self.k_pos, "k_pos")
@@ -82,18 +83,6 @@ class ControllerGains:
         self.k_int = np.asarray(self.k_int, dtype=float)
         if self.k_int.shape != (3,) or np.any(self.k_int < 0.0):
             raise InvalidParams("k_int must be three non-negative gains")
-
-
-@dataclass
-class Wrench:
-    """Force (N) and torque (N*m) in the thrust frame."""
-
-    force: np.ndarray
-    torque: np.ndarray
-
-    @property
-    def stacked(self):
-        return np.concatenate([self.force, self.torque])
 
 
 def position_accel(pos_error, vel_error, accel_ff, gains, integral=None):
@@ -151,6 +140,16 @@ def desired_attitude_5dof(accel, yaw, pitch):
     return np.column_stack([x, y, geometry.cross3(x, y)])
 
 
+def desired_attitude(setpoint, accel):
+    """Desired thrust-frame attitude: built from the commanded acceleration
+    for dof4/dof5 setpoints, taken from the setpoint for dof6."""
+    if setpoint.mode == "dof4":
+        return desired_attitude_4dof(accel, setpoint.yaw)
+    if setpoint.mode == "dof5":
+        return desired_attitude_5dof(accel, setpoint.yaw, setpoint.pitch)
+    return np.asarray(setpoint.attitude, dtype=float)
+
+
 def attitude_error(desired, attitude, frame_rotation, omega, omega_desired):
     """Rotation and rate errors of the thrust frame.
 
@@ -173,7 +172,7 @@ def attitude_accel(e_rot, e_omega, gains):
 
 
 def wrench(accel, ang_accel, attitude_f, omega, mass, inertia):
-    """Desired wrench in the thrust frame.
+    """Desired wrench (force in N, then torque in N*m) in the thrust frame.
 
     Force is the commanded acceleration rotated into the thrust frame and
     scaled by the mass; torque is the rigid-body torque tracking the
@@ -185,7 +184,7 @@ def wrench(accel, ang_accel, attitude_f, omega, mass, inertia):
     torque = inertia @ np.asarray(ang_accel, dtype=float) + geometry.cross3(
         omega, inertia @ omega
     )
-    return Wrench(force=force, torque=torque)
+    return np.concatenate([force, torque])
 
 
 class Controller:
@@ -208,13 +207,13 @@ class Controller:
     def reset(self):
         self._integral[:] = 0.0
 
-    def desired_attitude(self, setpoint, accel):
-        mode = setpoint.mode
-        if mode == "dof4":
-            return desired_attitude_4dof(accel, setpoint.yaw)
-        if mode == "dof5":
-            return desired_attitude_5dof(accel, setpoint.yaw, setpoint.pitch)
-        return np.asarray(setpoint.attitude, dtype=float)
+    def allocate(self, wrench):
+        """Minimum-norm thrusts solving the row-reduced wrench equation.
+
+        Entries may be negative; clamping to the motor range is the
+        simulator's job.
+        """
+        return self._alloc @ (self.analysis.dimensioning @ wrench)
 
     def step(self, state, setpoint, dt=None):
         """One control tick: rotor thrust commands before motor limits."""
@@ -230,7 +229,7 @@ class Controller:
             self._integral = np.clip(self._integral + e_pos * dt, -limit, limit)
         accel = position_accel(e_pos, e_vel, setpoint.acceleration, self.gains,
                                integral=self._integral)
-        desired = self.desired_attitude(setpoint, accel)
+        desired = desired_attitude(setpoint, accel)
         e_rot, e_omega = attitude_error(
             desired, state.attitude, self.analysis.f_frame,
             state.angular_velocity, setpoint.angular_velocity,
@@ -239,9 +238,4 @@ class Controller:
         attitude_f = state.attitude @ self.analysis.f_frame
         w = wrench(accel, ang_accel, attitude_f, state.angular_velocity,
                    self.structure.mass, self.structure.inertia)
-        return self._alloc @ (self.analysis.dimensioning @ w.stacked)
-
-
-def control_step(state, setpoint, structure, analysis, gains=None):
-    """Stateless single tick (no integral accumulation)."""
-    return Controller(structure, analysis, gains).step(state, setpoint)
+        return self.allocate(w)

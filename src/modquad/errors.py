@@ -73,14 +73,8 @@ class SchemaError(ModquadError):
     """Config parsed but violates the schema; carries one message per problem."""
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-class UnknownKey(SchemaError):
-    """Config contains a key the schema does not define."""
 
 
 class MalformedTelemetry(ModquadError):

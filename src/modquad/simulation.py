@@ -9,21 +9,23 @@ first-order lag) and hold their thrust between control ticks.
 State feedback is perfect: no sensors, no estimator, no noise.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .control import Controller
+from .control import Controller, desired_attitude
 from .errors import InapplicableDesign, InvalidParams, NonFiniteState
-
-GRAVITY = 9.81
+from .vehicle import DEFAULT_F_MAX, GRAVITY
 
 DEFAULT_DT_SIM = 0.001
 DEFAULT_DT_CTRL = 0.002
 
 _DIVERGENCE_RADIUS = 100.0
 _ORTHO_DRIFT_TOL = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -63,7 +65,7 @@ class VehicleState:
 class MotorModel:
     """Per-rotor thrust limits; lag and deadzone are off by default."""
 
-    f_max: float = 0.645
+    f_max: float = DEFAULT_F_MAX
     time_constant: float = None
     deadzone: float = None
 
@@ -97,13 +99,12 @@ def motor_apply(commands, model, dt, previous=None):
     return actual, saturated
 
 
-def dynamics_derivative(state, thrusts, structure, gravity=GRAVITY):
-    """Linear and angular acceleration for the applied rotor thrusts."""
-    w = structure.design_matrix @ np.asarray(thrusts, dtype=float)
-    accel = state.attitude @ w[:3] / structure.mass - gravity * geometry.E3
-    omega = state.angular_velocity
+def accelerations(attitude, omega, force_body, torque_body, structure, gravity):
+    """Linear acceleration (world frame) and angular acceleration (body
+    frame) of the rigid structure under a body-frame wrench."""
+    accel = attitude @ force_body / structure.mass - gravity * geometry.E3
     ang_accel = structure.inertia_inverse @ (
-        w[3:] - geometry.cross3(omega, structure.inertia @ omega)
+        torque_body - geometry.cross3(omega, structure.inertia @ omega)
     )
     return accel, ang_accel
 
@@ -115,33 +116,25 @@ def step(state, thrusts, structure, dt, gravity=GRAVITY):
     from the start-of-step rates; the final attitude applies the midpoint
     body rate over the full step.
     """
-    inertia = structure.inertia
-    inertia_inv = structure.inertia_inverse
     wrench_body = structure.design_matrix @ np.asarray(thrusts, dtype=float)
-    force_body, torque_body = wrench_body[:3], wrench_body[3:]
-    mass = structure.mass
-    r0 = state.attitude
-
-    def derivs(vel, omega, att):
-        accel = att @ force_body / mass - gravity * geometry.E3
-        ang = inertia_inv @ (torque_body - geometry.cross3(omega, inertia @ omega))
-        return vel, accel, ang
-
-    v0, w0 = state.velocity, state.angular_velocity
+    force, torque = wrench_body[:3], wrench_body[3:]
+    r0, v0, w0 = state.attitude, state.velocity, state.angular_velocity
     r_half = r0 @ geometry.so3_exp(w0, dt / 2.0)
     r_full = r0 @ geometry.so3_exp(w0, dt)
 
-    k1 = derivs(v0, w0, r0)
-    k2 = derivs(v0 + dt / 2 * k1[1], w0 + dt / 2 * k1[2], r_half)
-    k3 = derivs(v0 + dt / 2 * k2[1], w0 + dt / 2 * k2[2], r_half)
-    k4 = derivs(v0 + dt * k3[1], w0 + dt * k3[2], r_full)
+    # stage i evaluates at velocity v_i and body rate w_i; a_i, b_i are
+    # the linear and angular accelerations there
+    a1, b1 = accelerations(r0, w0, force, torque, structure, gravity)
+    v2, w2 = v0 + dt / 2 * a1, w0 + dt / 2 * b1
+    a2, b2 = accelerations(r_half, w2, force, torque, structure, gravity)
+    v3, w3 = v0 + dt / 2 * a2, w0 + dt / 2 * b2
+    a3, b3 = accelerations(r_half, w3, force, torque, structure, gravity)
+    v4, w4 = v0 + dt * a3, w0 + dt * b3
+    a4, b4 = accelerations(r_full, w4, force, torque, structure, gravity)
 
-    def combine(i):
-        return (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) / 6.0
-
-    position = state.position + dt * combine(0)
-    velocity = v0 + dt * combine(1)
-    omega = w0 + dt * combine(2)
+    position = state.position + dt * ((v0 + 2 * v2 + 2 * v3 + v4) / 6.0)
+    velocity = v0 + dt * ((a1 + 2 * a2 + 2 * a3 + a4) / 6.0)
+    omega = w0 + dt * ((b1 + 2 * b2 + 2 * b3 + b4) / 6.0)
     omega_mid = 0.5 * (w0 + omega)
     attitude = r0 @ geometry.so3_exp(omega_mid, dt)
     if geometry.orthonormality_drift(attitude) > _ORTHO_DRIFT_TOL:
@@ -199,24 +192,12 @@ def _setpoint_yaw_pitch(setpoint):
 def initial_state_on_trajectory(trajectory, analysis):
     """State that starts exactly on the reference at t = 0."""
     sp = trajectory(0.0)
-    ctl_attitude = _desired_attitude_at(sp, analysis)
+    ctl_attitude = desired_attitude(sp, GRAVITY * geometry.E3 + sp.acceleration)
     attitude = ctl_attitude @ analysis.f_frame.T
     return VehicleState(
         sp.position.copy(), sp.velocity.copy(), attitude,
         np.asarray(sp.angular_velocity, dtype=float).copy(),
     )
-
-
-def _desired_attitude_at(setpoint, analysis):
-    from . import control as _control
-
-    if setpoint.mode == "dof4":
-        accel = GRAVITY * geometry.E3 + setpoint.acceleration
-        return _control.desired_attitude_4dof(accel, setpoint.yaw)
-    if setpoint.mode == "dof5":
-        accel = GRAVITY * geometry.E3 + setpoint.acceleration
-        return _control.desired_attitude_5dof(accel, setpoint.yaw, setpoint.pitch)
-    return np.asarray(setpoint.attitude, dtype=float)
 
 
 def run_scenario(structure, analysis, gains, trajectory, duration,
@@ -260,6 +241,9 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
             state = step(state, u_actual, structure, dt_sim, gravity)
         if not state.finite or np.linalg.norm(state.position) > _DIVERGENCE_RADIUS:
             telemetry.diverged = True
+            log.warning("diverged at t = %.3f s: %s", t + dt_ctrl,
+                        f"left the {_DIVERGENCE_RADIUS:g} m radius" if state.finite
+                        else "non-finite state")
             raise NonFiniteState(
                 f"state diverged at t = {t + dt_ctrl:.3f} s", telemetry
             )

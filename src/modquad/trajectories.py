@@ -6,7 +6,7 @@ velocity and acceleration are exact derivatives of the position, and
 whose mode matches the structure's controllable DOF.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,17 +35,18 @@ def _attitude_setpoint(mode, yaw, pitch):
 
 # ---------------------------------------------------------------------------
 # trajectory definitions (parsed from scenario configs)
+# Field metadata is the config schema (see `config`): key unit and positivity.
 
 
 @dataclass(frozen=True)
 class HelixDef:
-    center: tuple = (-0.5, 0.0)
-    radius: float = 0.45
-    z_min: float = 0.45
-    z_max: float = 0.95
-    z_period: float = 14.0
-    xy_period: float = 14.0
-    yaw_period: float = 18.0
+    center: tuple = field(default=(-0.5, 0.0), metadata={"unit": "m"})
+    radius: float = field(default=0.45, metadata={"unit": "m", "positive": True})
+    z_min: float = field(default=0.45, metadata={"unit": "m"})
+    z_max: float = field(default=0.95, metadata={"unit": "m"})
+    z_period: float = field(default=14.0, metadata={"unit": "s", "positive": True})
+    xy_period: float = field(default=14.0, metadata={"unit": "s", "positive": True})
+    yaw_period: float = field(default=18.0, metadata={"unit": "s", "positive": True})
 
     kind = "helix"
 
@@ -56,12 +57,12 @@ class HelixDef:
 
 @dataclass(frozen=True)
 class RectangleDef:
-    length: float = 0.8
-    width: float = 0.6
-    height: float = 0.5
-    lap_time: float = 24.0
-    pitch_hold: float = 0.0
-    yaw_hold: float = 0.0
+    length: float = field(default=0.8, metadata={"unit": "m", "positive": True})
+    width: float = field(default=0.6, metadata={"unit": "m", "positive": True})
+    height: float = field(default=0.5, metadata={"unit": "m"})
+    lap_time: float = field(default=24.0, metadata={"unit": "s", "positive": True})
+    pitch_hold: float = field(default=0.0, metadata={"unit": "rad"})
+    yaw_hold: float = field(default=0.0, metadata={"unit": "rad"})
 
     kind = "rectangle"
 
@@ -73,9 +74,9 @@ class RectangleDef:
 @dataclass(frozen=True)
 class AttitudeSineDef:
     axis: str = "y"
-    amplitude: float = np.radians(20.0)
-    period: float = 90.0
-    hover_point: tuple = (0.0, 0.0, 0.5)
+    amplitude: float = field(default=np.radians(20.0), metadata={"unit": "rad"})
+    period: float = field(default=90.0, metadata={"unit": "s", "positive": True})
+    hover_point: tuple = field(default=(0.0, 0.0, 0.5), metadata={"unit": "m"})
 
     kind = "attitude_sine"
 
@@ -110,9 +111,9 @@ class QuinticChainDef:
 
 @dataclass(frozen=True)
 class HoverDef:
-    point: tuple = (0.0, 0.0, 0.5)
-    yaw: float = 0.0
-    pitch: float = 0.0
+    point: tuple = field(default=(0.0, 0.0, 0.5), metadata={"unit": "m"})
+    yaw: float = field(default=0.0, metadata={"unit": "rad"})
+    pitch: float = field(default=0.0, metadata={"unit": "rad"})
 
     kind = "hover"
 

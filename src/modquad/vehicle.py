@@ -3,8 +3,8 @@
 A module is a quadrotor in a cuboid frame whose four propellers sit in a
 square on the frame's xy-plane and may be tilted. Thrust inputs are in
 newtons (the thrust coefficient is absorbed into the input), so the drag
-torque of each rotor is its thrust times the drag-to-thrust ratio k_m/k_f
-in meters.
+torque of each rotor is its thrust times the drag-to-thrust ratio k_m in
+meters.
 
 Structures are rigid grids of modules docked face to face. The assembled
 model carries the total mass, the inertia tensor about the center of mass
@@ -25,9 +25,10 @@ from .errors import EmptyStructure, InvalidParams, OverlappingModules
 DEFAULT_MASS = 0.135
 DEFAULT_ARM = 0.05
 DEFAULT_BODY_SIZE = (0.15, 0.15, 0.06)
-DEFAULT_K_F = 1.0
 DEFAULT_K_M = 0.016
 DEFAULT_F_MAX = 0.645
+
+GRAVITY = 9.81  # m/s^2; the world z-axis points up
 
 TORQUE_BALANCE_TOL = 1e-9
 
@@ -69,15 +70,14 @@ class ModuleSpec:
     mass: float = DEFAULT_MASS
     arm: float = DEFAULT_ARM
     body_size: tuple = DEFAULT_BODY_SIZE
-    k_f: float = DEFAULT_K_F
     k_m: float = DEFAULT_K_M
 
     def __post_init__(self):
         object.__setattr__(self, "body_size", tuple(float(d) for d in self.body_size))
         if self.mass <= 0.0 or self.arm <= 0.0:
             raise InvalidParams("mass and arm half-length must be positive")
-        if self.k_f <= 0.0 or self.k_m < 0.0:
-            raise InvalidParams("k_f must be positive and k_m non-negative")
+        if self.k_m < 0.0:
+            raise InvalidParams("k_m must be non-negative")
         if len(self.propellers) != 4:
             raise InvalidParams("a module has exactly four propellers")
         if any(d <= 0.0 for d in self.body_size):
@@ -113,11 +113,6 @@ class ModuleSpec:
         sin_a = geometry.vee(0.5 * (r - r.T)) @ axis
         return float(np.arctan2(sin_a, np.clip(cos_a, -1.0, 1.0)))
 
-    @property
-    def drag_ratio(self):
-        """Drag torque per newton of thrust, k_m / k_f, in meters."""
-        return self.k_m / self.k_f
-
     def cuboid_inertia(self):
         """Inertia tensor of the homogeneous solid cuboid about its center."""
         sx, sy, sz = self.body_size
@@ -138,25 +133,26 @@ class TorqueBalanceReport:
     drag_torque: np.ndarray = field(repr=False, default=None)
 
 
-def _square_positions(arm):
+def square_positions(arm):
+    """Rotor positions of the square layout, (4, 3), in the module frame."""
     return arm * np.hstack([_ARM_SIGNS, np.zeros((4, 1))])
 
 
 def make_r_module(rstar, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
-                  body_size=DEFAULT_BODY_SIZE, k_f=DEFAULT_K_F, k_m=DEFAULT_K_M):
+                  body_size=DEFAULT_BODY_SIZE, k_m=DEFAULT_K_M):
     """Module whose four rotors all share the orientation `rstar`."""
     rstar = np.asarray(rstar, dtype=float)
     if not geometry.is_rotation(rstar):
         raise InvalidParams("rstar is not a rotation matrix")
     props = tuple(
         PropellerSpec(pos, rstar, spin)
-        for pos, spin in zip(_square_positions(arm), _SPIN_SIGNS)
+        for pos, spin in zip(square_positions(arm), _SPIN_SIGNS)
     )
-    return ModuleSpec("R", props, mass, arm, tuple(body_size), k_f, k_m)
+    return ModuleSpec("R", props, mass, arm, tuple(body_size), k_m)
 
 
 def make_t_module(eta, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
-                  body_size=DEFAULT_BODY_SIZE, k_f=DEFAULT_K_F, k_m=DEFAULT_K_M):
+                  body_size=DEFAULT_BODY_SIZE, k_m=DEFAULT_K_M):
     """Module whose rotors are tilted about their own arm axes.
 
     Diagonally opposite rotors tilt the same way: the tilt angles are
@@ -166,11 +162,11 @@ def make_t_module(eta, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
     if abs(eta) >= np.pi / 2:
         raise InvalidParams(f"|eta| must be below pi/2, got {eta}")
     props = []
-    for pos, spin in zip(_square_positions(arm), _SPIN_SIGNS):
+    for pos, spin in zip(square_positions(arm), _SPIN_SIGNS):
         axis = pos / np.linalg.norm(pos)
         # tilt alternates with the same +,-,+,- pattern as the spin direction
         props.append(PropellerSpec(pos, geometry.rodrigues(axis, spin * eta), spin))
-    return ModuleSpec("T", tuple(props), mass, arm, tuple(body_size), k_f, k_m)
+    return ModuleSpec("T", tuple(props), mass, arm, tuple(body_size), k_m)
 
 
 def check_torque_balance(module, tol=TORQUE_BALANCE_TOL):
@@ -186,7 +182,7 @@ def check_torque_balance(module, tol=TORQUE_BALANCE_TOL):
     for prop in module.propellers:
         axis = prop.thrust_axis
         thrust_torque += np.cross(prop.position, axis)
-        drag_torque += prop.spin_sign * module.drag_ratio * axis
+        drag_torque += prop.spin_sign * module.k_m * axis
         total_thrust += axis
     magnitude = float(np.linalg.norm(total_thrust))
     direction = total_thrust / magnitude if magnitude > 1e-12 else geometry.E3.copy()
@@ -270,7 +266,7 @@ def module_design_matrix(module):
     cols = []
     for prop in module.propellers:
         axis = prop.thrust_axis
-        torque = np.cross(prop.position, axis) + prop.spin_sign * module.drag_ratio * axis
+        torque = np.cross(prop.position, axis) + prop.spin_sign * module.k_m * axis
         cols.append(np.concatenate([axis, torque]))
     return np.column_stack(cols)
 
@@ -328,7 +324,7 @@ def assemble_structure(placements):
             rotor_positions.append(d + att @ prop.position)
             rotor_orientations.append(att @ prop.orientation)
             spin_signs.append(prop.spin_sign)
-            drag_ratios.append(module.drag_ratio)
+            drag_ratios.append(module.k_m)
 
     structure = StructureModel(
         placements=placements,

@@ -15,6 +15,7 @@ import pytest
 from modquad import (
     actuation,
     config,
+    control,
     geometry,
     simulation,
     telemetry,
@@ -127,11 +128,12 @@ def test_criterion_3_thrust_frames_and_ellipsoid():
 def test_criterion_4_allocation():
     _, s, an = build_fixture("exp4")
     a_f = actuation.design_in_f_frame(s.design_matrix, an.f_frame)
+    controller = control.Controller(s, an)
     rng = np.random.default_rng(11)
     worst_exact = 0.0
     for _ in range(1000):
         w = rng.normal(size=6)
-        u = actuation.allocate(a_f, an.dimensioning, w)
+        u = controller.allocate(w)
         worst_exact = max(worst_exact,
                           np.linalg.norm(a_f @ u - w) / np.linalg.norm(w))
     _, _, vt = np.linalg.svd(an.dimensioning @ a_f)
@@ -139,12 +141,11 @@ def test_criterion_4_allocation():
     min_norm_ok = True
     for _ in range(100):
         w = rng.normal(size=6)
-        u = actuation.allocate(a_f, an.dimensioning, w)
+        u = controller.allocate(w)
         delta = rng.normal(size=null_basis.shape[0]) @ null_basis
         if np.linalg.norm(u) > np.linalg.norm(u + delta) + 1e-12:
             min_norm_ok = False
-    hover = actuation.allocate(a_f, an.dimensioning,
-                               [0.0, 0.0, s.mass * G, 0.0, 0.0, 0.0])
+    hover = controller.allocate(np.array([0.0, 0.0, s.mass * G, 0.0, 0.0, 0.0]))
     hover_err = np.max(np.abs(hover - s.mass * G / (16 * np.cos(np.pi / 4))))
     residual = np.linalg.norm(
         a_f @ hover - np.array([0.0, 0.0, s.mass * G, 0.0, 0.0, 0.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modquad import actuation, geometry, vehicle
+from modquad import actuation, control, geometry, vehicle
 from modquad.errors import DegenerateStructure, InvalidDOF
 
 
@@ -147,8 +147,7 @@ def test_dimensioning_matrices_exact():
 def test_allocate_zero_wrench():
     s = four_t_diagonal()
     an = actuation.analyze_structure(s)
-    a_f = actuation.design_in_f_frame(s.design_matrix, an.f_frame)
-    u = actuation.allocate(a_f, an.dimensioning, np.zeros(6))
+    u = control.Controller(s, an).allocate(np.zeros(6))
     assert np.allclose(u, 0.0)
 
 
@@ -157,7 +156,7 @@ def test_allocate_hover_four_t_structure():
     an = actuation.analyze_structure(s)
     a_f = actuation.design_in_f_frame(s.design_matrix, an.f_frame)
     w = np.array([0.0, 0.0, s.mass * 9.81, 0.0, 0.0, 0.0])
-    u = actuation.allocate(a_f, an.dimensioning, w)
+    u = control.Controller(s, an).allocate(w)
     expected = s.mass * 9.81 / (16 * np.cos(np.pi / 4))
     assert np.max(np.abs(u - expected)) < 1e-9
     assert np.max(np.abs(a_f @ u - w)) < 1e-9
@@ -166,9 +165,8 @@ def test_allocate_hover_four_t_structure():
 def test_allocate_hover_vertical_quadrotor():
     s = single_r(0.0)
     an = actuation.analyze_structure(s)
-    a_f = actuation.design_in_f_frame(s.design_matrix, an.f_frame)
     w = np.array([0.0, 0.0, s.mass * 9.81, 0.0, 0.0, 0.0])
-    u = actuation.allocate(a_f, an.dimensioning, w)
+    u = control.Controller(s, an).allocate(w)
     assert np.allclose(u, s.mass * 9.81 / 4)
 
 
@@ -176,10 +174,11 @@ def test_allocation_exact_for_six_dof():
     s = four_t_diagonal()
     an = actuation.analyze_structure(s)
     a_f = actuation.design_in_f_frame(s.design_matrix, an.f_frame)
+    controller = control.Controller(s, an)
     rng = np.random.default_rng(23)
     for _ in range(1000):
         w = rng.normal(size=6)
-        u = actuation.allocate(a_f, an.dimensioning, w)
+        u = controller.allocate(w)
         assert np.linalg.norm(a_f @ u - w) < 1e-8 * np.linalg.norm(w)
 
 
@@ -190,10 +189,11 @@ def test_allocation_is_minimum_norm():
     reduced = an.dimensioning @ a_f
     _, _, vt = np.linalg.svd(reduced)
     null_basis = vt[6:]
+    controller = control.Controller(s, an)
     rng = np.random.default_rng(29)
     for _ in range(100):
         w = rng.normal(size=6)
-        u = actuation.allocate(a_f, an.dimensioning, w)
+        u = controller.allocate(w)
         delta = rng.normal(size=null_basis.shape[0]) @ null_basis
         assert np.linalg.norm(u) <= np.linalg.norm(u + delta) + 1e-12
 

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ from modquad import cli
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def write_hover_config(path, duration=0.5, extra=""):
+def write_hover_config(path, duration=0.5, extra="", physical="",
+                       trajectory="{kind: hover, point_m: [0.0, 0.0, 0.5]}"):
     path.write_text(f"""
 modules:
   - kind: T
@@ -29,10 +32,9 @@ gains:
   k_vel: [4, 4, 4]
   k_att: [100, 100, 100]
   k_omega: [20, 20, 20]
+{physical}
 scenario:
-  trajectory:
-    kind: hover
-    point_m: [0.0, 0.0, 0.5]
+  trajectory: {trajectory}
   duration_s: {duration}
   dt_ctrl_s: 0.002
   dt_sim_s: 0.001
@@ -172,3 +174,121 @@ def test_analyze_out_of_range_eta_exits_2(tmp_path, capsys):
     code = cli.main(["analyze", str(bad)])
     assert code == 2
     assert "pi/2" in capsys.readouterr().err
+
+
+HOVER = "{kind: hover}"
+
+
+@pytest.mark.parametrize("command, trajectory, extra, physical, key", [
+    ("analyze", "{kind: helix, z_period_s: -1}", "", "", "z_period_s"),
+    ("analyze", "{kind: rectangle, lap_time_s: 0}", "", "", "lap_time_s"),
+    ("analyze", "{kind: attitude_sine, period_s: 0}", "", "", "period_s"),
+    ("simulate", HOVER, "  skip_s: .nan", "", "skip_s"),
+    ("simulate", HOVER, "", "physical:\n  f_max_n: .inf", "f_max_n"),
+    ("analyze", HOVER, "", "physical:\n  arm_m: .nan", "arm_m"),
+    ("analyze", "{kind: quintic_chain, waypoints: [{position_m: [0, 0, 0]}, "
+     "{position_m: [0, 0, 1]}], durations_s: [.inf]}", "", "", "durations_s"),
+])
+def test_bad_config_value_reported_once(tmp_path, capsys, command, trajectory,
+                                        extra, physical, key):
+    cfg = tmp_path / "bad.cfg"
+    write_hover_config(cfg, 0.1, extra, physical, trajectory)
+    argv = [command, str(cfg)] + (["-o", str(tmp_path / "x.csv")]
+                                  if command == "simulate" else [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and key in err[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+def test_non_finite_duration_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "bad.cfg"
+    write_hover_config(cfg, duration=value)
+    assert cli.main(["simulate", str(cfg), "-o", str(tmp_path / "x.csv")]) == 2
+    assert "duration_s" in capsys.readouterr().err
+
+
+def test_metrics_missing_file_exits_2(tmp_path, capsys):
+    assert cli.main(["metrics", str(tmp_path / "missing.csv")]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+
+
+def fail_if_flown(*args, **kwargs):
+    raise AssertionError("flew before checking the outputs")
+
+
+def test_simulate_checks_output_directory_before_flying(tmp_path, capsys,
+                                                        monkeypatch):
+    cfg = tmp_path / "hover.cfg"
+    write_hover_config(cfg)
+    monkeypatch.setattr(cli.simulation, "run_scenario", fail_if_flown)
+    out = tmp_path / "no_such_dir" / "out.csv"
+    assert cli.main(["simulate", str(cfg), "-o", str(out)]) == 2
+    assert "no_such_dir" in capsys.readouterr().err
+
+
+def test_simulate_rejects_clashing_outputs(tmp_path, capsys, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    write_hover_config(tmp_path / "a" / "x.cfg")
+    write_hover_config(tmp_path / "b" / "x.cfg")
+    monkeypatch.setattr(cli.simulation, "run_scenario", fail_if_flown)
+    code = cli.main(["simulate", str(tmp_path / "a" / "x.cfg"),
+                     str(tmp_path / "b" / "x.cfg"), "-o", str(tmp_path / "runs")])
+    assert code == 2
+    assert "overwrite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_simulate_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = tmp_path / "hover.cfg"
+    write_hover_config(cfg)
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", str(cfg), "-o", str(out), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class RecordingPool:
+    """Runs each job in this process and records the requested pool size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus, expected", [(2, 2), (8, 3)])
+def test_simulate_caps_workers(tmp_path, monkeypatch, cpus, expected):
+    configs = []
+    for name in ("one", "two", "three"):
+        configs.append(tmp_path / f"{name}.cfg")
+        write_hover_config(configs[-1], duration=0.01)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code = cli.main(["simulate", *map(str, configs), "-o", str(tmp_path / "runs"),
+                     "--jobs", "64"])
+    assert code == 0
+    assert RecordingPool.sizes == [expected]
+    assert len(list((tmp_path / "runs").glob("*.csv"))) == 3
+
+
+def test_analysis_result_logged_at_info(caplog):
+    with caplog.at_level(logging.INFO, logger="modquad"):
+        assert cli.main(["analyze", str(FIXTURES / "exp1.cfg")]) == 0
+    infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(infos) == 1
+    assert "4-DOF" in infos[0] and "applicable True" in infos[0]

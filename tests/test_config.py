@@ -54,6 +54,13 @@ modules:
     assert any("share a grid cell" in p for p in info.value.problems)
 
 
+def test_fractional_cell_rejected():
+    text = "modules:\n  - {kind: T, eta_rad: 0.1, cell: [0.5, 0, 0]}\n"
+    with pytest.raises(SchemaError) as info:
+        config.parse_config(text)
+    assert any("cell must hold three integers" in p for p in info.value.problems)
+
+
 def test_unknown_key_rejected_with_location():
     text = """
 modules:

@@ -163,22 +163,22 @@ def test_attitude_accel_terms():
 def test_wrench_hover():
     w = control.wrench([0, 0, G], np.zeros(3), np.eye(3), np.zeros(3),
                        0.54, np.diag([1e-3, 1e-3, 2e-3]))
-    assert np.allclose(w.force, [0.0, 0.0, 0.54 * G])
-    assert w.force[2] == pytest.approx(5.2974)
-    assert np.allclose(w.torque, 0.0)
+    assert np.allclose(w[:3], [0.0, 0.0, 0.54 * G])
+    assert w[2] == pytest.approx(5.2974)
+    assert np.allclose(w[3:], 0.0)
 
 
 def test_wrench_gyroscopic_term_vanishes_on_principal_axis():
     j = np.diag([1e-3, 1e-3, 2e-3])
     w = control.wrench(np.zeros(3), np.zeros(3), np.eye(3), [0, 0, 1.0], 1.0, j)
-    assert np.allclose(w.torque, 0.0)
+    assert np.allclose(w[3:], 0.0)
 
 
 def test_wrench_force_rotates_into_thrust_frame():
     att = geometry.rot_principal("y", np.pi / 18)
     w = control.wrench([0, 0, G], np.zeros(3), att, np.zeros(3), 0.54, np.eye(3))
-    assert np.allclose(w.force, 0.54 * att.T @ np.array([0.0, 0.0, G]))
-    assert w.force[0] == pytest.approx(-0.54 * G * np.sin(np.pi / 18))
+    assert np.allclose(w[:3], 0.54 * att.T @ np.array([0.0, 0.0, G]))
+    assert w[0] == pytest.approx(-0.54 * G * np.sin(np.pi / 18))
 
 
 def test_control_step_hover_matches_hover_allocation():
@@ -186,7 +186,7 @@ def test_control_step_hover_matches_hover_allocation():
     an = actuation.analyze_structure(s)
     state = VehicleState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
     sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), "dof6", attitude=np.eye(3))
-    u = control.control_step(state, sp, s, an)
+    u = control.Controller(s, an).step(state, sp)
     assert np.max(np.abs(u - s.mass * G / (16 * np.cos(np.pi / 4)))) < 1e-9
 
 
@@ -207,7 +207,7 @@ def test_control_step_mode_mismatch():
     state = VehicleState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
     sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), "dof4", yaw=0.0)
     with pytest.raises(ModeMismatch):
-        control.control_step(state, sp, s, an)
+        control.Controller(s, an).step(state, sp)
 
 
 def test_control_step_descends_when_above_setpoint():
@@ -215,7 +215,7 @@ def test_control_step_descends_when_above_setpoint():
     an = actuation.analyze_structure(s)
     state = VehicleState([0, 0, 0.1], np.zeros(3), np.eye(3), np.zeros(3))
     sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), "dof6", attitude=np.eye(3))
-    u = control.control_step(state, sp, s, an)
+    u = control.Controller(s, an).step(state, sp)
     ctl = control.Controller(s, an)
     commanded_z_force = (ctl.design_f @ u)[2]
     assert commanded_z_force < s.mass * G

@@ -25,6 +25,13 @@ def rest_state():
     return VehicleState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
 
 
+def rest_accelerations(thrusts, s):
+    w = s.design_matrix @ thrusts
+    state = rest_state()
+    return simulation.accelerations(state.attitude, state.angular_velocity,
+                                    w[:3], w[3:], s, G)
+
+
 def tuned_gains():
     return control.ControllerGains(
         k_pos=[6, 6, 6], k_vel=[4, 4, 4], k_att=[100, 100, 100], k_omega=[20, 20, 20]
@@ -33,7 +40,7 @@ def tuned_gains():
 
 def test_free_fall_derivative():
     s = vertical_quad()
-    accel, ang = simulation.dynamics_derivative(rest_state(), np.zeros(4), s)
+    accel, ang = rest_accelerations(np.zeros(4), s)
     assert np.allclose(accel, [0, 0, -G])
     assert np.allclose(ang, 0.0)
 
@@ -41,7 +48,7 @@ def test_free_fall_derivative():
 def test_hover_derivative_is_equilibrium():
     s = vertical_quad()
     u = np.full(4, s.mass * G / 4)
-    accel, ang = simulation.dynamics_derivative(rest_state(), u, s)
+    accel, ang = rest_accelerations(u, s)
     assert np.allclose(accel, 0.0, atol=1e-12)
     assert np.allclose(ang, 0.0, atol=1e-12)
 
@@ -51,7 +58,7 @@ def test_pure_z_torque_derivative():
     # rotors 1 and 3 share spin sign: equal thrusts there give pure z drag torque
     u = np.array([0.2, 0.0, 0.2, 0.0])
     tau_z = s.design_matrix[5] @ u
-    _, ang = simulation.dynamics_derivative(rest_state(), u, s)
+    _, ang = rest_accelerations(u, s)
     assert np.allclose(ang, [0.0, 0.0, tau_z / s.inertia[2, 2]])
 
 
@@ -201,7 +208,7 @@ def test_scenario_requires_integer_step_ratio():
                                 dt_ctrl=0.003, dt_sim=0.002)
 
 
-def test_divergence_aborts_with_partial_telemetry():
+def test_divergence_aborts_with_partial_telemetry(caplog):
     s = four_t_structure()
     an = actuation.analyze_structure(s)
     traj = trajectories.make_trajectory(trajectories.HoverDef(), 6)
@@ -211,6 +218,8 @@ def test_divergence_aborts_with_partial_telemetry():
     telemetry = info.value.telemetry
     assert telemetry is not None and telemetry.diverged
     assert len(telemetry) > 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "left the 100 m radius" in warnings[0]
 
 
 def test_closed_loop_hover_stays_put():

@@ -137,7 +137,7 @@ def test_duplicate_cell_rejected():
 
 
 def test_design_matrix_vertical_quadrotor_column():
-    m = vehicle.make_r_module(np.eye(3), arm=0.1, k_f=1.0, k_m=0.016)
+    m = vehicle.make_r_module(np.eye(3), arm=0.1, k_m=0.016)
     s = vehicle.assemble_structure([(m, (0, 0, 0))])
     col = s.design_matrix[:, 0]
     assert np.allclose(col, [0.0, 0.0, 1.0, 0.1, -0.1, 0.016])

@@ -150,10 +150,8 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _simulate_one(config_path, output_path):
-    cfg = config_mod.load_config(config_path)
-    if cfg.scenario is None:
-        raise SchemaError(["config has no scenario block"])
+def _simulate_one(config_path, cfg, output_path):
+    """Fly one parsed config and write its telemetry; returns the row count."""
     structure = config_mod.build_structure(cfg)
     analysis = actuation.analyze_structure(structure, f_max=cfg.physical.f_max_n)
     _log_analysis(config_path, analysis)
@@ -202,30 +200,31 @@ def cmd_simulate(args):
     if args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_SCHEMA
-    for config_path in args.configs:
-        _load(config_path)  # validate up front so schema errors exit 2
-    jobs = list(zip(args.configs, _output_paths(args.configs, args.output)))
+    # parse every config once, up front, so schema errors exit 2 before any flight
+    configs = [_load(config_path) for config_path in args.configs]
+    for config_path, cfg in zip(args.configs, configs):
+        if cfg.scenario is None:
+            print(f"{config_path}: config has no scenario block", file=sys.stderr)
+            return EXIT_SCHEMA
+    jobs = list(zip(args.configs, configs, _output_paths(args.configs, args.output)))
     # under fork a process pool starts all its workers at once
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     status = EXIT_OK
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_simulate_one, cfg_path, out): (cfg_path, out)
-                for cfg_path, out in jobs
-            }
+            futures = {pool.submit(_simulate_one, *job): job for job in jobs}
             for future in concurrent.futures.as_completed(futures):
-                cfg_path, out = futures[future]
-                status = max(status, _report_sim_result(future, cfg_path, out))
+                status = max(status, _report_sim_result(future, *futures[future]))
     else:
-        for cfg_path, out in jobs:
-            status = max(status, _report_sim_result(None, cfg_path, out))
+        for job in jobs:
+            status = max(status, _report_sim_result(None, *job))
     return status
 
 
-def _report_sim_result(future, cfg_path, out):
+def _report_sim_result(future, cfg_path, cfg, out):
     try:
-        rows = future.result() if future is not None else _simulate_one(cfg_path, out)
+        rows = (future.result() if future is not None
+                else _simulate_one(cfg_path, cfg, out))
     except NonFiniteState as exc:
         print(f"{cfg_path}: {exc} (partial telemetry in {out})", file=sys.stderr)
         return EXIT_DIVERGED

@@ -8,6 +8,7 @@ the resulting wrench is allocated to rotor thrusts by pseudo-inverse,
 which yields the minimum-norm thrust vector.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import geometry
 from .actuation import design_in_f_frame
 from .errors import DegenerateThrust, GimbalDegenerate, InvalidParams, ModeMismatch
-from .geometry import E3, vee
+from .geometry import vee
 from .vehicle import GRAVITY
 
 _EPS = 1e-6
@@ -88,15 +89,34 @@ class ControllerGains:
 def position_accel(pos_error, vel_error, accel_ff, gains, integral=None):
     """Commanded acceleration: PD on position/velocity plus gravity and
     the acceleration feed-forward."""
-    a = (
-        gains.k_pos * np.asarray(pos_error, dtype=float)
-        + gains.k_vel * np.asarray(vel_error, dtype=float)
-        + GRAVITY * E3
-        + np.asarray(accel_ff, dtype=float)
-    )
+    kp, kv = gains.k_pos.tolist(), gains.k_vel.tolist()
+    ep, ev, ff = pos_error, vel_error, accel_ff
+    a = [kp[0] * ep[0] + kv[0] * ev[0] + ff[0],
+         kp[1] * ep[1] + kv[1] * ev[1] + ff[1],
+         kp[2] * ep[2] + kv[2] * ev[2] + GRAVITY + ff[2]]
     if integral is not None:
-        a = a + gains.k_int * integral
-    return a
+        ki = gains.k_int.tolist()
+        a = [a[0] + ki[0] * integral[0], a[1] + ki[1] * integral[1],
+             a[2] + ki[2] * integral[2]]
+    return np.array(a)
+
+
+def _difference(a, b):
+    """a - b for two numpy 3-vectors, as a list of floats."""
+    ax, ay, az = a.tolist()
+    bx, by, bz = b.tolist()
+    return [ax - bx, ay - by, az - bz]
+
+
+def _unit(v, norm):
+    """The 3-vector v divided by its norm, as a list of floats."""
+    x, y, z = v
+    return [x / norm, y / norm, z / norm]
+
+
+def _columns(x, y, z):
+    """3x3 array whose columns are the 3-vectors x, y and z."""
+    return np.array([[x[0], y[0], z[0]], [x[1], y[1], z[1]], [x[2], y[2], z[2]]])
 
 
 def desired_attitude_4dof(accel, yaw):
@@ -105,18 +125,16 @@ def desired_attitude_4dof(accel, yaw):
     z points along `accel`; x is the yaw heading projected onto the plane
     normal to z.
     """
-    accel = np.asarray(accel, dtype=float)
-    norm = np.linalg.norm(accel)
+    norm = math.hypot(*accel)
     if norm <= _EPS:
         raise DegenerateThrust(f"|accel| = {norm:.2e}")
-    z = accel / norm
-    heading = np.array([np.cos(yaw), np.sin(yaw), 0.0])
-    y_raw = geometry.cross3(z, heading)
-    y_norm = np.linalg.norm(y_raw)
+    z = _unit(accel, norm)
+    y_raw = geometry.cross3(z, (math.cos(yaw), math.sin(yaw), 0.0))
+    y_norm = math.hypot(*y_raw)
     if y_norm <= _EPS:
         raise GimbalDegenerate("thrust direction parallel to heading")
-    y = y_raw / y_norm
-    return np.column_stack([geometry.cross3(y, z), y, z])
+    y = _unit(y_raw, y_norm)
+    return _columns(geometry.cross3(y, z), y, z)
 
 
 def desired_attitude_5dof(accel, yaw, pitch):
@@ -126,18 +144,18 @@ def desired_attitude_5dof(accel, yaw, pitch):
     onto the plane spanned by x and the resulting z, so the pitch target
     is honored while the thrust stays as close to `accel` as possible.
     """
-    accel = np.asarray(accel, dtype=float)
-    norm = np.linalg.norm(accel)
+    norm = math.hypot(*accel)
     if norm <= _EPS:
         raise DegenerateThrust(f"|accel| = {norm:.2e}")
-    z_c = accel / norm
-    x = geometry.rot_principal("z", yaw) @ geometry.rot_principal("y", pitch) @ geometry.E1
+    z_c = _unit(accel, norm)
+    cos_p = math.cos(pitch)  # x = Rz(yaw) Ry(pitch) e1
+    x = (math.cos(yaw) * cos_p, math.sin(yaw) * cos_p, -math.sin(pitch))
     y_raw = geometry.cross3(z_c, x)
-    y_norm = np.linalg.norm(y_raw)
+    y_norm = math.hypot(*y_raw)
     if y_norm <= _EPS:
         raise GimbalDegenerate("thrust direction parallel to target x-axis")
-    y = y_raw / y_norm
-    return np.column_stack([x, y, geometry.cross3(x, y)])
+    y = _unit(y_raw, y_norm)
+    return _columns(x, y, geometry.cross3(x, y))
 
 
 def desired_attitude(setpoint, accel):
@@ -157,18 +175,27 @@ def attitude_error(desired, attitude, frame_rotation, omega, omega_desired):
     the fixed structure-to-thrust-frame rotation; the tracked attitude is
     their product.
     """
-    r_wf = np.asarray(attitude, dtype=float) @ np.asarray(frame_rotation, dtype=float)
-    desired = np.asarray(desired, dtype=float)
-    e_rot = 0.5 * vee(desired.T @ r_wf - r_wf.T @ desired)
-    e_omega = np.asarray(omega, dtype=float) - r_wf.T @ desired @ np.asarray(
-        omega_desired, dtype=float
-    )
+    r_wf = geometry.matmul3(attitude, frame_rotation)
+    # m = desired^T r_wf, so m^T = r_wf^T desired
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = geometry.matmul3(
+        zip(*desired), r_wf)
+    e_rot = 0.5 * vee([[m00 - m00, m01 - m10, m02 - m20],
+                       [m10 - m01, m11 - m11, m12 - m21],
+                       [m20 - m02, m21 - m12, m22 - m22]])
+    ox, oy, oz = omega
+    wx, wy, wz = omega_desired
+    e_omega = np.array([ox - (m00 * wx + m10 * wy + m20 * wz),
+                        oy - (m01 * wx + m11 * wy + m21 * wz),
+                        oz - (m02 * wx + m12 * wy + m22 * wz)])
     return e_rot, e_omega
 
 
 def attitude_accel(e_rot, e_omega, gains):
     """Commanded angular acceleration from the attitude errors."""
-    return -gains.k_att * e_rot - gains.k_omega * e_omega
+    ka, kw = gains.k_att.tolist(), gains.k_omega.tolist()
+    return np.array([-ka[0] * e_rot[0] - kw[0] * e_omega[0],
+                     -ka[1] * e_rot[1] - kw[1] * e_omega[1],
+                     -ka[2] * e_rot[2] - kw[2] * e_omega[2]])
 
 
 def wrench(accel, ang_accel, attitude_f, omega, mass, inertia):
@@ -178,13 +205,10 @@ def wrench(accel, ang_accel, attitude_f, omega, mass, inertia):
     scaled by the mass; torque is the rigid-body torque tracking the
     angular acceleration with the gyroscopic term restored.
     """
-    attitude_f = np.asarray(attitude_f, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    force = mass * (attitude_f.T @ np.asarray(accel, dtype=float))
-    torque = inertia @ np.asarray(ang_accel, dtype=float) + geometry.cross3(
-        omega, inertia @ omega
-    )
-    return np.concatenate([force, torque])
+    fx, fy, fz = geometry.matvec3(zip(*attitude_f), accel)
+    tx, ty, tz = geometry.matvec3(inertia, ang_accel)
+    gx, gy, gz = geometry.cross3(omega, geometry.matvec3(inertia, omega))
+    return np.array([mass * fx, mass * fy, mass * fz, tx + gx, ty + gy, tz + gz])
 
 
 class Controller:
@@ -202,10 +226,12 @@ class Controller:
         self.gains = gains if gains is not None else ControllerGains()
         self.design_f = design_in_f_frame(structure.design_matrix, analysis.f_frame)
         self._alloc = np.linalg.pinv(analysis.dimensioning @ self.design_f)
-        self._integral = np.zeros(3)
+        self._frame = analysis.f_frame.tolist()
+        self._integrating = bool(np.any(self.gains.k_int > 0.0))
+        self._integral = [0.0, 0.0, 0.0]
 
     def reset(self):
-        self._integral[:] = 0.0
+        self._integral = [0.0, 0.0, 0.0]
 
     def allocate(self, wrench):
         """Minimum-norm thrusts solving the row-reduced wrench equation.
@@ -222,20 +248,21 @@ class Controller:
             raise ModeMismatch(
                 f"setpoint mode {setpoint.mode!r} on a {dof}-DOF structure"
             )
-        e_pos = setpoint.position - state.position
-        e_vel = setpoint.velocity - state.velocity
-        if dt is not None and np.any(self.gains.k_int > 0.0):
+        e_pos = _difference(setpoint.position, state.position)
+        e_vel = _difference(setpoint.velocity, state.velocity)
+        if dt is not None and self._integrating:
             limit = self.gains.integral_limit
-            self._integral = np.clip(self._integral + e_pos * dt, -limit, limit)
-        accel = position_accel(e_pos, e_vel, setpoint.acceleration, self.gains,
-                               integral=self._integral)
-        desired = desired_attitude(setpoint, accel)
-        e_rot, e_omega = attitude_error(
-            desired, state.attitude, self.analysis.f_frame,
-            state.angular_velocity, setpoint.angular_velocity,
-        )
-        ang_accel = attitude_accel(e_rot, e_omega, self.gains)
-        attitude_f = state.attitude @ self.analysis.f_frame
-        w = wrench(accel, ang_accel, attitude_f, state.angular_velocity,
-                   self.structure.mass, self.structure.inertia)
+            self._integral = [min(max(i + e * dt, -limit), limit)
+                              for i, e in zip(self._integral, e_pos)]
+        accel = position_accel(e_pos, e_vel, setpoint.acceleration.tolist(),
+                               self.gains, integral=self._integral).tolist()
+        desired = desired_attitude(setpoint, accel).tolist()
+        attitude = state.attitude.tolist()
+        omega = state.angular_velocity.tolist()
+        e_rot, e_omega = attitude_error(desired, attitude, self._frame, omega,
+                                        setpoint.angular_velocity.tolist())
+        ang_accel = attitude_accel(e_rot.tolist(), e_omega.tolist(), self.gains)
+        attitude_f = geometry.matmul3(attitude, self._frame)
+        w = wrench(accel, ang_accel.tolist(), attitude_f, omega,
+                   self.structure.mass, self.structure.inertia_floats[0])
         return self.allocate(w)

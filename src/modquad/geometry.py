@@ -1,8 +1,15 @@
 """Rotation-matrix utilities shared by every other module.
 
-All rotations are plain 3x3 numpy arrays. Helpers here are pure functions
-and never mutate their inputs.
+Rotations cross module boundaries as plain 3x3 numpy arrays. The helpers
+accept any 3-vector or 3x3 nested sequence and do their arithmetic on
+Python floats: for a single small vector or matrix that is several times
+cheaper than numpy's per-call overhead. `cross3`, `matvec3` and `matmul3`
+return lists of floats for the closed-loop tick; the other helpers
+return rotations and vectors as numpy arrays. Helpers here are pure
+functions and never mutate their inputs.
 """
+
+import math
 
 import numpy as np
 
@@ -28,24 +35,47 @@ def hat(v):
 
 
 def cross3(a, b):
-    """Cross product of two 3-vectors (np.cross has high overhead here)."""
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+    """Cross product of two 3-vectors, as a list of floats."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return [ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]
+
+
+def matvec3(a, v):
+    """Product a @ v of a 3x3 matrix and a 3-vector, as a list of floats."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    x, y, z = v
+    return [a00 * x + a01 * y + a02 * z,
+            a10 * x + a11 * y + a12 * z,
+            a20 * x + a21 * y + a22 * z]
+
+
+def matmul3(a, b):
+    """Product a @ b of two 3x3 matrices, as nested lists of floats."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return [
+        [a00 * b00 + a01 * b10 + a02 * b20,
+         a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22],
+        [a10 * b00 + a11 * b10 + a12 * b20,
+         a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22],
+        [a20 * b00 + a21 * b10 + a22 * b20,
+         a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22],
+    ]
 
 
 def vee(s):
-    """Inverse of hat(); raises NotSkewSymmetric beyond a 1e-9 residual."""
-    s = np.asarray(s, dtype=float)
-    if np.linalg.norm(s + s.T) >= _SKEW_TOL:
-        raise NotSkewSymmetric(f"residual {np.linalg.norm(s + s.T):.3e}")
-    return 0.5 * np.array([
-        s[2, 1] - s[1, 2],
-        s[0, 2] - s[2, 0],
-        s[1, 0] - s[0, 1],
-    ])
+    """Inverse of hat(); raises NotSkewSymmetric beyond a 1e-9 residual
+    (Frobenius norm of S + S^T)."""
+    (a, b, c), (d, e, f), (g, h, i) = s
+    residual = math.sqrt(4.0 * (a * a + e * e + i * i)
+                         + 2.0 * ((b + d) ** 2 + (c + g) ** 2 + (f + h) ** 2))
+    if residual >= _SKEW_TOL:
+        raise NotSkewSymmetric(f"residual {residual:.3e}")
+    return np.array([0.5 * (h - f), 0.5 * (c - g), 0.5 * (d - b)])
 
 
 def rodrigues(axis, angle):
@@ -53,11 +83,23 @@ def rodrigues(axis, angle):
 
     R = I + sin(angle) P + (1 - cos(angle)) P^2 with P = hat(axis).
     """
-    axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > _UNIT_TOL:
-        raise NonUnitAxis(f"|axis| = {np.linalg.norm(axis):.12f}")
-    p = hat(axis)
-    return np.eye(3) + np.sin(angle) * p + (1.0 - np.cos(angle)) * (p @ p)
+    x, y, z = axis
+    norm = math.hypot(x, y, z)
+    if abs(norm - 1.0) > _UNIT_TOL:
+        raise NonUnitAxis(f"|axis| = {norm:.12f}")
+    return _rodrigues(x, y, z, angle)
+
+
+def _rodrigues(x, y, z, angle):
+    """Rodrigues' formula for the unit axis (x, y, z), with hat(axis)^2
+    written out entry by entry."""
+    s, c = math.sin(angle), 1.0 - math.cos(angle)
+    xy, xz, yz = c * x * y, c * x * z, c * y * z
+    return np.array([
+        [1.0 - c * (y * y + z * z), xy - s * z, xz + s * y],
+        [xy + s * z, 1.0 - c * (x * x + z * z), yz - s * x],
+        [xz - s * y, yz + s * x, 1.0 - c * (x * x + y * y)],
+    ])
 
 
 def rot_principal(axis_id, angle):
@@ -78,18 +120,26 @@ def so3_exp(omega, dt):
     Returns the identity below an angle of 1e-12 rad, which avoids the
     division by zero with error far under machine precision.
     """
-    omega = np.asarray(omega, dtype=float)
-    speed = np.linalg.norm(omega)
+    x, y, z = omega
+    speed = math.hypot(x, y, z)
     angle = speed * dt
     if abs(angle) < _EXP_ANGLE_FLOOR:
         return np.eye(3)
-    return rodrigues(omega / speed, angle)
+    return _rodrigues(x / speed, y / speed, z / speed, angle)
 
 
 def orthonormality_drift(r):
     """Frobenius distance of R^T R from the identity."""
-    r = np.asarray(r, dtype=float)
-    return np.linalg.norm(r.T @ r - np.eye(3))
+    (a, b, c), (d, e, f), (g, h, i) = r
+    # entries of R^T R - I; each off-diagonal one appears twice
+    xx = a * a + d * d + g * g - 1.0
+    yy = b * b + e * e + h * h - 1.0
+    zz = c * c + f * f + i * i - 1.0
+    xy = a * b + d * e + g * h
+    xz = a * c + d * f + g * i
+    yz = b * c + e * f + h * i
+    return math.sqrt(xx * xx + yy * yy + zz * zz
+                     + 2.0 * (xy * xy + xz * xz + yz * yz))
 
 
 def orthonormalize(r):
@@ -101,6 +151,13 @@ def orthonormalize(r):
         u[:, -1] = -u[:, -1]
         out = u @ vt
     return out
+
+
+def yaw_pitch(r):
+    """Yaw and pitch (rad) of a rotation: the Z-Y-X Euler angles of its
+    x-axis."""
+    return (float(np.arctan2(r[1][0], r[0][0])),
+            float(np.arcsin(min(max(-r[2][0], -1.0), 1.0))))
 
 
 def is_rotation(r, tol=1e-9):

@@ -6,10 +6,16 @@ rate, and is re-orthonormalized whenever floating-point drift exceeds
 1e-9. Motors clamp to [0, f_max] (optionally with a deadzone and a
 first-order lag) and hold their thrust between control ticks.
 
+A step does its 3-vector and 3x3 arithmetic on Python floats, which for
+one vehicle is several times cheaper than small numpy arrays; states
+enter and leave it as numpy arrays.
+
 State feedback is perfect: no sensors, no estimator, no noise.
 """
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +59,10 @@ class VehicleState:
 
     @property
     def finite(self):
-        return (
-            np.all(np.isfinite(self.position))
-            and np.all(np.isfinite(self.velocity))
-            and np.all(np.isfinite(self.attitude))
-            and np.all(np.isfinite(self.angular_velocity))
-        )
+        return all(map(math.isfinite, itertools.chain(
+            self.position.tolist(), self.velocity.tolist(),
+            self.attitude.ravel().tolist(), self.angular_velocity.tolist(),
+        )))
 
 
 @dataclass
@@ -101,12 +105,21 @@ def motor_apply(commands, model, dt, previous=None):
 
 def accelerations(attitude, omega, force_body, torque_body, structure, gravity):
     """Linear acceleration (world frame) and angular acceleration (body
-    frame) of the rigid structure under a body-frame wrench."""
-    accel = attitude @ force_body / structure.mass - gravity * geometry.E3
-    ang_accel = structure.inertia_inverse @ (
-        torque_body - geometry.cross3(omega, structure.inertia @ omega)
-    )
-    return accel, ang_accel
+    frame) of the rigid structure under a body-frame wrench.
+
+    Takes 3-vectors and the 3x3 attitude as any nested sequences and
+    returns two lists of floats.
+    """
+    inertia, inertia_inverse = structure.inertia_floats
+    mass = structure.mass
+    fx, fy, fz = geometry.matvec3(attitude, force_body)
+    wx, wy, wz = omega
+    hx, hy, hz = geometry.matvec3(inertia, omega)
+    tx, ty, tz = torque_body
+    # torque minus the gyroscopic term omega x (J omega)
+    ang_accel = geometry.matvec3(inertia_inverse, (
+        tx - (wy * hz - wz * hy), ty - (wz * hx - wx * hz), tz - (wx * hy - wy * hx)))
+    return [fx / mass, fy / mass, fz / mass - gravity], ang_accel
 
 
 def step(state, thrusts, structure, dt, gravity=GRAVITY):
@@ -116,30 +129,47 @@ def step(state, thrusts, structure, dt, gravity=GRAVITY):
     from the start-of-step rates; the final attitude applies the midpoint
     body rate over the full step.
     """
-    wrench_body = structure.design_matrix @ np.asarray(thrusts, dtype=float)
+    wrench_body = (structure.design_matrix @ np.asarray(thrusts, dtype=float)).tolist()
     force, torque = wrench_body[:3], wrench_body[3:]
-    r0, v0, w0 = state.attitude, state.velocity, state.angular_velocity
-    r_half = r0 @ geometry.so3_exp(w0, dt / 2.0)
-    r_full = r0 @ geometry.so3_exp(w0, dt)
+    r0 = state.attitude.tolist()
+    v0 = state.velocity.tolist()
+    w0 = state.angular_velocity.tolist()
+    r_half = geometry.matmul3(r0, geometry.so3_exp(w0, dt / 2.0).tolist())
+    r_full = geometry.matmul3(r0, geometry.so3_exp(w0, dt).tolist())
 
     # stage i evaluates at velocity v_i and body rate w_i; a_i, b_i are
     # the linear and angular accelerations there
     a1, b1 = accelerations(r0, w0, force, torque, structure, gravity)
-    v2, w2 = v0 + dt / 2 * a1, w0 + dt / 2 * b1
+    v2, w2 = _advance(v0, dt / 2, a1), _advance(w0, dt / 2, b1)
     a2, b2 = accelerations(r_half, w2, force, torque, structure, gravity)
-    v3, w3 = v0 + dt / 2 * a2, w0 + dt / 2 * b2
+    v3, w3 = _advance(v0, dt / 2, a2), _advance(w0, dt / 2, b2)
     a3, b3 = accelerations(r_half, w3, force, torque, structure, gravity)
-    v4, w4 = v0 + dt * a3, w0 + dt * b3
+    v4, w4 = _advance(v0, dt, a3), _advance(w0, dt, b3)
     a4, b4 = accelerations(r_full, w4, force, torque, structure, gravity)
 
-    position = state.position + dt * ((v0 + 2 * v2 + 2 * v3 + v4) / 6.0)
-    velocity = v0 + dt * ((a1 + 2 * a2 + 2 * a3 + a4) / 6.0)
-    omega = w0 + dt * ((b1 + 2 * b2 + 2 * b3 + b4) / 6.0)
-    omega_mid = 0.5 * (w0 + omega)
-    attitude = r0 @ geometry.so3_exp(omega_mid, dt)
+    position = _advance(state.position.tolist(), dt, _rk4_mean(v0, v2, v3, v4))
+    velocity = _advance(v0, dt, _rk4_mean(a1, a2, a3, a4))
+    omega = _advance(w0, dt, _rk4_mean(b1, b2, b3, b4))
+    omega_mid = [0.5 * (w0[0] + omega[0]), 0.5 * (w0[1] + omega[1]),
+                 0.5 * (w0[2] + omega[2])]
+    attitude = geometry.matmul3(r0, geometry.so3_exp(omega_mid, dt).tolist())
     if geometry.orthonormality_drift(attitude) > _ORTHO_DRIFT_TOL:
         attitude = geometry.orthonormalize(attitude)
     return VehicleState(position, velocity, attitude, omega)
+
+
+def _advance(x, h, rate):
+    """x + h * rate for 3-vectors."""
+    x0, x1, x2 = x
+    r0, r1, r2 = rate
+    return [x0 + h * r0, x1 + h * r1, x2 + h * r2]
+
+
+def _rk4_mean(k1, k2, k3, k4):
+    """The RK4 weighted mean (k1 + 2 k2 + 2 k3 + k4) / 6 of 3-vectors."""
+    return [(k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0,
+            (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0,
+            (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0]
 
 
 class Telemetry:
@@ -182,10 +212,7 @@ class Telemetry:
 def _setpoint_yaw_pitch(setpoint):
     """Yaw/pitch targets of a setpoint (extracted from the attitude for dof6)."""
     if setpoint.mode == "dof6":
-        r = setpoint.attitude
-        yaw = float(np.arctan2(r[1, 0], r[0, 0]))
-        pitch = float(np.arcsin(np.clip(-r[2, 0], -1.0, 1.0)))
-        return yaw, pitch
+        return geometry.yaw_pitch(setpoint.attitude)
     return float(setpoint.yaw), float(setpoint.pitch)
 
 
@@ -239,7 +266,7 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
             break
         for _ in range(substeps):
             state = step(state, u_actual, structure, dt_sim, gravity)
-        if not state.finite or np.linalg.norm(state.position) > _DIVERGENCE_RADIUS:
+        if not state.finite or math.hypot(*state.position.tolist()) > _DIVERGENCE_RADIUS:
             telemetry.diverged = True
             log.warning("diverged at t = %.3f s: %s", t + dt_ctrl,
                         f"left the {_DIVERGENCE_RADIUS:g} m radius" if state.finite

@@ -6,6 +6,7 @@ velocity and acceleration are exact derivatives of the position, and
 whose mode matches the structure's controllable DOF.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,21 +133,23 @@ def helix(t, defn=HelixDef(), dof=4):
     w_z = TWO_PI / defn.z_period
     amp = 0.5 * (defn.z_max - defn.z_min)
     cx, cy = defn.center
-    pos = np.array([
-        cx + defn.radius * np.cos(w_xy * t),
-        cy + defn.radius * np.sin(w_xy * t),
-        defn.z_min + amp * (1.0 - np.cos(w_z * t)),
-    ])
-    vel = np.array([
-        -defn.radius * w_xy * np.sin(w_xy * t),
-        defn.radius * w_xy * np.cos(w_xy * t),
-        amp * w_z * np.sin(w_z * t),
-    ])
-    acc = np.array([
-        -defn.radius * w_xy**2 * np.cos(w_xy * t),
-        -defn.radius * w_xy**2 * np.sin(w_xy * t),
-        amp * w_z**2 * np.cos(w_z * t),
-    ])
+    cos_xy, sin_xy = math.cos(w_xy * t), math.sin(w_xy * t)
+    cos_z, sin_z = math.cos(w_z * t), math.sin(w_z * t)
+    pos = [
+        cx + defn.radius * cos_xy,
+        cy + defn.radius * sin_xy,
+        defn.z_min + amp * (1.0 - cos_z),
+    ]
+    vel = [
+        -defn.radius * w_xy * sin_xy,
+        defn.radius * w_xy * cos_xy,
+        amp * w_z * sin_z,
+    ]
+    acc = [
+        -defn.radius * w_xy**2 * cos_xy,
+        -defn.radius * w_xy**2 * sin_xy,
+        amp * w_z**2 * cos_z,
+    ]
     yaw_rate = TWO_PI / defn.yaw_period
     yaw = _wrap_angle(yaw_rate * t)
     extras = _attitude_setpoint(f"dof{dof}", yaw, 0.0)
@@ -312,8 +315,7 @@ class QuinticChain:
         rotvec = values[3:]
         attitude = geometry.so3_exp(rotvec, 1.0)
         omega = _so3_right_jacobian(rotvec) @ dvalues[3:]
-        yaw = float(np.arctan2(attitude[1, 0], attitude[0, 0]))
-        pitch = float(np.arcsin(np.clip(-attitude[2, 0], -1.0, 1.0)))
+        yaw, pitch = geometry.yaw_pitch(attitude)
         return Setpoint(values[:3], dvalues[:3], ddvalues[:3], "dof6",
                         yaw=yaw, pitch=pitch, attitude=attitude,
                         angular_velocity=omega)

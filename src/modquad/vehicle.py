@@ -240,6 +240,7 @@ class StructureModel:
     drag_ratios: np.ndarray
     design_matrix: np.ndarray = None
     _inertia_inverse: np.ndarray = field(default=None, repr=False)
+    _inertia_floats: tuple = field(default=None, repr=False)
 
     @property
     def n_modules(self):
@@ -254,6 +255,14 @@ class StructureModel:
         if self._inertia_inverse is None:
             self._inertia_inverse = np.linalg.inv(self.inertia)
         return self._inertia_inverse
+
+    @property
+    def inertia_floats(self):
+        """(inertia, inertia_inverse) as nested lists of Python floats."""
+        if self._inertia_floats is None:
+            self._inertia_floats = (self.inertia.tolist(),
+                                    self.inertia_inverse.tolist())
+        return self._inertia_floats
 
     @property
     def rotor_axes(self):

@@ -136,6 +136,23 @@ def test_simulate_multiple_configs_with_jobs(tmp_path):
     assert (outdir / "two.csv").exists()
 
 
+def test_simulate_parses_each_config_once(tmp_path, monkeypatch):
+    configs = [tmp_path / "one.cfg", tmp_path / "two.cfg"]
+    for path in configs:
+        write_hover_config(path, duration=0.01)
+    loaded = []
+    load_config = cli.config_mod.load_config
+
+    def counting_load(path):
+        loaded.append(str(path))
+        return load_config(path)
+
+    monkeypatch.setattr(cli.config_mod, "load_config", counting_load)
+    code = cli.main(["simulate", *map(str, configs), "-o", str(tmp_path / "runs")])
+    assert code == 0
+    assert sorted(loaded) == sorted(map(str, configs))
+
+
 def test_metrics_reports_errors(tmp_path, capsys):
     cfg = tmp_path / "hover.cfg"
     write_hover_config(cfg, duration=0.5, extra="  skip_s: 0.1\n")
@@ -238,6 +255,18 @@ def test_simulate_rejects_clashing_outputs(tmp_path, capsys, monkeypatch):
                      str(tmp_path / "b" / "x.cfg"), "-o", str(tmp_path / "runs")])
     assert code == 2
     assert "overwrite" in capsys.readouterr().err
+
+
+def test_simulate_rejects_missing_scenario_before_flying(tmp_path, capsys,
+                                                       monkeypatch):
+    write_hover_config(tmp_path / "good.cfg")
+    (tmp_path / "nos.cfg").write_text(
+        "modules:\n  - kind: T\n    eta_rad: 0.0\n    cell: [0, 0, 0]\n")
+    monkeypatch.setattr(cli.simulation, "run_scenario", fail_if_flown)
+    code = cli.main(["simulate", str(tmp_path / "good.cfg"), str(tmp_path / "nos.cfg"),
+                     "-o", str(tmp_path / "runs")])
+    assert code == 2
+    assert "no scenario block" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modquad import actuation, control, geometry, simulation, trajectories, vehicle
 from modquad.errors import InvalidParams, NonFiniteState
@@ -274,3 +276,108 @@ def test_position_integral_removes_model_mismatch():
     final_err_with = abs(with_int.position[-1, 2] - 0.5)
     assert final_err_without > 0.01
     assert final_err_with < 0.1 * final_err_without
+
+
+# Reference kernel: the numpy formulation of the RK4 step that the float
+# arithmetic in `simulation` replaced, kept to hold `simulation.step` to it.
+
+
+def ref_so3_exp(omega, dt):
+    omega = np.asarray(omega, dtype=float)
+    speed = np.linalg.norm(omega)
+    angle = speed * dt
+    if abs(angle) < 1e-12:
+        return np.eye(3)
+    p = geometry.hat(omega / speed)
+    return np.eye(3) + np.sin(angle) * p + (1.0 - np.cos(angle)) * (p @ p)
+
+
+def ref_accelerations(attitude, omega, force_body, torque_body, structure, gravity):
+    accel = attitude @ force_body / structure.mass - gravity * geometry.E3
+    ang_accel = structure.inertia_inverse @ (
+        torque_body - np.cross(omega, structure.inertia @ omega)
+    )
+    return accel, ang_accel
+
+
+def ref_step(state, thrusts, structure, dt, gravity=G):
+    wrench_body = structure.design_matrix @ np.asarray(thrusts, dtype=float)
+    force, torque = wrench_body[:3], wrench_body[3:]
+    r0, v0, w0 = state.attitude, state.velocity, state.angular_velocity
+    r_half = r0 @ ref_so3_exp(w0, dt / 2.0)
+    r_full = r0 @ ref_so3_exp(w0, dt)
+    a1, b1 = ref_accelerations(r0, w0, force, torque, structure, gravity)
+    v2, w2 = v0 + dt / 2 * a1, w0 + dt / 2 * b1
+    a2, b2 = ref_accelerations(r_half, w2, force, torque, structure, gravity)
+    v3, w3 = v0 + dt / 2 * a2, w0 + dt / 2 * b2
+    a3, b3 = ref_accelerations(r_half, w3, force, torque, structure, gravity)
+    v4, w4 = v0 + dt * a3, w0 + dt * b3
+    a4, b4 = ref_accelerations(r_full, w4, force, torque, structure, gravity)
+    position = state.position + dt * ((v0 + 2 * v2 + 2 * v3 + v4) / 6.0)
+    velocity = v0 + dt * ((a1 + 2 * a2 + 2 * a3 + a4) / 6.0)
+    omega = w0 + dt * ((b1 + 2 * b2 + 2 * b3 + b4) / 6.0)
+    attitude = r0 @ ref_so3_exp(0.5 * (w0 + omega), dt)
+    if np.linalg.norm(attitude.T @ attitude - np.eye(3)) > 1e-9:
+        attitude = geometry.orthonormalize(attitude)
+    return VehicleState(position, velocity, attitude, omega)
+
+
+unit_floats = st.floats(-1.0, 1.0)
+vectors = st.tuples(unit_floats, unit_floats, unit_floats)
+
+
+@st.composite
+def rotations(draw):
+    axis = np.array(draw(vectors))
+    assume(np.linalg.norm(axis) > 0.1)
+    return geometry.rodrigues(axis / np.linalg.norm(axis), draw(st.floats(-np.pi, np.pi)))
+
+
+@st.composite
+def rt_structures(draw):
+    cells = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (2, 1, 0)]
+    placements = []
+    for cell in draw(st.permutations(cells))[:draw(st.integers(1, 4))]:
+        if draw(st.booleans()):
+            module = vehicle.make_r_module(draw(rotations()))
+        else:
+            module = vehicle.make_t_module(draw(st.floats(-1.4, 1.4)))
+        placements.append((module, cell))
+    return vehicle.assemble_structure(placements)
+
+
+@st.composite
+def unit_scale_states(draw):
+    return VehicleState(draw(vectors), draw(vectors), draw(rotations()), draw(vectors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(structure=rt_structures(), state=unit_scale_states(),
+       thrusts=st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16),
+       dt=st.sampled_from([0.0005, 0.001, 0.002]))
+def test_step_matches_numpy_reference(structure, state, thrusts, dt):
+    thrusts = thrusts[:structure.n_rotors]
+    got = simulation.step(state, thrusts, structure, dt)
+    want = ref_step(state, thrusts, structure, dt)
+    for name in ("position", "velocity", "attitude", "angular_velocity"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
+
+
+def test_step_restores_drifted_attitude():
+    drifted = geometry.rot_principal("y", 0.4) + 1e-6 * np.ones((3, 3))
+    assert geometry.orthonormality_drift(drifted) > 1e-9
+    state = VehicleState(np.zeros(3), np.zeros(3), drifted, np.array([0.2, 0.1, -0.3]))
+    after = simulation.step(state, np.zeros(4), vertical_quad(), 0.001)
+    assert geometry.is_rotation(after.attitude, tol=1e-12)
+
+
+def test_non_finite_initial_state_aborts(caplog):
+    s = four_t_structure()
+    an = actuation.analyze_structure(s)
+    traj = trajectories.make_trajectory(trajectories.HoverDef(), 6)
+    start = VehicleState(np.zeros(3), [np.nan, 0.0, 0.0], np.eye(3), np.zeros(3))
+    with pytest.raises(NonFiniteState) as info:
+        simulation.run_scenario(s, an, tuned_gains(), traj, 1.0, initial_state=start)
+    assert info.value.telemetry.diverged
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "non-finite state" in warnings[0]

@@ -193,22 +193,22 @@ def bounded_least_squares(a, b, upper, iters=500, tol=0.0):
     return u, float(np.linalg.norm(a @ u - b))
 
 
-def applicability(a_f, structure, mass, f_max=DEFAULT_F_MAX):
+def applicability(structure, f_frame_rotation, f_max=DEFAULT_F_MAX):
     """Whether the structure can hover along its thrust axis with
     non-negative, bounded rotor thrusts.
 
     Two checks: no pair of rotor thrust axes may form an obtuse angle, and
-    hovering (weight along the thrust-frame z-axis) must be reachable with
-    thrusts in [0, f_max].
+    hovering (weight along the thrust-frame z-axis of `f_frame_rotation`)
+    must be reachable with thrusts in [0, f_max].
     """
     axes = structure.rotor_axes
     gram = axes @ axes.T
     if np.min(gram) < -1e-9:
         return False
-    z_f = f_frame(a_f, structure)[:, 2]
-    target = mass * GRAVITY * z_f
-    _, residual = bounded_least_squares(a_f, target, f_max, tol=1e-7 * mass * GRAVITY)
-    return residual <= 1e-6 * mass * GRAVITY
+    target = structure.mass * GRAVITY * f_frame_rotation[:, 2]
+    _, residual = bounded_least_squares(structure.design_matrix[:3], target, f_max,
+                                        tol=1e-7 * structure.mass * GRAVITY)
+    return residual <= 1e-6 * structure.mass * GRAVITY
 
 
 def analyze_structure(structure, f_max=DEFAULT_F_MAX):
@@ -219,7 +219,7 @@ def analyze_structure(structure, f_max=DEFAULT_F_MAX):
     analysis.f_frame = rotation
     analysis.tie_broken = tie
     analysis.dimensioning = dimensioning_matrix(analysis.controllable_dof)
-    analysis.applicable = applicability(a[:3], structure, structure.mass, f_max)
+    analysis.applicable = applicability(structure, rotation, f_max)
     target = structure.mass * GRAVITY * rotation[:, 2]
     _, analysis.hover_residual = bounded_least_squares(
         a[:3], target, f_max, tol=1e-7 * structure.mass * GRAVITY

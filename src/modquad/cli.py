@@ -165,8 +165,7 @@ def _simulate_one(config_path, cfg, output_path):
             motor=motor,
         )
     except NonFiniteState as exc:
-        if exc.telemetry is not None:
-            telemetry.write_csv(exc.telemetry, output_path)
+        telemetry.write_csv(exc.telemetry, output_path)
         raise
     telemetry.write_csv(log_data, output_path)
     return len(log_data)
@@ -238,6 +237,11 @@ def _report_sim_result(future, cfg_path, cfg, out):
     return EXIT_OK
 
 
+def _json_number(x):
+    """x as a float, or None (JSON null) where JSON has no number for it."""
+    return float(x) if np.isfinite(x) else None
+
+
 def cmd_metrics(args):
     try:
         table = telemetry.read_csv(args.telemetry)
@@ -253,12 +257,12 @@ def cmd_metrics(args):
                                        frame_rotation=frame_rotation)
     payload = {
         "samples": report.samples,
-        "window_start_s": report.window_start,
-        "max_position_error_m": [float(x) for x in report.max_position_error],
-        "rms_position_error_m": [float(x) for x in report.rms_position_error],
-        "max_attitude_error_deg": [float(x) for x in report.max_attitude_error_deg],
-        "rms_attitude_error_deg": [float(x) for x in report.rms_attitude_error_deg],
-        "saturation_fraction": report.saturation_fraction,
+        "window_start_s": _json_number(report.window_start),
+        "max_position_error_m": [_json_number(x) for x in report.max_position_error],
+        "rms_position_error_m": [_json_number(x) for x in report.rms_position_error],
+        "max_attitude_error_deg": [_json_number(x) for x in report.max_attitude_error_deg],
+        "rms_attitude_error_deg": [_json_number(x) for x in report.rms_attitude_error_deg],
+        "saturation_fraction": _json_number(report.saturation_fraction),
         "diverged": report.diverged,
     }
     if args.format == "json":

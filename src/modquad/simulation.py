@@ -10,7 +10,8 @@ A step does its 3-vector and 3x3 arithmetic on Python floats, which for
 one vehicle is several times cheaper than small numpy arrays; states
 enter and leave it as numpy arrays.
 
-State feedback is perfect: no sensors, no estimator, no noise.
+State feedback is perfect: no sensors, no estimator, no noise. Each control
+tick appends one row to a preallocated `telemetry.Telemetry` log.
 """
 
 import itertools
@@ -23,6 +24,7 @@ import numpy as np
 from . import geometry
 from .control import Controller, desired_attitude
 from .errors import InapplicableDesign, InvalidParams, NonFiniteState
+from .telemetry import Telemetry
 from .vehicle import DEFAULT_F_MAX, GRAVITY
 
 DEFAULT_DT_SIM = 0.001
@@ -172,50 +174,6 @@ def _rk4_mean(k1, k2, k3, k4):
             (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0]
 
 
-class Telemetry:
-    """Per-control-tick log of a closed-loop run (uniform time step)."""
-
-    def __init__(self, n_rotors):
-        self.n_rotors = n_rotors
-        self.diverged = False
-        self._rows = {key: [] for key in (
-            "t", "position", "velocity", "attitude", "angular_velocity",
-            "position_d", "yaw_d", "pitch_d", "u_commanded", "u_actual",
-            "saturated",
-        )}
-
-    def append(self, t, state, setpoint, u_cmd, u_actual, saturated):
-        rows = self._rows
-        rows["t"].append(t)
-        rows["position"].append(state.position.copy())
-        rows["velocity"].append(state.velocity.copy())
-        rows["attitude"].append(state.attitude.copy())
-        rows["angular_velocity"].append(state.angular_velocity.copy())
-        rows["position_d"].append(np.asarray(setpoint.position, dtype=float).copy())
-        yaw, pitch = _setpoint_yaw_pitch(setpoint)
-        rows["yaw_d"].append(yaw)
-        rows["pitch_d"].append(pitch)
-        rows["u_commanded"].append(np.asarray(u_cmd, dtype=float).copy())
-        rows["u_actual"].append(np.asarray(u_actual, dtype=float).copy())
-        rows["saturated"].append(np.asarray(saturated, dtype=bool).copy())
-
-    def __len__(self):
-        return len(self._rows["t"])
-
-    def __getattr__(self, name):
-        rows = self.__dict__.get("_rows")
-        if rows is not None and name in rows:
-            return np.array(rows[name])
-        raise AttributeError(name)
-
-
-def _setpoint_yaw_pitch(setpoint):
-    """Yaw/pitch targets of a setpoint (extracted from the attitude for dof6)."""
-    if setpoint.mode == "dof6":
-        return geometry.yaw_pitch(setpoint.attitude)
-    return float(setpoint.yaw), float(setpoint.pitch)
-
-
 def initial_state_on_trajectory(trajectory, analysis):
     """State that starts exactly on the reference at t = 0."""
     sp = trajectory(0.0)
@@ -251,9 +209,8 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
     controller = Controller(structure, analysis, gains)
     state = (initial_state.copy() if initial_state is not None
              else initial_state_on_trajectory(trajectory, analysis))
-    telemetry = Telemetry(structure.n_rotors)
-
     n_ticks = int(round(duration / dt_ctrl))
+    telemetry = Telemetry(structure.n_rotors, n_ticks + 1)
     previous = None
     for tick in range(n_ticks + 1):
         t = tick * dt_ctrl

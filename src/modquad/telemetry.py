@@ -1,23 +1,66 @@
-"""Telemetry CSV persistence and tracking metrics.
+"""The per-tick log of a closed-loop run, its CSV file, and tracking metrics.
 
-One row per control tick. The attitude is stored as a unit quaternion
-(w, x, y, z) of the structure attitude for compactness; `sat` counts the
-rotors whose command hit a motor limit that tick. Floats are written with
-repr precision so identical runs produce byte-identical files.
+One CSV row per control tick, in the columns that the fields of
+`TelemetryTable` declare. The attitude is stored as a unit quaternion
+(w, x, y, z) of the structure attitude; `sat` counts the rotors whose
+command hit a motor limit that tick. Floats are written with repr precision
+so identical runs produce byte-identical files.
 """
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import geometry
 from .errors import MalformedTelemetry
 from .geometry import vee
 
-_FIXED_FIELDS = ["t", "rx", "ry", "rz", "vx", "vy", "vz",
-                 "qw", "qx", "qy", "qz", "wx", "wy", "wz",
-                 "rdx", "rdy", "rdz", "yaw_d", "pitch_d"]
+
+def _logged(name):
+    """A field of a Telemetry log: its rows appended so far."""
+    return property(lambda log: log._records[name][:log._length])
+
+
+class Telemetry:
+    """Per-control-tick log of a closed-loop run (uniform time step),
+    preallocated for `n_rows` ticks. Each field reads as the rows appended
+    so far: a diverged run's log holds exactly the ticks it reached."""
+
+    t = _logged("t")
+    position = _logged("position")
+    velocity = _logged("velocity")
+    attitude = _logged("attitude")
+    angular_velocity = _logged("angular_velocity")
+    position_d = _logged("position_d")
+    yaw_d = _logged("yaw_d")
+    pitch_d = _logged("pitch_d")
+    u_commanded = _logged("u_commanded")
+    u_actual = _logged("u_actual")
+    saturated = _logged("saturated")
+
+    def __init__(self, n_rotors, n_rows):
+        self.n_rotors = n_rotors
+        self.diverged = False
+        self._length = 0
+        self._records = np.empty(n_rows, dtype=[
+            ("t", float), ("position", float, 3), ("velocity", float, 3),
+            ("attitude", float, (3, 3)), ("angular_velocity", float, 3),
+            ("position_d", float, 3), ("yaw_d", float), ("pitch_d", float),
+            ("u_commanded", float, n_rotors), ("u_actual", float, n_rotors),
+            ("saturated", bool, n_rotors)])
+
+    def append(self, t, state, setpoint, u_cmd, u_actual, saturated):
+        # a dof6 setpoint targets a full attitude: log its yaw and pitch
+        yaw_pitch = (geometry.yaw_pitch(setpoint.attitude) if setpoint.mode == "dof6"
+                     else (setpoint.yaw, setpoint.pitch))
+        self._records[self._length] = (
+            t, state.position, state.velocity, state.attitude, state.angular_velocity,
+            setpoint.position, *yaw_pitch, u_cmd, u_actual, saturated)
+        self._length += 1
+
+    def __len__(self):
+        return self._length
 
 
 def rotation_to_quaternion(r):
@@ -63,86 +106,87 @@ def quaternion_to_rotation(q):
     ])
 
 
-def csv_header(n_rotors):
-    return _FIXED_FIELDS + [f"u{i + 1}" for i in range(n_rotors)] + ["sat"]
-
-
-def write_csv(telemetry, path):
-    """Write one CSV row per control tick of a telemetry log."""
-    n = telemetry.n_rotors
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(csv_header(n))
-        for i in range(len(telemetry)):
-            state_q = rotation_to_quaternion(telemetry._rows["attitude"][i])
-            row = [telemetry._rows["t"][i]]
-            row.extend(telemetry._rows["position"][i])
-            row.extend(telemetry._rows["velocity"][i])
-            row.extend(state_q)
-            row.extend(telemetry._rows["angular_velocity"][i])
-            row.extend(telemetry._rows["position_d"][i])
-            row.append(telemetry._rows["yaw_d"][i])
-            row.append(telemetry._rows["pitch_d"][i])
-            row.extend(telemetry._rows["u_actual"][i])
-            row.append(int(np.sum(telemetry._rows["saturated"][i])))
-            writer.writerow([repr(float(value)) if not isinstance(value, int)
-                             else str(value) for value in row])
+def _columns(*names):
+    """TelemetryTable field with its CSV column names; none means u1 .. un."""
+    return field(metadata={"columns": names})
 
 
 @dataclass
 class TelemetryTable:
-    """Columns of a telemetry CSV as arrays."""
+    """CSV columns as arrays, fields in file order; one-column fields are 1-D."""
 
-    t: np.ndarray
-    position: np.ndarray
-    velocity: np.ndarray
-    quaternion: np.ndarray
-    angular_velocity: np.ndarray
-    position_d: np.ndarray
-    yaw_d: np.ndarray
-    pitch_d: np.ndarray
-    thrusts: np.ndarray
-    saturated_count: np.ndarray
+    t: np.ndarray = _columns("t")
+    position: np.ndarray = _columns("rx", "ry", "rz")
+    velocity: np.ndarray = _columns("vx", "vy", "vz")
+    quaternion: np.ndarray = _columns("qw", "qx", "qy", "qz")
+    angular_velocity: np.ndarray = _columns("wx", "wy", "wz")
+    position_d: np.ndarray = _columns("rdx", "rdy", "rdz")
+    yaw_d: np.ndarray = _columns("yaw_d")
+    pitch_d: np.ndarray = _columns("pitch_d")
+    thrusts: np.ndarray = _columns()
+    saturated_count: np.ndarray = _columns("sat")
 
     @property
     def n_rotors(self):
         return self.thrusts.shape[1]
 
 
+def csv_header(n_rotors):
+    rotors = [f"u{i + 1}" for i in range(n_rotors)]
+    return [name for f in fields(TelemetryTable) for name in f.metadata["columns"] or rotors]
+
+
+def write_csv(telemetry, path):
+    """Write one CSV row per control tick of a telemetry log: its float
+    columns in TelemetryTable field order, then the saturation count."""
+    quaternions = np.reshape([rotation_to_quaternion(r) for r in telemetry.attitude], (-1, 4))
+    rows = np.column_stack([
+        telemetry.t, telemetry.position, telemetry.velocity, quaternions,
+        telemetry.angular_velocity, telemetry.position_d, telemetry.yaw_d,
+        telemetry.pitch_d, telemetry.u_actual]).tolist()
+    counts = telemetry.saturated.sum(axis=1).tolist()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(csv_header(telemetry.n_rotors)) + "\r\n")
+        handle.writelines(f"{','.join(map(repr, row))},{count}\r\n"
+                          for row, count in zip(rows, counts))
+
+
 def read_csv(path):
     """Load a telemetry CSV; raises MalformedTelemetry on schema problems."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedTelemetry("file is empty") from None
-        rows = list(reader)
-    if header[:len(_FIXED_FIELDS)] != _FIXED_FIELDS or header[-1] != "sat":
+    with open(path, "r", encoding="utf-8") as handle:
+        header = handle.readline()
+        lines = handle.readlines()
+    if not header:
+        raise MalformedTelemetry("file is empty")
+    header = header.rstrip("\n").split(",")
+    *fixed, sat = csv_header(0)
+    if header[:len(fixed)] != fixed or header[-1] != sat:
         raise MalformedTelemetry("unexpected column layout")
-    n_rotors = len(header) - len(_FIXED_FIELDS) - 1
+    n_rotors = len(header) - len(fixed) - 1
     if n_rotors < 1 or n_rotors % 4 != 0:
         raise MalformedTelemetry(f"implausible rotor column count {n_rotors}")
-    if not rows:
+    if not lines:
         raise MalformedTelemetry("file has a header but no rows")
     try:
-        data = np.array([[float(cell) for cell in row] for row in rows])
-    except ValueError as exc:
-        raise MalformedTelemetry(f"unparseable row: {exc}") from exc
-    if data.shape[1] != len(header):
-        raise MalformedTelemetry("row width does not match header")
-    return TelemetryTable(
-        t=data[:, 0],
-        position=data[:, 1:4],
-        velocity=data[:, 4:7],
-        quaternion=data[:, 7:11],
-        angular_velocity=data[:, 11:14],
-        position_d=data[:, 14:17],
-        yaw_d=data[:, 17],
-        pitch_d=data[:, 18],
-        thrusts=data[:, 19:19 + n_rotors],
-        saturated_count=data[:, -1],
-    )
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    # loadtxt skips blank lines; the shape check catches them
+    if data is None or data.shape != (len(lines), len(header)):
+        bad = next(n for n, line in enumerate(lines, 2) if not _is_row(line, len(header)))
+        raise MalformedTelemetry(f"line {bad} is not {len(header)} comma-separated numbers")
+    widths = [len(f.metadata["columns"]) or n_rotors for f in fields(TelemetryTable)]
+    blocks = np.split(data, np.cumsum(widths)[:-1], axis=1)
+    return TelemetryTable(*(b[:, 0] if b.shape[1] == 1 else b for b in blocks))
+
+
+def _is_row(line, width):
+    """Whether a CSV body line is `width` numbers; a blank line is not."""
+    try:
+        return (line.count(",") == width - 1
+                and np.loadtxt([line], delimiter=",", comments=None).size == width)
+    except ValueError:
+        return False
 
 
 @dataclass
@@ -182,20 +226,14 @@ def _attitude_errors_deg(table, frame_rotation):
 def compute_metrics(table, skip_s=5.0, frame_rotation=None):
     """Tracking metrics over rows with t >= skip_s (all rows if that
     window is empty). `frame_rotation` is the structure-to-thrust-frame
-    rotation; identity when omitted."""
+    rotation; identity when omitted. Any non-finite cell means diverged."""
     frame_rotation = np.eye(3) if frame_rotation is None else frame_rotation
-    diverged = not np.all(np.isfinite(table.position))
+    columns = {f.name: getattr(table, f.name) for f in fields(table)}
+    diverged = not all(np.isfinite(column).all() for column in columns.values())
     mask = table.t >= skip_s
     if not np.any(mask):
         mask = np.ones(len(table.t), dtype=bool)
-    window = TelemetryTable(
-        t=table.t[mask], position=table.position[mask],
-        velocity=table.velocity[mask], quaternion=table.quaternion[mask],
-        angular_velocity=table.angular_velocity[mask],
-        position_d=table.position_d[mask], yaw_d=table.yaw_d[mask],
-        pitch_d=table.pitch_d[mask], thrusts=table.thrusts[mask],
-        saturated_count=table.saturated_count[mask],
-    )
+    window = TelemetryTable(**{name: column[mask] for name, column in columns.items()})
     pos_error = window.position - window.position_d
     att_error = _attitude_errors_deg(window, frame_rotation)
     return MetricsReport(

@@ -122,11 +122,12 @@ def test_f_frame_outputs_are_rotations():
 
 def test_applicability_examples():
     gentle = two_r(-np.pi / 6, np.pi / 6)
-    assert actuation.applicability(gentle.design_matrix[:3], gentle, gentle.mass)
+    assert actuation.applicability(gentle, actuation.f_frame(gentle.design_matrix[:3], gentle))
     obtuse = two_r(np.pi / 3, -np.pi / 3)
-    assert not actuation.applicability(obtuse.design_matrix[:3], obtuse, obtuse.mass)
+    assert not actuation.applicability(
+        obtuse, actuation.f_frame(obtuse.design_matrix[:3], obtuse))
     hover = single_r(0.0)
-    assert actuation.applicability(hover.design_matrix[:3], hover, hover.mass)
+    assert actuation.applicability(hover, actuation.f_frame(hover.design_matrix[:3], hover))
 
 
 def test_dimensioning_matrices_exact():

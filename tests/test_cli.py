@@ -166,6 +166,28 @@ def test_metrics_reports_errors(tmp_path, capsys):
     assert not payload["diverged"]
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_metrics_non_finite_cell_is_diverged_and_null(tmp_path, capsys):
+    cfg = tmp_path / "hover.cfg"
+    write_hover_config(cfg, duration=0.1)
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", str(cfg), "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[lines[0].split(",").index("qw")] = "nan"
+    out.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+    capsys.readouterr()
+    code = cli.main(["metrics", str(out), "--skip-s", "0", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert code == 4
+    assert payload["diverged"] is True
+    assert payload["max_attitude_error_deg"] == [None, None, None]
+    assert max(payload["max_position_error_m"]) < 1e-6
+
+
 def test_metrics_with_frame_config(tmp_path, capsys):
     csv = tmp_path / "run.csv"
     code = cli.main(["simulate", str(FIXTURES / "exp1.cfg"), "-o", str(csv)])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from modquad import actuation, control, geometry, simulation, trajectories, vehicle
 from modquad.errors import InvalidParams, NonFiniteState
 from modquad.simulation import MotorModel, VehicleState
+from modquad.telemetry import read_csv, write_csv
 
 G = simulation.GRAVITY
 
@@ -210,7 +211,7 @@ def test_scenario_requires_integer_step_ratio():
                                 dt_ctrl=0.003, dt_sim=0.002)
 
 
-def test_divergence_aborts_with_partial_telemetry(caplog):
+def test_divergence_aborts_with_partial_telemetry(caplog, tmp_path):
     s = four_t_structure()
     an = actuation.analyze_structure(s)
     traj = trajectories.make_trajectory(trajectories.HoverDef(), 6)
@@ -222,6 +223,13 @@ def test_divergence_aborts_with_partial_telemetry(caplog):
     assert len(telemetry) > 0
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1 and "left the 100 m radius" in warnings[0]
+    # the CSV holds exactly the ticks reached, not the 10,001 allocated
+    path = tmp_path / "run.csv"
+    write_csv(telemetry, path)
+    table = read_csv(path)
+    assert 1 < len(table.t) == len(telemetry) < 10001
+    assert np.array_equal(table.t, np.arange(len(telemetry)) * 0.002)
+    assert np.array_equal(table.position, telemetry.position)
 
 
 def test_closed_loop_hover_stays_put():

@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modquad import geometry, telemetry
 from modquad.errors import MalformedTelemetry
@@ -17,7 +21,7 @@ def hover_setpoint(pos):
 
 
 def synthetic_log(n_rows, offset=(0.0, 0.0, 0.0), dt=0.5):
-    log = Telemetry(n_rotors=4)
+    log = Telemetry(n_rotors=4, n_rows=n_rows)
     for i in range(n_rows):
         pos = np.array([0.1, -0.2, 0.5])
         log.append(i * dt, make_state(pos + np.asarray(offset)),
@@ -53,8 +57,8 @@ def test_csv_roundtrip(tmp_path):
     table = telemetry.read_csv(path)
     assert table.n_rotors == 4
     assert len(table.t) == 20
-    assert np.array_equal(table.position, np.array(log._rows["position"]))
-    assert np.array_equal(table.thrusts, np.array(log._rows["u_actual"]))
+    assert np.array_equal(table.position, log.position)
+    assert np.array_equal(table.thrusts, log.u_actual)
 
 
 def test_csv_rejects_missing_columns(tmp_path):
@@ -71,6 +75,25 @@ def test_csv_rejects_unparseable_rows(tmp_path):
     text = path.read_text().replace("0.3", "zero.three", 1)
     path.write_text(text)
     with pytest.raises(MalformedTelemetry):
+        telemetry.read_csv(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], "line 3 "),
+    (lambda lines: lines[:2] + [lines[2] + ",0.5"] + lines[3:], "line 3 "),
+    (lambda lines: lines[:2] + [""] + lines[2:], "line 3 "),
+    (lambda lines: lines[:2] + ['"' + lines[2].replace(",", '",', 1)] + lines[3:],
+     "line 3 "),
+    (lambda lines: lines[:2] + ["# comment"] + lines[2:], "line 3 "),
+    (lambda lines: lines[:1], "header but no rows"),
+], ids=["short row", "long row", "blank line", "quoted cell", "hash line",
+        "header only"])
+def test_csv_rejection_names_the_line(tmp_path, edit, message):
+    path = tmp_path / "run.csv"
+    telemetry.write_csv(synthetic_log(3), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(MalformedTelemetry, match=message):
         telemetry.read_csv(path)
 
 
@@ -97,7 +120,7 @@ def test_metrics_constant_offset(tmp_path):
 
 def test_metrics_attitude_error_with_frame_rotation(tmp_path):
     frame = geometry.rot_principal("y", np.pi / 18)
-    log = Telemetry(n_rotors=4)
+    log = Telemetry(n_rotors=4, n_rows=20)
     # structure flying at frame^T keeps the thrust frame at identity
     for i in range(20):
         log.append(i * 0.5, make_state(np.zeros(3), frame.T),
@@ -116,7 +139,7 @@ def test_metrics_attitude_error_with_frame_rotation(tmp_path):
 def test_metrics_window_skips_transient(tmp_path):
     path = tmp_path / "run.csv"
     # offset rows before t = 5 s, clean rows after
-    combined = Telemetry(n_rotors=4)
+    combined = Telemetry(n_rotors=4, n_rows=20)
     pos = np.array([0.1, -0.2, 0.5])
     for i in range(10):
         combined.append(i * 0.5, make_state(pos + [0.5, 0, 0]),
@@ -147,7 +170,7 @@ def test_metrics_stable_under_duplication(tmp_path):
 
 
 def test_saturation_fraction(tmp_path):
-    log = Telemetry(n_rotors=4)
+    log = Telemetry(n_rotors=4, n_rows=10)
     pos = np.zeros(3)
     for i in range(10):
         sat = np.array([i % 2 == 0, False, False, False])
@@ -157,3 +180,84 @@ def test_saturation_fraction(tmp_path):
     telemetry.write_csv(log, path)
     report = telemetry.compute_metrics(telemetry.read_csv(path), skip_s=0.0)
     assert report.saturation_fraction == pytest.approx(0.5 / 4.0)
+
+
+_REFERENCE_FIXED_FIELDS = ["t", "rx", "ry", "rz", "vx", "vy", "vz",
+                           "qw", "qx", "qy", "qz", "wx", "wy", "wz",
+                           "rdx", "rdy", "rdz", "yaw_d", "pitch_d"]
+
+
+def reference_write_csv(log, path):
+    """Row-wise telemetry writer through the csv module: the byte-for-byte
+    reference for the column-wise `telemetry.write_csv`."""
+    n = log.n_rotors
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_REFERENCE_FIXED_FIELDS
+                        + [f"u{i + 1}" for i in range(n)] + ["sat"])
+        for i in range(len(log)):
+            state_q = telemetry.rotation_to_quaternion(log.attitude[i])
+            row = [log.t[i]]
+            row.extend(log.position[i])
+            row.extend(log.velocity[i])
+            row.extend(state_q)
+            row.extend(log.angular_velocity[i])
+            row.extend(log.position_d[i])
+            row.append(log.yaw_d[i])
+            row.append(log.pitch_d[i])
+            row.extend(log.u_actual[i])
+            row.append(int(np.sum(log.saturated[i])))
+            writer.writerow([repr(float(value)) if not isinstance(value, int)
+                             else str(value) for value in row])
+
+
+# finite floats, with signed zero, subnormals and the extremes always in reach
+cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def random_logs(draw):
+    n_rotors = draw(st.sampled_from([4, 8, 64]))
+    n_rows = draw(st.integers(1, 50))
+    floats = draw(arrays(np.float64, (n_rows, 15 + 2 * n_rotors), elements=cells))
+    saturated = draw(arrays(np.bool_, (n_rows, n_rotors)))
+    quaternions = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=(n_rows, 4))
+    log = Telemetry(n_rotors, n_rows)
+    for row, sat, q in zip(floats, saturated, quaternions):
+        attitude = telemetry.quaternion_to_rotation(q / np.linalg.norm(q))
+        state = VehicleState(row[1:4], row[4:7], attitude, row[7:10])
+        setpoint = Setpoint(row[10:13], np.zeros(3), np.zeros(3), "dof5",
+                            yaw=row[13], pitch=row[14])
+        log.append(row[0], state, setpoint, row[15:15 + n_rotors],
+                   row[15 + n_rotors:], sat)
+    return log
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=random_logs())
+def test_csv_columns_roundtrip_bit_equal_and_match_row_writer(tmp_path_factory, log):
+    folder = tmp_path_factory.mktemp("csv")
+    path, reference = folder / "run.csv", folder / "reference.csv"
+    telemetry.write_csv(log, path)
+    reference_write_csv(log, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    table = telemetry.read_csv(path)
+    quaternions = [telemetry.rotation_to_quaternion(r) for r in log.attitude]
+    for read, written in ((table.t, log.t), (table.position, log.position),
+                          (table.velocity, log.velocity),
+                          (table.quaternion, quaternions),
+                          (table.angular_velocity, log.angular_velocity),
+                          (table.position_d, log.position_d),
+                          (table.yaw_d, log.yaw_d), (table.pitch_d, log.pitch_d),
+                          (table.thrusts, log.u_actual),
+                          (table.saturated_count, log.saturated.sum(axis=1))):
+        assert same_bits(read, written)

@@ -32,16 +32,23 @@ class ActuationAnalysis:
     rank_torque: int
     dependent_force_rows: int
     controllable_dof: int
-    singular_values: np.ndarray  # of the force rows, normalized to [0, 1]
+    force_axes: np.ndarray  # U of the force rows: actuation ellipsoid directions
+    force_sigma: np.ndarray  # singular values of the force rows: semi-axes (N)
     f_frame: np.ndarray = None
     dimensioning: np.ndarray = None
     applicable: bool = None
     tie_broken: bool = False
     hover_residual: float = None
 
+    @property
+    def singular_values(self):
+        """Singular values of the force rows, normalized to [0, 1]."""
+        sigma = self.force_sigma
+        return sigma / sigma[0] if sigma[0] > 0 else sigma
 
-def _numeric_rank(matrix):
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+
+def _numeric_rank(sigma):
+    """Number of singular values above RANK_TOL times the largest one."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.sum(sigma > RANK_TOL * sigma[0]))
@@ -55,21 +62,21 @@ def analyze(a):
     deficient, which no valid module arrangement produces.
     """
     a = np.asarray(a, dtype=float)
-    rank_total = _numeric_rank(a)
-    rank_force = _numeric_rank(a[:3])
-    rank_torque = _numeric_rank(a[3:])
+    force_axes, force_sigma, _ = np.linalg.svd(a[:3])
+    rank_total = _numeric_rank(np.linalg.svd(a, compute_uv=False))
+    rank_force = _numeric_rank(force_sigma)
+    rank_torque = _numeric_rank(np.linalg.svd(a[3:], compute_uv=False))
     if rank_torque < 3:
         raise DegenerateStructure(f"torque rows have rank {rank_torque} < 3")
     dependent = rank_torque + rank_force - rank_total
-    sigma = np.linalg.svd(a[:3], compute_uv=False)
-    normalized = sigma / sigma[0] if sigma[0] > 0 else sigma
     return ActuationAnalysis(
         rank_total=rank_total,
         rank_force=rank_force,
         rank_torque=rank_torque,
         dependent_force_rows=dependent,
         controllable_dof=3 + rank_force - dependent,
-        singular_values=normalized,
+        force_axes=force_axes,
+        force_sigma=force_sigma,
     )
 
 
@@ -81,19 +88,16 @@ def _signed(v, reference, fallback):
     return -v if d < 0 else v
 
 
-def _f_frame_with_ties(a_f, structure):
-    """Thrust-frame rotation plus a flag for tie-broken singular values.
+def _f_frame_with_ties(u, sigma, structure):
+    """Thrust-frame rotation plus a flag for tie-broken singular values,
+    from the SVD (U and singular values) of the force rows.
 
     Equal singular values leave the SVD axes free inside their subspace;
     among the valid bases we pick the one closest in rotation angle to the
     structure frame (maximum trace), which is a deterministic stand-in for
     choosing axes by hand.
     """
-    a_f = np.asarray(a_f, dtype=float)
-    u, sigma, _ = np.linalg.svd(a_f)
-    rank = int(np.sum(sigma > RANK_TOL * sigma[0])) if sigma[0] > 0 else 0
-
-    if rank <= 1:
+    if _numeric_rank(sigma) <= 1:
         # every rotor thrust is collinear: reuse the rotor rotation itself
         return structure.rotor_orientations[0].copy(), False
 
@@ -144,8 +148,10 @@ def _f_frame_with_ties(a_f, structure):
 
 
 def f_frame(a_f, structure):
-    """Rotation from the structure frame to its thrust frame."""
-    rotation, _ = _f_frame_with_ties(a_f, structure)
+    """Rotation from the structure frame to its thrust frame, for the force
+    rows `a_f` of its design matrix."""
+    u, sigma, _ = np.linalg.svd(np.asarray(a_f, dtype=float))
+    rotation, _ = _f_frame_with_ties(u, sigma, structure)
     return rotation
 
 
@@ -215,7 +221,8 @@ def analyze_structure(structure, f_max=DEFAULT_F_MAX):
     """Full actuation analysis of an assembled structure."""
     a = structure.design_matrix
     analysis = analyze(a)
-    rotation, tie = _f_frame_with_ties(a[:3], structure)
+    rotation, tie = _f_frame_with_ties(analysis.force_axes, analysis.force_sigma,
+                                       structure)
     analysis.f_frame = rotation
     analysis.tie_broken = tie
     analysis.dimensioning = dimensioning_matrix(analysis.controllable_dof)

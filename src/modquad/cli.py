@@ -64,7 +64,6 @@ def _analysis_payload(cfg, structure, analysis):
             "unit_input_thrust_n": report.thrust_magnitude,
             "thrust_direction": [float(x) for x in report.thrust_direction],
         })
-    u, sigma, _ = np.linalg.svd(structure.design_matrix[:3])
     return {
         "mass_kg": structure.mass,
         "n_modules": structure.n_modules,
@@ -76,8 +75,8 @@ def _analysis_payload(cfg, structure, analysis):
         "controllable_dof": analysis.controllable_dof,
         "singular_values_normalized": [float(s) for s in analysis.singular_values],
         "ellipsoid": [
-            {"semi_axis_n": float(s), "direction": [float(x) for x in u[:, i]]}
-            for i, s in enumerate(sigma)
+            {"semi_axis_n": float(s), "direction": [float(x) for x in axis]}
+            for s, axis in zip(analysis.force_sigma, analysis.force_axes.T)
         ],
         "f_frame": [[float(x) for x in row] for row in analysis.f_frame],
         "f_frame_tie_broken": bool(analysis.tie_broken),

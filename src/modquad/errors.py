@@ -57,14 +57,6 @@ class NonFiniteState(ModquadError):
         self.telemetry = telemetry
 
 
-class SingularSystem(ModquadError):
-    """Polynomial boundary-condition system could not be solved."""
-
-
-class OutOfRange(ModquadError):
-    """Evaluation time outside the segment duration."""
-
-
 class ParseError(ModquadError):
     """Config text is not valid YAML."""
 

@@ -30,6 +30,10 @@ from .vehicle import DEFAULT_F_MAX, GRAVITY
 DEFAULT_DT_SIM = 0.001
 DEFAULT_DT_CTRL = 0.002
 
+# per-run work bounds; the largest fixture run needs 768,064 tick-rotors and 2 substeps
+MAX_TICK_ROTORS = 4_000_000
+MAX_SUBSTEPS = 100
+
 _DIVERGENCE_RADIUS = 100.0
 _ORTHO_DRIFT_TOL = 1e-9
 
@@ -91,7 +95,7 @@ def motor_apply(commands, model, dt, previous=None):
     if dt <= 0.0:
         raise InvalidParams("dt must be positive")
     commands = np.asarray(commands, dtype=float)
-    clamped = np.clip(commands, 0.0, model.f_max)
+    clamped = np.minimum(np.maximum(commands, 0.0), model.f_max)
     saturated = (commands < 0.0) | (commands > model.f_max)
     if model.deadzone is not None:
         dead = clamped < model.deadzone
@@ -192,8 +196,10 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
 
     The controller runs every dt_ctrl (an integer multiple of dt_sim);
     motor thrusts are zero-order-held over the sim sub-steps. Raises
-    NonFiniteState (with the partial telemetry attached) when the state
-    leaves a 100 m radius or stops being finite.
+    InvalidParams before any work when the run would exceed MAX_TICK_ROTORS
+    (ticks x rotors) or MAX_SUBSTEPS, and NonFiniteState (with the partial
+    telemetry attached) when the state leaves a 100 m radius or stops being
+    finite.
     """
     if analysis.applicable is False:
         raise InapplicableDesign("structure cannot hover along its thrust axis")
@@ -204,12 +210,18 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
         raise InvalidParams("dt_ctrl must be an integer multiple of dt_sim")
     if duration < 0.0:
         raise InvalidParams("duration must be non-negative")
+    n_ticks = int(round(duration / dt_ctrl))
+    if (n_ticks + 1) * structure.n_rotors > MAX_TICK_ROTORS:
+        raise InvalidParams(f"{n_ticks + 1:.4g} ticks x {structure.n_rotors} rotors exceed "
+                            f"the bound of {MAX_TICK_ROTORS:,} tick-rotors per run")
+    if substeps > MAX_SUBSTEPS:
+        raise InvalidParams(f"{substeps:.4g} simulation substeps per control tick exceed "
+                            f"the bound of {MAX_SUBSTEPS}")
     motor = motor if motor is not None else MotorModel()
 
     controller = Controller(structure, analysis, gains)
     state = (initial_state.copy() if initial_state is not None
              else initial_state_on_trajectory(trajectory, analysis))
-    n_ticks = int(round(duration / dt_ctrl))
     telemetry = Telemetry(structure.n_rotors, n_ticks + 1)
     previous = None
     for tick in range(n_ticks + 1):

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import geometry
 from .errors import MalformedTelemetry
-from .geometry import vee
 
 
 def _logged(name):
@@ -97,13 +96,14 @@ def rotation_to_quaternion(r):
 
 
 def quaternion_to_rotation(q):
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array([
+    """Rotation matrix of a unit quaternion (w, x, y, z); an (N, 4) array of
+    quaternions gives an (N, 3, 3) stack."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.moveaxis(np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    ]), (0, 1), (-2, -1))
 
 
 def _columns(*names):
@@ -204,23 +204,21 @@ class MetricsReport:
 
 
 def _attitude_errors_deg(table, frame_rotation):
-    """Per-axis angle (deg) between the desired and flown thrust frame."""
-    errors = np.empty((len(table.t), 3))
-    cos_p = np.cos(table.pitch_d)
-    sin_p = np.sin(table.pitch_d)
-    cos_y = np.cos(table.yaw_d)
-    sin_y = np.sin(table.yaw_d)
-    for i in range(len(table.t)):
-        attitude = quaternion_to_rotation(table.quaternion[i])
-        flown = attitude @ frame_rotation
-        desired = np.array([
-            [cos_y[i] * cos_p[i], -sin_y[i], cos_y[i] * sin_p[i]],
-            [sin_y[i] * cos_p[i], cos_y[i], sin_y[i] * sin_p[i]],
-            [-sin_p[i], 0.0, cos_p[i]],
-        ])
-        e = vee(0.5 * (desired.T @ flown - flown.T @ desired))
-        errors[i] = np.degrees(np.arcsin(np.clip(e, -1.0, 1.0)))
-    return errors
+    """Per-axis angle (deg) between the desired and flown thrust frame: the
+    arcsine of the vee of 0.5 (m - m^T) with m = desired^T flown, per row."""
+    flown = quaternion_to_rotation(table.quaternion) @ frame_rotation
+    cos_p, sin_p = np.cos(table.pitch_d), np.sin(table.pitch_d)
+    cos_y, sin_y = np.cos(table.yaw_d), np.sin(table.yaw_d)
+    zero = np.zeros_like(cos_p)
+    desired = np.moveaxis(np.array([
+        [cos_y * cos_p, -sin_y, cos_y * sin_p],
+        [sin_y * cos_p, cos_y, sin_y * sin_p],
+        [-sin_p, zero, cos_p],
+    ]), (0, 1), (-2, -1))
+    m = np.swapaxes(desired, 1, 2) @ flown
+    s = 0.5 * (m - np.swapaxes(m, 1, 2))
+    e = np.stack([s[:, 2, 1], s[:, 0, 2], s[:, 1, 0]], axis=1)
+    return np.degrees(np.arcsin(np.clip(e, -1.0, 1.0)))
 
 
 def compute_metrics(table, skip_s=5.0, frame_rotation=None):

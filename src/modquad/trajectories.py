@@ -13,7 +13,7 @@ import numpy as np
 
 from . import geometry
 from .control import Setpoint
-from .errors import InvalidParams, OutOfRange, SingularSystem
+from .errors import InvalidParams
 
 TWO_PI = 2.0 * np.pi
 
@@ -163,34 +163,29 @@ def rectangle(t, defn=RectangleDef(), dof=5):
     Each edge is a rest-to-rest quintic taking a quarter of the lap, so
     the lap is periodic and corner velocities vanish.
     """
-    half_l, half_w = defn.length / 2.0, defn.width / 2.0
+    half_l, half_w, z = defn.length / 2.0, defn.width / 2.0, defn.height
     corners = np.array([
-        [-half_l, -half_w], [half_l, -half_w],
-        [half_l, half_w], [-half_l, half_w],
+        [-half_l, -half_w, z], [half_l, -half_w, z],
+        [half_l, half_w, z], [-half_l, half_w, z],
     ])
     edge_time = defn.lap_time / 4.0
     s = np.fmod(t, defn.lap_time)
     edge = min(int(s // edge_time), 3)
-    tau = s - edge * edge_time
-    start, end = corners[edge], corners[(edge + 1) % 4]
-    shape, dshape, ddshape = _rest_to_rest(tau, edge_time)
-    xy = start + shape * (end - start)
-    dxy = dshape * (end - start)
-    ddxy = ddshape * (end - start)
-    pos = np.array([xy[0], xy[1], defn.height])
-    vel = np.array([dxy[0], dxy[1], 0.0])
-    acc = np.array([ddxy[0], ddxy[1], 0.0])
+    start = corners[edge]
+    pos, vel, acc = _rest_to_rest(start, corners[(edge + 1) % 4] - start,
+                                  s - edge * edge_time, edge_time)
     extras = _attitude_setpoint(f"dof{dof}", defn.yaw_hold, defn.pitch_hold)
     return Setpoint(pos, vel, acc, f"dof{dof}", **extras)
 
 
-def _rest_to_rest(t, duration):
-    """Normalized rest-to-rest quintic shape and its two time derivatives."""
-    tau = np.clip(t / duration, 0.0, 1.0)
+def _rest_to_rest(origin, delta, t, duration):
+    """Value, rate and acceleration at t of the move from `origin` by `delta`
+    along the minimum-jerk quintic 10 tau^3 - 15 tau^4 + 6 tau^5, tau = t / duration."""
+    tau = min(max(t / duration, 0.0), 1.0)
     s = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
     ds = (30 * tau**2 - 60 * tau**3 + 30 * tau**4) / duration
     dds = (60 * tau - 180 * tau**2 + 120 * tau**3) / duration**2
-    return s, ds, dds
+    return origin + s * delta, ds * delta, dds * delta
 
 
 def attitude_sine(t, defn=AttitudeSineDef()):
@@ -219,48 +214,6 @@ def hover(t, defn=HoverDef(), dof=6):
 # quintic segments
 
 
-def quintic_segment(start, end, duration):
-    """Coefficients (ascending powers) of the degree-5 polynomial matching
-    position/velocity/acceleration at both ends of one axis."""
-    if duration <= 0.0:
-        raise SingularSystem("segment duration must be positive")
-    p0, v0, a0 = start
-    p1, v1, a1 = end
-    rows = []
-    rhs = [p0, v0, a0, p1, v1, a1]
-    rows.append([1, 0, 0, 0, 0, 0])
-    rows.append([0, 1, 0, 0, 0, 0])
-    rows.append([0, 0, 2, 0, 0, 0])
-    powers = duration ** np.arange(6)
-    rows.append(powers)
-    rows.append([i * duration ** max(i - 1, 0) for i in range(6)])
-    rows.append([i * (i - 1) * duration ** max(i - 2, 0) for i in range(6)])
-    try:
-        return np.linalg.solve(np.array(rows, dtype=float), np.array(rhs, dtype=float))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by duration > 0
-        raise SingularSystem(str(exc)) from exc
-
-
-def quintic_eval(coeffs, t, duration=None):
-    """Position, velocity, and acceleration of a quintic at time t.
-
-    `coeffs` holds ascending powers, one row per axis (or a single row).
-    Raises OutOfRange when a duration is given and t falls outside it.
-    """
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    if duration is not None and not (0.0 <= t <= duration):
-        raise OutOfRange(f"t = {t} outside [0, {duration}]")
-    powers = t ** np.arange(6)
-    dpowers = np.array([0, 1, 2 * t, 3 * t**2, 4 * t**3, 5 * t**4])
-    ddpowers = np.array([0, 0, 2, 6 * t, 12 * t**2, 20 * t**3])
-    pos = coeffs @ powers
-    vel = coeffs @ dpowers
-    acc = coeffs @ ddpowers
-    if pos.shape == (1,):
-        return float(pos[0]), float(vel[0]), float(acc[0])
-    return pos, vel, acc
-
-
 def _so3_right_jacobian(phi):
     """Maps the derivative of an axis-angle vector to the body rate."""
     phi = np.asarray(phi, dtype=float)
@@ -276,7 +229,8 @@ def _so3_right_jacobian(phi):
 
 
 class QuinticChain:
-    """Rest-to-rest quintic segments through position/attitude waypoints.
+    """Rest-to-rest quintic segments through position/attitude waypoints,
+    each a `_rest_to_rest` move like a rectangle edge.
 
     Attitude interpolates the axis-angle vector of the desired attitude
     relative to the start; adequate for the small excursions flown here.
@@ -284,39 +238,26 @@ class QuinticChain:
     """
 
     def __init__(self, defn):
-        self.defn = defn
         self.starts = np.concatenate([[0.0], np.cumsum(defn.durations)])
+        # per segment: duration, origin and delta of (position, rotation vector)
         self.segments = []
-        for i in range(len(defn.durations)):
-            a = defn.waypoints[i]
-            b = defn.waypoints[i + 1]
-            duration = defn.durations[i]
-            channels = []
-            for axis in range(3):
-                channels.append(quintic_segment(
-                    (a.position[axis], 0.0, 0.0), (b.position[axis], 0.0, 0.0),
-                    duration))
-            for axis in range(3):
-                channels.append(quintic_segment(
-                    (a.rotation[axis], 0.0, 0.0), (b.rotation[axis], 0.0, 0.0),
-                    duration))
-            self.segments.append(np.array(channels))
-
-    @property
-    def total_time(self):
-        return float(self.starts[-1])
+        for a, b, duration in zip(defn.waypoints, defn.waypoints[1:], defn.durations):
+            origin = np.array([*a.position, *a.rotation], dtype=float)
+            delta = np.array([*b.position, *b.rotation], dtype=float) - origin
+            self.segments.append((duration, origin, delta))
 
     def __call__(self, t):
-        t = min(max(t, 0.0), self.total_time)
+        t = min(max(t, 0.0), self.starts[-1])
         index = min(np.searchsorted(self.starts, t, side="right") - 1,
                     len(self.segments) - 1)
-        tau = t - self.starts[index]
-        values, dvalues, ddvalues = quintic_eval(self.segments[index], tau)
+        duration, origin, delta = self.segments[index]
+        values, rates, accelerations = _rest_to_rest(
+            origin, delta, t - self.starts[index], duration)
         rotvec = values[3:]
         attitude = geometry.so3_exp(rotvec, 1.0)
-        omega = _so3_right_jacobian(rotvec) @ dvalues[3:]
+        omega = _so3_right_jacobian(rotvec) @ rates[3:]
         yaw, pitch = geometry.yaw_pitch(attitude)
-        return Setpoint(values[:3], dvalues[:3], ddvalues[:3], "dof6",
+        return Setpoint(values[:3], rates[:3], accelerations[:3], "dof6",
                         yaw=yaw, pitch=pitch, attitude=attitude,
                         angular_velocity=omega)
 

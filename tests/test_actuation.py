@@ -120,6 +120,25 @@ def test_f_frame_outputs_are_rotations():
         assert geometry.is_rotation(actuation.f_frame(s.design_matrix[:3], s))
 
 
+@pytest.mark.parametrize("structure", [
+    single_r(np.pi / 18), two_r(np.pi / 6, -np.pi / 6), four_t_diagonal(), vertical_2x2(),
+], ids=["single_r", "two_r", "four_t", "vertical"])
+def test_analyze_structure_decomposes_each_block_once(monkeypatch, structure):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    an = actuation.analyze_structure(structure)
+    n = structure.n_rotors
+    assert sorted(calls) == [(3, n), (3, n), (6, n)]
+    assert np.allclose(an.force_axes @ np.diag(an.force_sigma) ** 2 @ an.force_axes.T,
+                       structure.design_matrix[:3] @ structure.design_matrix[:3].T)
+
+
 def test_applicability_examples():
     gentle = two_r(-np.pi / 6, np.pi / 6)
     assert actuation.applicability(gentle, actuation.f_frame(gentle.design_matrix[:3], gentle))

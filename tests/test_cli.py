@@ -12,7 +12,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def write_hover_config(path, duration=0.5, extra="", physical="",
-                       trajectory="{kind: hover, point_m: [0.0, 0.0, 0.5]}"):
+                       trajectory="{kind: hover, point_m: [0.0, 0.0, 0.5]}",
+                       dt_sim=0.001):
     path.write_text(f"""
 modules:
   - kind: T
@@ -37,7 +38,7 @@ scenario:
   trajectory: {trajectory}
   duration_s: {duration}
   dt_ctrl_s: 0.002
-  dt_sim_s: 0.001
+  dt_sim_s: {dt_sim}
 {extra}""")
 
 
@@ -246,6 +247,36 @@ def test_non_finite_duration_exits_2(tmp_path, capsys, value):
     write_hover_config(cfg, duration=value)
     assert cli.main(["simulate", str(cfg), "-o", str(tmp_path / "x.csv")]) == 2
     assert "duration_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duration, dt_sim, key", [
+    ("1.0e+18", 0.001, "tick-rotors"),
+    (0.0, "1.0e-300", "substeps"),
+])
+def test_simulate_work_bound_exits_2(tmp_path, capsys, duration, dt_sim, key):
+    cfg = tmp_path / "huge.cfg"
+    write_hover_config(cfg, duration=duration, dt_sim=dt_sim)
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and key in err[0] and "bound" in err[0]
+    assert not out.exists()
+
+
+def test_analyze_decomposes_each_design_block_once(monkeypatch, capsys):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert cli.main(["analyze", str(FIXTURES / "exp4.cfg"), "--format", "json"]) == 0
+    assert len(calls) == 3
+    payload = json.loads(capsys.readouterr().out)
+    sigma = [axis["semi_axis_n"] for axis in payload["ellipsoid"]]
+    assert np.allclose(np.array(sigma) / sigma[0], payload["singular_values_normalized"])
 
 
 def test_metrics_missing_file_exits_2(tmp_path, capsys):

@@ -41,6 +41,15 @@ def test_quaternion_roundtrip_random_rotations():
         assert np.allclose(telemetry.quaternion_to_rotation(q), r, atol=1e-9)
 
 
+def test_quaternion_to_rotation_stacks_rows():
+    q = np.random.default_rng(61).normal(size=(20, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    stacked = telemetry.quaternion_to_rotation(q)
+    assert stacked.shape == (20, 3, 3)
+    for row, r in zip(q, stacked):
+        assert np.array_equal(telemetry.quaternion_to_rotation(row), r)
+
+
 def test_quaternion_sign_deterministic():
     r = geometry.rot_principal("z", 3.0)
     q = telemetry.rotation_to_quaternion(r)

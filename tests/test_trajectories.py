@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modquad import geometry, trajectories
-from modquad.errors import InvalidParams, OutOfRange, SingularSystem
+from modquad.errors import InvalidParams
 from modquad.trajectories import (
     AttitudeSineDef,
     HelixDef,
@@ -93,52 +93,6 @@ def test_attitude_sine_half_period():
     assert sp.pitch == pytest.approx(0.0, abs=1e-12)
 
 
-def test_quintic_rest_to_rest_closed_form():
-    coeffs = trajectories.quintic_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
-    assert np.allclose(coeffs, [0.0, 0.0, 0.0, 10.0, -15.0, 6.0], atol=1e-9)
-
-
-def test_quintic_degenerate_segment_is_constant():
-    coeffs = trajectories.quintic_segment((0.7, 0.0, 0.0), (0.7, 0.0, 0.0), 2.0)
-    assert np.allclose(coeffs, [0.7, 0, 0, 0, 0, 0], atol=1e-12)
-
-
-def test_quintic_midpoint_symmetry():
-    coeffs = trajectories.quintic_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0)
-    pos, _, _ = trajectories.quintic_eval(coeffs, 1.0)
-    assert pos == pytest.approx(0.5)
-
-
-def test_quintic_midpoint_velocity():
-    coeffs = trajectories.quintic_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0)
-    _, vel, _ = trajectories.quintic_eval(coeffs, 1.0)
-    assert vel == pytest.approx(0.9375)
-
-
-def test_quintic_boundary_conditions():
-    rng = np.random.default_rng(53)
-    for _ in range(20):
-        b0 = tuple(rng.normal(size=3))
-        b1 = tuple(rng.normal(size=3))
-        duration = rng.uniform(0.5, 5.0)
-        coeffs = trajectories.quintic_segment(b0, b1, duration)
-        p, v, a = trajectories.quintic_eval(coeffs, 0.0, duration)
-        assert (p, v, a) == pytest.approx(b0, abs=1e-9)
-        p, v, a = trajectories.quintic_eval(coeffs, duration, duration)
-        assert (p, v, a) == pytest.approx(b1, abs=1e-9)
-
-
-def test_quintic_eval_out_of_range():
-    coeffs = trajectories.quintic_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
-    with pytest.raises(OutOfRange):
-        trajectories.quintic_eval(coeffs, 1.5, 1.0)
-
-
-def test_quintic_rejects_non_positive_duration():
-    with pytest.raises(SingularSystem):
-        trajectories.quintic_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0)
-
-
 def chain_def():
     return QuinticChainDef(
         waypoints=(
@@ -171,10 +125,40 @@ def test_quintic_chain_rest_at_waypoints():
         assert np.allclose(sp.angular_velocity, 0.0, atol=1e-9)
 
 
+def test_quintic_chain_mid_segment():
+    defn = chain_def()
+    chain = trajectories.QuinticChain(defn)
+    for k, duration in enumerate(defn.durations):
+        a = np.array(defn.waypoints[k].position)
+        b = np.array(defn.waypoints[k + 1].position)
+        sp = chain(sum(defn.durations[:k]) + duration / 2.0)
+        assert np.allclose(sp.position, 0.5 * (a + b), atol=1e-12)
+        assert np.allclose(sp.velocity, 15.0 * (b - a) / (8.0 * duration), atol=1e-12)
+        assert np.allclose(sp.acceleration, 0.0, atol=1e-12)
+
+
+def test_quintic_chain_equal_waypoints_hold_still():
+    rotation = (0.0, np.radians(10.0), 0.0)
+    chain = trajectories.QuinticChain(QuinticChainDef(
+        waypoints=(Waypoint((0.3, -0.1, 0.6), rotation),
+                   Waypoint((0.3, -0.1, 0.6), rotation)),
+        durations=(2.0,)))
+    first = chain(0.0)
+    for t in np.linspace(0.0, 2.5, 11):
+        sp = chain(t)
+        assert np.array_equal(sp.position, first.position)
+        assert np.array_equal(sp.attitude, first.attitude)
+        assert not np.any(sp.velocity) and not np.any(sp.acceleration)
+        assert not np.any(sp.angular_velocity)
+    assert np.allclose(first.position, [0.3, -0.1, 0.6])
+    assert np.allclose(first.attitude, geometry.rot_principal("y", np.radians(10.0)))
+
+
 def test_chain_requires_matching_durations():
-    with pytest.raises(InvalidParams):
-        QuinticChainDef(waypoints=(Waypoint((0, 0, 0)), Waypoint((1, 0, 0))),
-                        durations=(1.0, 2.0))
+    for durations in [(1.0, 2.0), (0.0,), (-1.0,)]:
+        with pytest.raises(InvalidParams):
+            QuinticChainDef(waypoints=(Waypoint((0, 0, 0)), Waypoint((1, 0, 0))),
+                            durations=durations)
 
 
 @pytest.mark.parametrize("factory", [

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DegenerateStructure, InvalidDOF
+from .errors import DegenerateStructure, InvalidDOF, ModquadError
 from .vehicle import DEFAULT_F_MAX, GRAVITY
 
 RANK_TOL = 1e-8
 TIE_TOL = 1e-8
+_KKT_ROUNDING = 1e3 * np.finfo(float).eps
+_MAX_PASSES_PER_VARIABLE = 20
 
 
 @dataclass
@@ -176,27 +178,71 @@ def design_in_f_frame(a, f_frame_rotation):
     return np.vstack([rt @ a[:3], rt @ a[3:]])
 
 
-def bounded_least_squares(a, b, upper, iters=500, tol=0.0):
-    """min ||A u - b|| subject to 0 <= u <= upper, by accelerated projected
-    gradient descent. Returns (u, residual_norm)."""
+def bounded_least_squares(a, b, upper):
+    """min ||A u - b|| subject to 0 <= u <= upper (a scalar), solved exactly
+    by the active-set bounded-variable least squares of Stark & Parker
+    (Computational Statistics, 1995). Returns (u, residual_norm).
+
+    Starts from the minimum-norm solution clipped to the box; when nothing
+    was clipped, that is the answer. Otherwise the free variables move
+    toward their least-squares solution with the others held, stopping at
+    the first bound one of them meets (it is held from then on). Once they
+    sit at that solution, the held variable whose gradient points furthest
+    into the box is freed; when none points in by more than rounding, u is
+    the box-constrained minimum. Each freed variable lowers the objective,
+    so no free set repeats and the loop ends.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    lip = np.linalg.norm(a, 2) ** 2
-    if lip == 0.0:
-        return np.zeros(a.shape[1]), float(np.linalg.norm(b))
-    step = 1.0 / lip
-    u = np.zeros(a.shape[1])
-    y = u.copy()
-    t = 1.0
-    for _ in range(iters):
-        grad = a.T @ (a @ y - b)
-        u_next = np.clip(y - step * grad, 0.0, upper)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = u_next + ((t - 1.0) / t_next) * (u_next - u)
-        u, t = u_next, t_next
-        if tol > 0.0 and np.linalg.norm(a @ u - b) < tol:
-            break
-    return u, float(np.linalg.norm(a @ u - b))
+    n = a.shape[1]
+    least_norm = np.linalg.lstsq(a, b, rcond=None)[0]
+    u = np.clip(least_norm, 0.0, upper)
+    if np.array_equal(u, least_norm):
+        return u, float(np.linalg.norm(a @ u - b))
+    free = (u > 0.0) & (u < upper)
+    norm_a = np.linalg.norm(a)
+    # gradient entries below this are rounding in A^T (b - A u)
+    tol = _KKT_ROUNDING * norm_a * (np.linalg.norm(b) + norm_a * upper * np.sqrt(n))
+    refused = np.zeros(n, dtype=bool)  # freed, but its step pointed out of the box
+    entering, inward = None, 0.0
+    passes = _MAX_PASSES_PER_VARIABLE * (n + 1)
+    for _ in range(passes):
+        if free.any():
+            index = np.flatnonzero(free)
+            step = np.linalg.lstsq(a[:, index], b - a @ u, rcond=None)[0]
+            if entering is not None:
+                # rounding can point the freed variable's step out of the box;
+                # hold it again and free the next candidate instead
+                if inward * step[np.searchsorted(index, entering)] <= 0.0:
+                    free[entering] = False
+                    refused[entering] = True
+                    entering = None
+                    continue
+                refused[:] = False
+                entering = None
+            target = u[index] + step
+            if target.min() >= 0.0 and target.max() <= upper:
+                u[index] = target
+            else:
+                room = np.full(index.size, np.inf)
+                np.divide(upper - u[index], step, out=room, where=step > 0.0)
+                np.divide(-u[index], step, out=room, where=step < 0.0)
+                alpha = room.min()
+                blocked = room <= alpha
+                u[index] = np.clip(u[index] + alpha * step, 0.0, upper)
+                u[index[blocked]] = np.where(step[blocked] > 0.0, upper, 0.0)
+                free[index[blocked]] = False
+                continue
+        gradient = a.T @ (b - a @ u)
+        # held variables sit on a bound; the gradient's component into the box
+        push = np.where(u == 0.0, gradient, -gradient)
+        push[free | refused] = -np.inf
+        entering = int(np.argmax(push))
+        if push[entering] <= tol:
+            return u, float(np.linalg.norm(a @ u - b))
+        free[entering] = True
+        inward = 1.0 if u[entering] == 0.0 else -1.0
+    raise ModquadError(f"bounded least squares did not settle in {passes} passes")
 
 
 def applicability(structure, f_frame_rotation, f_max=DEFAULT_F_MAX):
@@ -212,8 +258,7 @@ def applicability(structure, f_frame_rotation, f_max=DEFAULT_F_MAX):
     if np.min(gram) < -1e-9:
         return False
     target = structure.mass * GRAVITY * f_frame_rotation[:, 2]
-    _, residual = bounded_least_squares(structure.design_matrix[:3], target, f_max,
-                                        tol=1e-7 * structure.mass * GRAVITY)
+    _, residual = bounded_least_squares(structure.design_matrix[:3], target, f_max)
     return residual <= 1e-6 * structure.mass * GRAVITY
 
 
@@ -228,9 +273,7 @@ def analyze_structure(structure, f_max=DEFAULT_F_MAX):
     analysis.dimensioning = dimensioning_matrix(analysis.controllable_dof)
     analysis.applicable = applicability(structure, rotation, f_max)
     target = structure.mass * GRAVITY * rotation[:, 2]
-    _, analysis.hover_residual = bounded_least_squares(
-        a[:3], target, f_max, tol=1e-7 * structure.mass * GRAVITY
-    )
+    _, analysis.hover_residual = bounded_least_squares(a[:3], target, f_max)
     return analysis
 
 
@@ -242,12 +285,9 @@ def hover_wrench(mass, attitude):
 
 def static_hover_feasible(structure, attitude, f_max=DEFAULT_F_MAX):
     """Whether bounded thrusts can hold the structure static at `attitude`:
-    a residual below 1e-6 of the weight within 2000 solver steps."""
+    the exact bounded least-squares residual is below 1e-6 of the weight."""
     w = hover_wrench(structure.mass, attitude)
-    _, residual = bounded_least_squares(
-        structure.design_matrix, w, f_max, iters=2000,
-        tol=0.1 * 1e-6 * structure.mass * GRAVITY,
-    )
+    _, residual = bounded_least_squares(structure.design_matrix, w, f_max)
     return residual <= 1e-6 * structure.mass * GRAVITY
 
 

@@ -12,6 +12,7 @@ its default gives its shape (string, number or vector).
 """
 
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -48,6 +49,13 @@ def _construct_located_mapping(loader, node):
 
 
 _LineLoader.add_constructor("tag:yaml.org,2002:map", _construct_located_mapping)
+# YAML 1.1 reads a float only with a dot and a signed exponent, so `1e-3`
+# and `1.5e3` would load as strings; read every exponent form as a float.
+_LineLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modquad import actuation, control, geometry, vehicle
 from modquad.errors import DegenerateStructure, InvalidDOF
@@ -247,7 +249,7 @@ def test_bounded_least_squares_respects_box():
     rng = np.random.default_rng(37)
     a = rng.normal(size=(4, 9))
     b = rng.normal(size=4) * 3.0
-    u, res = actuation.bounded_least_squares(a, b, 0.5, iters=2000)
+    u, res = actuation.bounded_least_squares(a, b, 0.5)
     assert np.all(u >= 0.0) and np.all(u <= 0.5 + 1e-15)
     # residual should match an unconstrained solve when the box is inactive
     free = np.linalg.lstsq(a, b, rcond=None)[0]
@@ -268,6 +270,18 @@ def test_pitch_feasibility_boundary_matches_force_budget():
     assert got == pytest.approx(oracle, abs=5e-4)
 
 
+def test_pitch_feasibility_boundary_exact_at_fine_tolerance():
+    # The solver is exact, so the bisection can be driven far below 1e-4
+    # rad; what is left is the 1e-6 m g residual threshold, which moves the
+    # boundary by about 1.7e-6 rad past the closed form.
+    s = four_t_diagonal()
+    f_max = 0.645
+    mg = s.mass * 9.81
+    oracle = np.arcsin(8 * f_max / (mg * np.sqrt(1.5))) - np.arctan(1 / np.sqrt(2))
+    got = actuation.pitch_feasibility_limit(s, f_max=f_max, angle_tol=1e-7)
+    assert abs(got - oracle) <= 5e-6
+
+
 def test_pitch_feasibility_monotone():
     s = four_t_diagonal()
     limit = actuation.pitch_feasibility_limit(s, f_max=0.645, angle_tol=1e-4)
@@ -285,3 +299,109 @@ def test_f_frame_reexpression_preserves_singular_values():
         before = np.linalg.svd(s.design_matrix[block], compute_uv=False)
         after = np.linalg.svd(a_f[block], compute_uv=False)
         assert np.allclose(before, after, atol=1e-12)
+
+
+def counting(monkeypatch, name):
+    """Replace actuation.<name> with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(actuation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(actuation, name, counted)
+    return calls
+
+
+def test_solver_calls_go_through_the_module(monkeypatch):
+    # analyze_structure solves once for applicability and once for the
+    # hover residual; the obtuse pair fails the rotor-axis Gram check, so
+    # only the hover residual is solved. pitch_feasibility_limit asks
+    # actuation.static_hover_feasible at every bisection level.
+    solves = counting(monkeypatch, "bounded_least_squares")
+    actuation.analyze_structure(four_t_diagonal())
+    assert len(solves) == 2
+    solves.clear()
+    actuation.analyze_structure(two_r(np.pi / 3, -np.pi / 3))
+    assert len(solves) == 1
+    solves.clear()
+    checks = counting(monkeypatch, "static_hover_feasible")
+    actuation.pitch_feasibility_limit(four_t_diagonal(), f_max=0.645, angle_tol=1e-2)
+    assert len(checks) == 2 + int(np.ceil(np.log2(np.pi / 2 / 1e-2)))
+    assert len(solves) == len(checks)
+
+
+# Accelerated projected-gradient solver that the active-set
+# bounded_least_squares replaced, kept as the reference it must match or
+# beat.
+
+
+def ref_projected_gradient(a, b, upper, iters=2000):
+    lip = np.linalg.norm(a, 2) ** 2
+    if lip == 0.0:
+        return np.zeros(a.shape[1]), float(np.linalg.norm(b))
+    step = 1.0 / lip
+    u = np.zeros(a.shape[1])
+    y = u.copy()
+    t = 1.0
+    for _ in range(iters):
+        grad = a.T @ (a @ y - b)
+        u_next = np.clip(y - step * grad, 0.0, upper)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = u_next + ((t - 1.0) / t_next) * (u_next - u)
+        u, t = u_next, t_next
+    return u, float(np.linalg.norm(a @ u - b))
+
+
+def assert_box_minimum(a, b, upper):
+    """bounded_least_squares stays in the box, meets the KKT sign
+    conditions and does no worse than the projected-gradient reference."""
+    u, residual = actuation.bounded_least_squares(a, b, upper)
+    assert np.all(u >= 0.0) and np.all(u <= upper)
+    assert residual == pytest.approx(np.linalg.norm(a @ u - b), rel=1e-12, abs=1e-15)
+    gradient = a.T @ (a @ u - b)
+    norm_a = np.linalg.norm(a)
+    eps = 1e-10 * norm_a * (np.linalg.norm(b) + norm_a * upper * np.sqrt(a.shape[1]))
+    at_zero, at_upper = u == 0.0, u == upper
+    assert np.all(gradient[at_zero] >= -eps)
+    assert np.all(gradient[at_upper] <= eps)
+    assert np.all(np.abs(gradient[~at_zero & ~at_upper]) <= eps)
+    assert residual <= ref_projected_gradient(a, b, upper)[1] + 1e-12
+
+
+@st.composite
+def rt_structures(draw):
+    cells = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 2, 0), (2, 1, 0)]
+    placements = []
+    for cell in draw(st.permutations(cells))[:draw(st.integers(1, 6))]:
+        if draw(st.booleans()):
+            axis = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+            assume(np.linalg.norm(axis) > 0.1)
+            tilt = geometry.rodrigues(axis / np.linalg.norm(axis),
+                                      draw(st.floats(-1.2, 1.2)))
+            module = vehicle.make_r_module(tilt)
+        else:
+            module = vehicle.make_t_module(draw(st.floats(-1.4, 1.4)))
+        placements.append((module, cell))
+    return vehicle.assemble_structure(placements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure=rt_structures(), roll=st.floats(-1.6, 1.6), pitch=st.floats(-1.6, 1.6),
+       f_max=st.floats(0.05, 2.0), force_only=st.booleans())
+def test_bounded_least_squares_hover_problems(structure, roll, pitch, f_max, force_only):
+    attitude = geometry.rot_principal("x", roll) @ geometry.rot_principal("y", pitch)
+    wrench = actuation.hover_wrench(structure.mass, attitude)
+    rows = 3 if force_only else 6
+    assert_box_minimum(structure.design_matrix[:rows], wrench[:rows], f_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(3, 6), st.integers(1, 64)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.1, 1.0, 10.0, 100.0]), upper=st.floats(0.01, 5.0))
+def test_bounded_least_squares_random_problems(shape, seed, scale, upper):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape)
+    b = rng.normal(size=shape[0]) * scale
+    assert_box_minimum(a, b, upper)

@@ -140,6 +140,18 @@ def test_render_parse_roundtrip():
             assert again.scenario.duration_s == cfg.scenario.duration_s
 
 
+def test_exponent_floats_without_dot_parse_as_numbers():
+    # YAML 1.1 alone loads `1e-3` as a string, which the schema rejected as
+    # "dt_sim_s must be a finite number".
+    text = (FIXTURES / "exp1.cfg").read_text()
+    edited = (text.replace("dt_sim_s: 0.001", "dt_sim_s: 1e-3")
+              .replace("k_att: [100, 100, 100]", "k_att: [1e2, 1.0e2, 1E+2]"))
+    assert edited.count("e") > text.count("e")
+    cfg = config.parse_config(edited)
+    assert cfg.scenario.dt_sim_s == 0.001
+    assert config.render_config(cfg) == config.render_config(config.parse_config(text))
+
+
 def test_build_structure_matches_fixture_layout():
     cfg = config.load_config(FIXTURES / "sim1.cfg")
     structure = config.build_structure(cfg)

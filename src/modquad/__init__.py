@@ -32,7 +32,6 @@ from .simulation import (
 from .vehicle import (
     ModulePlacement,
     ModuleSpec,
-    PropellerSpec,
     StructureModel,
     TorqueBalanceReport,
     assemble_structure,
@@ -51,7 +50,6 @@ __all__ = [
     "ModulePlacement",
     "ModuleSpec",
     "MotorModel",
-    "PropellerSpec",
     "Setpoint",
     "StructureModel",
     "Telemetry",

@@ -37,8 +37,12 @@ class _LocatedDict(dict):
     line = None
 
 
-class _LineLoader(yaml.SafeLoader):
+class _LineLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     pass
+
+
+class _ReprDumper(yaml.SafeDumper):
+    """Dump floats with repr so render/parse round trips exactly."""
 
 
 def _construct_located_mapping(loader, node):
@@ -49,13 +53,21 @@ def _construct_located_mapping(loader, node):
 
 
 _LineLoader.add_constructor("tag:yaml.org,2002:map", _construct_located_mapping)
-# YAML 1.1 reads a float only with a dot and a signed exponent, so `1e-3`
-# and `1.5e3` would load as strings; read every exponent form as a float.
-_LineLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
+_ReprDumper.add_representer(
+    float,
+    lambda dumper, value: dumper.represent_scalar(
+        "tag:yaml.org,2002:float", repr(float(value))
+    ),
 )
+# YAML 1.1 reads a float only with a dot and a signed exponent, so `1e-3`
+# and `1.5e3` would load as strings; read every exponent form as a float,
+# and let the dumper write such floats untagged.
+for _cls in (_LineLoader, _ReprDumper):
+    _cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
 
 
 @dataclass
@@ -244,7 +256,7 @@ def _parse_module(node, path, v):
                 axis = (0.0, 0.0, 1.0)
             angle = v.number(prop, ppath, "tilt_angle_rad", default=0.0)
             spin = prop.get("spin", 1)
-            if spin not in (-1, 1):
+            if isinstance(spin, bool) or spin not in (-1, 1):
                 v.fail(ppath, "spin must be +1 or -1", prop)
                 spin = 1
             parsed.append((axis, angle, int(spin)))
@@ -374,14 +386,11 @@ def build_module(entry, physical):
         return vehicle.make_r_module(rstar, **kwargs)
     if entry.kind == "T":
         return vehicle.make_t_module(entry.eta_rad, **kwargs)
-    positions = vehicle.square_positions(physical.arm_m)
-    props = tuple(
-        vehicle.PropellerSpec(
-            pos, geometry.rodrigues(_unit_axis(axis), angle), spin
-        )
-        for pos, (axis, angle, spin) in zip(positions, entry.propellers)
-    )
-    return vehicle.ModuleSpec("custom", props, **kwargs)
+    orientations = [geometry.rodrigues(_unit_axis(axis), angle)
+                    for axis, angle, _ in entry.propellers]
+    return vehicle.ModuleSpec(
+        "custom", vehicle.square_positions(physical.arm_m), orientations,
+        [spin for _, _, spin in entry.propellers], **kwargs)
 
 
 def build_structure(config):
@@ -452,14 +461,3 @@ def render_config(config):
     return yaml.dump(doc, sort_keys=False, default_flow_style=None,
                      Dumper=_ReprDumper)
 
-
-class _ReprDumper(yaml.SafeDumper):
-    """Dump floats with repr so render/parse round trips exactly."""
-
-
-_ReprDumper.add_representer(
-    float,
-    lambda dumper, value: dumper.represent_scalar(
-        "tag:yaml.org,2002:float", repr(float(value))
-    ),
-)

@@ -39,79 +39,61 @@ _SPIN_SIGNS = (1, -1, 1, -1)
 
 
 @dataclass(frozen=True, eq=False)
-class PropellerSpec:
-    """One rotor: position and orientation in the module frame, spin sign."""
-
-    position: np.ndarray
-    orientation: np.ndarray
-    spin_sign: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
-        if abs(self.position[2]) > 1e-12:
-            raise InvalidParams("propeller must lie in the module xy-plane")
-        if self.spin_sign not in (-1, 1):
-            raise InvalidParams(f"spin_sign must be +1 or -1, got {self.spin_sign}")
-        if not geometry.is_rotation(self.orientation):
-            raise InvalidParams("propeller orientation is not a rotation matrix")
-
-    @property
-    def thrust_axis(self):
-        return self.orientation @ geometry.E3
-
-
-@dataclass(frozen=True, eq=False)
 class ModuleSpec:
-    """One quadrotor module: four propellers plus mass and frame geometry."""
+    """One quadrotor module: its rotor table plus mass and frame geometry.
+
+    The rotor table is the layout a StructureModel uses for all its rotors:
+    `positions` (4, 3) and `orientations` (4, 3, 3) in the module frame,
+    and `spin_signs` (4,) of +1 or -1.
+    """
 
     kind: str
-    propellers: tuple
+    positions: np.ndarray
+    orientations: np.ndarray
+    spin_signs: np.ndarray
     mass: float = DEFAULT_MASS
     arm: float = DEFAULT_ARM
     body_size: tuple = DEFAULT_BODY_SIZE
     k_m: float = DEFAULT_K_M
 
     def __post_init__(self):
-        object.__setattr__(self, "body_size", tuple(float(d) for d in self.body_size))
+        p = np.asarray(self.positions, dtype=float)
+        o = np.asarray(self.orientations, dtype=float)
+        spins = np.asarray(self.spin_signs, dtype=float)
         if self.mass <= 0.0 or self.arm <= 0.0:
             raise InvalidParams("mass and arm half-length must be positive")
         if self.k_m < 0.0:
             raise InvalidParams("k_m must be non-negative")
-        if len(self.propellers) != 4:
+        if p.shape != (4, 3) or o.shape != (4, 3, 3) or spins.shape != (4,):
             raise InvalidParams("a module has exactly four propellers")
         if any(d <= 0.0 for d in self.body_size):
             raise InvalidParams("body dimensions must be positive")
-        p = [prop.position for prop in self.propellers]
-        if not (np.allclose(p[0], -np.asarray(p[2])) and np.allclose(p[1], -np.asarray(p[3]))):
+        if np.abs(p[:, 2]).max() > 1e-12:
+            raise InvalidParams("propeller must lie in the module xy-plane")
+        if (any(isinstance(s, (bool, np.bool_)) for s in self.spin_signs)
+                or not np.all(np.abs(spins) == 1.0)):
+            raise InvalidParams(f"spin signs must be +1 or -1, got {self.spin_signs}")
+        drift = np.linalg.norm(np.swapaxes(o, 1, 2) @ o - np.eye(3), axis=(1, 2))
+        if not (np.all(drift < 1e-9) and np.all(np.abs(np.linalg.det(o) - 1.0) < 1e-9)):
+            raise InvalidParams("propeller orientation is not a rotation matrix")
+        if not np.allclose(p[:2], -p[2:]):
             raise InvalidParams("propellers must form a square (p1 = -p3, p2 = -p4)")
         if abs(np.linalg.norm(p[0]) - np.linalg.norm(p[1])) > 1e-12:
             raise InvalidParams("propellers must form a square (equal arm radii)")
         if self.kind == "R":
-            first = self.propellers[0].orientation
-            for prop in self.propellers[1:]:
-                if not np.allclose(prop.orientation, first, atol=1e-9):
-                    raise InvalidParams("R modules need one shared rotor orientation")
+            if not np.allclose(o, o[0], atol=1e-9):
+                raise InvalidParams("R modules need one shared rotor orientation")
         elif self.kind == "T":
-            eta = self._arm_tilt_angle(self.propellers[0])
-            for prop, sign in zip(self.propellers, _SPIN_SIGNS):
-                axis = prop.position / np.linalg.norm(prop.position)
-                expected = geometry.rodrigues(axis, sign * eta)
-                if not np.allclose(prop.orientation, expected, atol=1e-9):
-                    raise InvalidParams(
-                        "T modules need alternating +eta/-eta tilts about the arms"
-                    )
+            if not np.allclose(o, _t_tilts(p, _arm_tilt_angle(p[0], o[0])), atol=1e-9):
+                raise InvalidParams(
+                    "T modules need alternating +eta/-eta tilts about the arms"
+                )
         elif self.kind != "custom":
             raise InvalidParams(f"kind must be R, T or custom, got {self.kind!r}")
-
-    @staticmethod
-    def _arm_tilt_angle(prop):
-        """Signed rotation angle of a propeller about its own arm axis."""
-        axis = prop.position / np.linalg.norm(prop.position)
-        r = prop.orientation
-        cos_a = (np.trace(r) - 1.0) / 2.0
-        sin_a = geometry.vee(0.5 * (r - r.T)) @ axis
-        return float(np.arctan2(sin_a, np.clip(cos_a, -1.0, 1.0)))
+        object.__setattr__(self, "positions", p)
+        object.__setattr__(self, "orientations", o)
+        object.__setattr__(self, "spin_signs", spins)
+        object.__setattr__(self, "body_size", tuple(float(d) for d in self.body_size))
 
     def cuboid_inertia(self):
         """Inertia tensor of the homogeneous solid cuboid about its center."""
@@ -119,6 +101,21 @@ class ModuleSpec:
         return (self.mass / 12.0) * np.diag(
             [sy**2 + sz**2, sx**2 + sz**2, sx**2 + sy**2]
         )
+
+
+def _arm_tilt_angle(position, orientation):
+    """Signed rotation angle of a rotor about its own arm axis."""
+    axis = position / np.linalg.norm(position)
+    cos_a = (np.trace(orientation) - 1.0) / 2.0
+    sin_a = geometry.vee(0.5 * (orientation - orientation.T)) @ axis
+    return float(np.arctan2(sin_a, np.clip(cos_a, -1.0, 1.0)))
+
+
+def _t_tilts(positions, eta):
+    """Rotor orientations tilted by (+eta, -eta, +eta, -eta) about the unit
+    arm vectors: the tilt alternates with the same pattern as the spin."""
+    return np.array([geometry.rodrigues(pos / np.linalg.norm(pos), sign * eta)
+                     for pos, sign in zip(positions, _SPIN_SIGNS)])
 
 
 @dataclass
@@ -129,8 +126,6 @@ class TorqueBalanceReport:
     residual_torque: np.ndarray
     thrust_magnitude: float
     thrust_direction: np.ndarray
-    thrust_torque: np.ndarray = field(repr=False, default=None)
-    drag_torque: np.ndarray = field(repr=False, default=None)
 
 
 def square_positions(arm):
@@ -144,11 +139,8 @@ def make_r_module(rstar, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
     rstar = np.asarray(rstar, dtype=float)
     if not geometry.is_rotation(rstar):
         raise InvalidParams("rstar is not a rotation matrix")
-    props = tuple(
-        PropellerSpec(pos, rstar, spin)
-        for pos, spin in zip(square_positions(arm), _SPIN_SIGNS)
-    )
-    return ModuleSpec("R", props, mass, arm, tuple(body_size), k_m)
+    return ModuleSpec("R", square_positions(arm), np.array([rstar] * 4), _SPIN_SIGNS,
+                      mass, arm, tuple(body_size), k_m)
 
 
 def make_t_module(eta, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
@@ -161,12 +153,28 @@ def make_t_module(eta, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
     """
     if abs(eta) >= np.pi / 2:
         raise InvalidParams(f"|eta| must be below pi/2, got {eta}")
-    props = []
-    for pos, spin in zip(square_positions(arm), _SPIN_SIGNS):
-        axis = pos / np.linalg.norm(pos)
-        # tilt alternates with the same +,-,+,- pattern as the spin direction
-        props.append(PropellerSpec(pos, geometry.rodrigues(axis, spin * eta), spin))
-    return ModuleSpec("T", tuple(props), mass, arm, tuple(body_size), k_m)
+    positions = square_positions(arm)
+    return ModuleSpec("T", positions, _t_tilts(positions, eta), _SPIN_SIGNS,
+                      mass, arm, tuple(body_size), k_m)
+
+
+def rotor_wrenches(positions, orientations, spin_signs, k_m):
+    """Wrench of each rotor at 1 N, as (force, thrust torque, drag torque).
+
+    Each part is (n, 3): the thrust axis a = R e3, the torque p x a of the
+    thrust about the origin, and the drag torque s k_m a. `k_m` is one
+    drag-to-thrust ratio or one per rotor.
+    """
+    axes = orientations @ geometry.E3
+    return axes, np.cross(positions, axes), (spin_signs * k_m)[:, None] * axes
+
+
+def design_matrix(positions, orientations, spin_signs, k_m):
+    """6xn map from the thrusts (N) of a rotor table to the wrench (N, N.m)
+    about the table's origin."""
+    axes, thrust_torque, drag_torque = rotor_wrenches(positions, orientations,
+                                                      spin_signs, k_m)
+    return np.vstack([axes.T, (thrust_torque + drag_torque).T])
 
 
 def check_torque_balance(module, tol=TORQUE_BALANCE_TOL):
@@ -176,14 +184,9 @@ def check_torque_balance(module, tol=TORQUE_BALANCE_TOL):
     module is balanced only when both vanish within `tol`. Also reports
     the net thrust magnitude and direction at unit inputs.
     """
-    thrust_torque = np.zeros(3)
-    drag_torque = np.zeros(3)
-    total_thrust = np.zeros(3)
-    for prop in module.propellers:
-        axis = prop.thrust_axis
-        thrust_torque += np.cross(prop.position, axis)
-        drag_torque += prop.spin_sign * module.k_m * axis
-        total_thrust += axis
+    total_thrust, thrust_torque, drag_torque = (
+        part.sum(axis=0) for part in rotor_wrenches(
+            module.positions, module.orientations, module.spin_signs, module.k_m))
     magnitude = float(np.linalg.norm(total_thrust))
     direction = total_thrust / magnitude if magnitude > 1e-12 else geometry.E3.copy()
     balanced = (
@@ -194,8 +197,6 @@ def check_torque_balance(module, tol=TORQUE_BALANCE_TOL):
         residual_torque=thrust_torque + drag_torque,
         thrust_magnitude=magnitude,
         thrust_direction=direction,
-        thrust_torque=thrust_torque,
-        drag_torque=drag_torque,
     )
 
 
@@ -238,7 +239,7 @@ class StructureModel:
     rotor_orientations: np.ndarray
     spin_signs: np.ndarray
     drag_ratios: np.ndarray
-    design_matrix: np.ndarray = None
+    design_matrix: np.ndarray
     _inertia_inverse: np.ndarray = field(default=None, repr=False)
     _inertia_floats: tuple = field(default=None, repr=False)
 
@@ -272,22 +273,8 @@ class StructureModel:
 
 def module_design_matrix(module):
     """6x4 thrust-to-wrench map of a single module about its own center."""
-    cols = []
-    for prop in module.propellers:
-        axis = prop.thrust_axis
-        torque = np.cross(prop.position, axis) + prop.spin_sign * module.k_m * axis
-        cols.append(np.concatenate([axis, torque]))
-    return np.column_stack(cols)
-
-
-def design_matrix(structure):
-    """6x4n thrust-to-wrench map of a structure about its center of mass."""
-    axes = structure.rotor_axes
-    torque = (
-        np.cross(structure.rotor_positions, axes)
-        + (structure.spin_signs * structure.drag_ratios)[:, None] * axes
-    )
-    return np.vstack([axes.T, torque.T])
+    return design_matrix(module.positions, module.orientations,
+                         module.spin_signs, module.k_m)
 
 
 def assemble_structure(placements):
@@ -320,31 +307,16 @@ def assemble_structure(placements):
     offsets = centers - com
 
     inertia = np.zeros((3, 3))
-    rotor_positions = []
-    rotor_orientations = []
-    spin_signs = []
-    drag_ratios = []
-    for placement, offset in zip(placements, offsets):
+    positions = []
+    orientations = []
+    for placement, d in zip(placements, offsets):
         module, att = placement.module, placement.attitude
-        d = offset
         inertia += att @ module.cuboid_inertia() @ att.T
         inertia += module.mass * (np.dot(d, d) * np.eye(3) - np.outer(d, d))
-        for prop in module.propellers:
-            rotor_positions.append(d + att @ prop.position)
-            rotor_orientations.append(att @ prop.orientation)
-            spin_signs.append(prop.spin_sign)
-            drag_ratios.append(module.k_m)
-
-    structure = StructureModel(
-        placements=placements,
-        mass=total_mass,
-        inertia=inertia,
-        com=com,
-        module_offsets=offsets,
-        rotor_positions=np.array(rotor_positions),
-        rotor_orientations=np.array(rotor_orientations),
-        spin_signs=np.array(spin_signs, dtype=float),
-        drag_ratios=np.array(drag_ratios, dtype=float),
-    )
-    structure.design_matrix = design_matrix(structure)
-    return structure
+        positions.append(d + module.positions @ att.T)
+        orientations.append(att @ module.orientations)
+    table = (np.concatenate(positions), np.concatenate(orientations),
+             np.concatenate([p.module.spin_signs for p in placements]),
+             np.repeat([p.module.k_m for p in placements], 4))
+    return StructureModel(placements, total_mass, inertia, com, offsets, *table,
+                          design_matrix=design_matrix(*table))

@@ -383,8 +383,29 @@ def rt_structures(draw):
             module = vehicle.make_r_module(tilt)
         else:
             module = vehicle.make_t_module(draw(st.floats(-1.4, 1.4)))
-        placements.append((module, cell))
+        yaw = geometry.rot_principal("z", draw(st.floats(-np.pi, np.pi)))
+        placements.append(vehicle.ModulePlacement(module, cell, yaw))
     return vehicle.assemble_structure(placements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure=rt_structures())
+def test_assembly_and_dof_match_module_oracle(structure):
+    a = structure.design_matrix
+    # each module's columns are its own matrix rotated by its attitude R and
+    # moved to its offset d: [R a_f; R a_tau + d x R a_f]
+    for i, (placement, d) in enumerate(zip(structure.placements,
+                                           structure.module_offsets)):
+        r = placement.attitude
+        module_a = vehicle.module_design_matrix(placement.module)
+        force = r @ module_a[:3]
+        expected = np.vstack([force, r @ module_a[3:] + np.cross(d, force.T).T])
+        assert np.allclose(a[:, 4 * i:4 * i + 4], expected, rtol=0.0, atol=1e-12)
+    # 3 + r_f - (r_t + r_f - r_total) = r_total since the torque rows have rank 3
+    an = actuation.analyze(a)
+    rank = np.linalg.matrix_rank(a, tol=actuation.RANK_TOL * np.linalg.norm(a, 2))
+    assert an.controllable_dof == an.rank_total == rank
+    assert geometry.is_rotation(actuation.f_frame(a[:3], structure))
 
 
 @settings(max_examples=60, deadline=None)

@@ -91,6 +91,9 @@ modules:
 def test_invalid_yaml_raises_parse_error():
     with pytest.raises(ParseError):
         config.parse_config("modules: [unclosed")
+    # the message names the line and column of the syntax error
+    with pytest.raises(ParseError, match="line 4, column 4"):
+        config.parse_config("modules:\n  - kind: R\n    cell: [0, 0, 0]\n   bad: 1\n")
 
 
 def test_multiple_problems_reported_together():
@@ -106,8 +109,7 @@ physical:
     assert len(info.value.problems) >= 3
 
 
-def test_custom_module_roundtrip():
-    text = """
+CUSTOM = """
 modules:
   - kind: custom
     cell: [0, 0, 0]
@@ -117,7 +119,10 @@ modules:
       - {tilt_axis: [0, 0, 1], tilt_angle_rad: 0.0, spin: 1}
       - {tilt_axis: [0, 0, 1], tilt_angle_rad: 0.0, spin: -1}
 """
-    cfg = config.parse_config(text)
+
+
+def test_custom_module_roundtrip():
+    cfg = config.parse_config(CUSTOM)
     structure = config.build_structure(cfg)
     assert structure.n_rotors == 4
     # one tilted rotor breaks torque balance
@@ -125,6 +130,14 @@ modules:
     report = vehicle.check_torque_balance(structure.placements[0].module)
     assert not report.balanced
 
+
+
+def test_custom_module_rejects_boolean_spin():
+    # `true == 1` in Python, but a spin sign is a number
+    with pytest.raises(SchemaError) as info:
+        config.parse_config(CUSTOM.replace("spin: 1}", "spin: true}", 1))
+    assert info.value.problems == [
+        "modules[0].propellers[0] (line 6): spin must be +1 or -1"]
 
 def test_render_parse_roundtrip():
     for name in ("exp1.cfg", "exp4.cfg", "sim3.cfg", "fig5d.cfg"):
@@ -151,6 +164,17 @@ def test_exponent_floats_without_dot_parse_as_numbers():
     assert cfg.scenario.dt_sim_s == 0.001
     assert config.render_config(cfg) == config.render_config(config.parse_config(text))
 
+
+
+def test_exponent_floats_render_untagged():
+    # a float whose repr has no dot used to render as `!!float '1e-05'`
+    cfg = config.load_config(FIXTURES / "exp1.cfg")
+    cfg.scenario.dt_sim_s = 1e-5
+    rendered = config.render_config(cfg)
+    assert "\n  dt_sim_s: 1e-05\n" in rendered
+    again = config.parse_config(rendered)
+    assert again.scenario.dt_sim_s == 1e-5
+    assert config.render_config(again) == rendered
 
 def test_build_structure_matches_fixture_layout():
     cfg = config.load_config(FIXTURES / "sim1.cfg")

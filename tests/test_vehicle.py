@@ -8,35 +8,35 @@ from modquad.errors import EmptyStructure, InvalidParams, OverlappingModules
 def test_r_module_identity_is_traditional_quadrotor():
     m = vehicle.make_r_module(np.eye(3))
     assert m.kind == "R"
-    for prop in m.propellers:
-        assert np.allclose(prop.thrust_axis, geometry.E3)
+    for orientation in m.orientations:
+        assert np.allclose(orientation @ geometry.E3, geometry.E3)
     a = m.arm
     expected = [(a, a, 0), (a, -a, 0), (-a, -a, 0), (-a, a, 0)]
-    for prop, pos in zip(m.propellers, expected):
-        assert np.allclose(prop.position, pos)
-    assert [p.spin_sign for p in m.propellers] == [1, -1, 1, -1]
+    for position, pos in zip(m.positions, expected):
+        assert np.allclose(position, pos)
+    assert m.spin_signs.tolist() == [1, -1, 1, -1]
 
 
 def test_r_module_shared_tilt():
     rstar = geometry.rot_principal("y", np.pi / 18)
     m = vehicle.make_r_module(rstar)
-    for prop in m.propellers:
-        assert np.allclose(prop.orientation, rstar)
+    for orientation in m.orientations:
+        assert np.allclose(orientation, rstar)
 
 
 def test_t_module_zero_eta_is_traditional_quadrotor():
     m = vehicle.make_t_module(0.0)
-    for prop in m.propellers:
-        assert np.allclose(prop.orientation, np.eye(3))
+    for orientation in m.orientations:
+        assert np.allclose(orientation, np.eye(3))
 
 
 def test_t_module_tilt_pattern():
     eta = np.pi / 4
     m = vehicle.make_t_module(eta)
     signs = [1, -1, 1, -1]
-    for prop, s in zip(m.propellers, signs):
-        axis = prop.position / np.linalg.norm(prop.position)
-        assert np.allclose(prop.orientation, geometry.rodrigues(axis, s * eta))
+    for position, orientation, s in zip(m.positions, m.orientations, signs):
+        axis = position / np.linalg.norm(position)
+        assert np.allclose(orientation, geometry.rodrigues(axis, s * eta))
 
 
 def test_t_module_rejects_steep_tilt():
@@ -63,12 +63,11 @@ def test_t_module_torque_balance():
 
 def test_single_tilted_rotor_breaks_balance():
     base = vehicle.make_r_module(np.eye(3))
-    props = list(base.propellers)
-    axis = props[0].position / np.linalg.norm(props[0].position)
-    props[0] = vehicle.PropellerSpec(
-        props[0].position, geometry.rodrigues(axis, np.pi / 6), props[0].spin_sign
-    )
-    lopsided = vehicle.ModuleSpec("custom", tuple(props))
+    orientations = base.orientations.copy()
+    axis = base.positions[0] / np.linalg.norm(base.positions[0])
+    orientations[0] = geometry.rodrigues(axis, np.pi / 6)
+    lopsided = vehicle.ModuleSpec("custom", base.positions, orientations,
+                                  base.spin_signs)
     report = vehicle.check_torque_balance(lopsided)
     assert not report.balanced
     assert np.linalg.norm(report.residual_torque) > 1e-3
@@ -172,33 +171,54 @@ def test_module_yaw_placement_rotates_rotors():
     m = vehicle.make_r_module(geometry.rot_principal("y", 0.2))
     yaw = geometry.rot_principal("z", np.pi / 2)
     s = vehicle.assemble_structure([vehicle.ModulePlacement(m, (0, 0, 0), yaw)])
-    assert np.allclose(s.rotor_axes[0], yaw @ m.propellers[0].thrust_axis)
-    assert np.allclose(s.rotor_positions[0], yaw @ m.propellers[0].position)
+    assert np.allclose(s.rotor_axes[0], yaw @ m.orientations[0] @ geometry.E3)
+    assert np.allclose(s.rotor_positions[0], yaw @ m.positions[0])
 
 
 def test_r_kind_requires_shared_orientation():
     base = vehicle.make_r_module(np.eye(3))
-    props = list(base.propellers)
-    props[1] = vehicle.PropellerSpec(
-        props[1].position, geometry.rot_principal("y", 0.2), props[1].spin_sign
-    )
+    orientations = base.orientations.copy()
+    orientations[1] = geometry.rot_principal("y", 0.2)
     with pytest.raises(InvalidParams):
-        vehicle.ModuleSpec("R", tuple(props))
+        vehicle.ModuleSpec("R", base.positions, orientations, base.spin_signs)
 
 
 def test_t_kind_requires_alternating_tilt_pattern():
-    broken = list(vehicle.make_t_module(0.4).propellers)
-    axis = broken[1].position / np.linalg.norm(broken[1].position)
-    broken[1] = vehicle.PropellerSpec(
-        broken[1].position, geometry.rodrigues(axis, 0.4), broken[1].spin_sign
-    )
+    t = vehicle.make_t_module(0.4)
+    broken = t.orientations.copy()
+    axis = t.positions[1] / np.linalg.norm(t.positions[1])
+    broken[1] = geometry.rodrigues(axis, 0.4)
     with pytest.raises(InvalidParams):
-        vehicle.ModuleSpec("T", tuple(broken))
+        vehicle.ModuleSpec("T", t.positions, broken, t.spin_signs)
     # the well-formed pattern still constructs
-    vehicle.ModuleSpec("T", vehicle.make_t_module(0.4).propellers)
+    vehicle.ModuleSpec("T", t.positions, t.orientations, t.spin_signs)
 
 
 def test_unknown_kind_rejected():
-    props = vehicle.make_r_module(np.eye(3)).propellers
+    m = vehicle.make_r_module(np.eye(3))
     with pytest.raises(InvalidParams):
-        vehicle.ModuleSpec("Q", props)
+        vehicle.ModuleSpec("Q", m.positions, m.orientations, m.spin_signs)
+
+
+def _edited(**arrays):
+    m = vehicle.make_r_module(np.eye(3))
+    table = {"positions": m.positions.copy(), "orientations": m.orientations.copy(),
+             "spin_signs": list(m.spin_signs)}
+    table.update(arrays)
+    return table
+
+
+@pytest.mark.parametrize("table", [
+    _edited(positions=np.array([[0.05, 0.05, 0.01], [0.05, -0.05, 0.0],
+                                [-0.05, -0.05, 0.0], [-0.05, 0.05, 0.0]])),
+    _edited(positions=np.array([[0.05, 0.05, 0.0], [0.05, -0.05, 0.0],
+                                [-0.05, -0.04, 0.0], [-0.05, 0.05, 0.0]])),
+    _edited(spin_signs=[1, -1, 2, -1]),
+    _edited(spin_signs=[True, -1, 1, -1]),
+    _edited(orientations=np.array([np.eye(3)] * 3 + [np.diag([1.0, 1.0, -1.0])])),
+    _edited(orientations=np.array([np.eye(3)] * 3)),
+], ids=["off_plane", "not_square", "spin_two", "spin_bool", "reflection",
+        "three_rotors"])
+def test_malformed_rotor_table_rejected(table):
+    with pytest.raises(InvalidParams):
+        vehicle.ModuleSpec("custom", **table)

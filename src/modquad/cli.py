@@ -9,6 +9,7 @@ import argparse
 import concurrent.futures
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -236,6 +237,17 @@ def _report_sim_result(future, cfg_path, cfg, out):
     return EXIT_OK
 
 
+def _finite_float(text):
+    """argparse type for a finite float; nan and inf exit 2 like a bad number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _json_number(x):
     """x as a float, or None (JSON null) where JSON has no number for it."""
     return float(x) if np.isfinite(x) else None
@@ -301,7 +313,7 @@ def build_parser():
 
     p_metrics = sub.add_parser("metrics", help="tracking metrics from telemetry")
     p_metrics.add_argument("telemetry")
-    p_metrics.add_argument("--skip-s", type=float, default=5.0,
+    p_metrics.add_argument("--skip-s", type=_finite_float, default=5.0,
                            help="transient window to exclude (s)")
     p_metrics.add_argument("--config", default=None,
                            help="config to recover the thrust-frame rotation")

@@ -5,15 +5,20 @@ rejected with their location so typos in scientific configs surface
 immediately. A config describes the module grid, physical defaults,
 controller gains, and optionally one scenario (trajectory plus timing).
 
-Apart from the module list and the quintic-chain waypoints, every block
-is read and written from the fields of its dataclass: a field's metadata
-gives the unit suffix of its key and whether it must be positive, and
-its default gives its shape (string, number or vector).
+Every block is read and written from the fields of its dataclass: a
+field's metadata gives the unit suffix of its key and whether it must be
+positive, its annotation or default gives its shape (see
+`_Validator.value`), and the dataclass's `__post_init__` checks the block
+as a whole. Module entries and trajectories are kind-tagged blocks: one
+dataclass per kind, named by the block's `kind` key.
 """
 
+import functools
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin
 
 import numpy as np
 import yaml
@@ -27,7 +32,6 @@ from .trajectories import (
     HoverDef,
     QuinticChainDef,
     RectangleDef,
-    Waypoint,
 )
 
 
@@ -70,15 +74,116 @@ for _cls in (_LineLoader, _ReprDumper):
     )
 
 
-@dataclass
-class ModuleEntry:
-    kind: str
-    cell: tuple
-    yaw_rad: float = 0.0
-    tilt_axis: tuple = None
+def _key(f):
+    """Config key of a dataclass field: its name plus its unit suffix."""
+    unit = f.metadata.get("unit")
+    return f"{f.name}_{unit}" if unit else f.name
+
+
+@functools.cache
+def _keys(cls):
+    return frozenset(_key(f) for f in fields(cls))
+
+
+# math.hypot, unlike a sum of squares, neither overflows nor underflows to
+# zero for finite axes.
+def _tilt(axis, angle):
+    """Rotation by `angle` about the non-zero vector `axis`."""
+    norm = math.hypot(*axis)
+    return geometry.rodrigues([a / norm for a in axis], angle)
+
+
+def _check_axis(axis):
+    if math.hypot(*axis) == 0.0:
+        raise InvalidParams("tilt_axis must be a non-zero vector")
+
+
+@dataclass(frozen=True)
+class Propeller:
+    """One rotor of a custom module: tilted by `tilt_angle_rad` about
+    `tilt_axis`, with drag-torque sign `spin`."""
+
+    tilt_axis: tuple = (0.0, 0.0, 1.0)
     tilt_angle_rad: float = 0.0
+    spin: int = 1
+
+    def __post_init__(self):
+        _check_axis(self.tilt_axis)
+        if isinstance(self.spin, bool) or self.spin not in (-1, 1):
+            raise InvalidParams("spin must be +1 or -1")
+        object.__setattr__(self, "spin", int(self.spin))
+
+
+@dataclass(frozen=True)
+class _Module:
+    """A module entry: its grid cell and its yaw in the structure. Each
+    kind adds its design and builds its `vehicle.ModuleSpec`."""
+
+    cell: tuple[int, int, int]
+    yaw_rad: float = 0.0
+
+    def __post_init__(self):
+        if any(c != int(c) for c in self.cell):
+            raise InvalidParams("cell must hold three integers")
+        object.__setattr__(self, "cell", tuple(int(c) for c in self.cell))
+
+
+@dataclass(frozen=True)
+class RModule(_Module):
+    """All four rotors share one orientation: `tilt_angle_rad` about `tilt_axis`."""
+
+    tilt_axis: tuple = (0.0, 0.0, 1.0)
+    tilt_angle_rad: float = 0.0
+
+    kind = "R"
+    label = "an R module"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_axis(self.tilt_axis)
+
+    def build(self, **physical):
+        return vehicle.make_r_module(_tilt(self.tilt_axis, self.tilt_angle_rad),
+                                     **physical)
+
+
+@dataclass(frozen=True)
+class TModule(_Module):
+    """Rotors tilted by +-`eta_rad` about their own arms."""
+
     eta_rad: float = 0.0
-    propellers: tuple = None
+
+    kind = "T"
+    label = "a T module"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if abs(self.eta_rad) >= np.pi / 2:
+            raise InvalidParams("eta_rad magnitude must be below pi/2")
+
+    def build(self, **physical):
+        return vehicle.make_t_module(self.eta_rad, **physical)
+
+
+@dataclass(frozen=True)
+class CustomModule(_Module):
+    """Four freely tilted propellers, in the order of the square layout."""
+
+    propellers: tuple[Propeller, ...] = ()
+
+    kind = "custom"
+    label = "a custom module"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.propellers) != 4:
+            raise InvalidParams("custom modules need exactly four propellers")
+
+    def build(self, **physical):
+        return vehicle.ModuleSpec(
+            "custom", vehicle.square_positions(physical["arm"]),
+            [_tilt(p.tilt_axis, p.tilt_angle_rad) for p in self.propellers],
+            [p.spin for p in self.propellers], **physical)
 
 
 _POSITIVE = {"positive": True}
@@ -95,19 +200,30 @@ class PhysicalParams:
 
 @dataclass
 class ScenarioParams:
-    trajectory: object
-    duration_s: float = 30.0  # must be non-negative; checked by the parser
+    trajectory: HelixDef | RectangleDef | AttitudeSineDef | QuinticChainDef | HoverDef
+    duration_s: float = 30.0
     dt_ctrl_s: float = field(default=0.002, metadata=_POSITIVE)
     dt_sim_s: float = field(default=0.001, metadata=_POSITIVE)
     skip_s: float = 5.0
 
+    def __post_init__(self):
+        if self.duration_s < 0:
+            raise InvalidParams("duration_s must be non-negative")
+
 
 @dataclass
 class StructureConfig:
-    modules: tuple
+    modules: tuple[RModule | TModule | CustomModule, ...]
     physical: PhysicalParams = field(default_factory=PhysicalParams)
     gains: ControllerGains = field(default_factory=ControllerGains)
     scenario: ScenarioParams = None
+
+    def __post_init__(self):
+        if not self.modules:
+            raise InvalidParams("modules must list at least one module")
+        cells = [m.cell for m in self.modules]
+        if len(set(cells)) != len(cells):
+            raise InvalidParams("two modules share a grid cell")
 
 
 class _Validator:
@@ -115,74 +231,95 @@ class _Validator:
         self.problems = []
 
     def fail(self, path, message, node=None):
-        where = f" (line {node.line})" if isinstance(node, _LocatedDict) else ""
+        line = getattr(node, "line", None)
+        where = f" (line {line})" if line else ""
         self.problems.append(f"{path}{where}: {message}")
 
-    def check_keys(self, node, path, allowed):
-        for key in node:
-            if key not in allowed:
-                self.fail(path, f"unknown key {key!r}", node)
-
-    def number(self, node, path, key, default, positive=False):
-        if key not in node:
-            return default
+    def number(self, node, path, key, positive):
         value = _finite(node[key])
         if value is None:
             self.fail(path, f"{key} must be a finite number", node)
-            return 0.0
-        if positive and value <= 0:
+        elif positive and value <= 0:
             self.fail(path, f"{key} must be positive", node)
         return value
 
-    def vector(self, node, path, key, size, default=None):
-        if key not in node:
-            if default is None:
-                self.fail(path, f"missing key {key!r}", node)
-                return (0.0,) * size
-            return default
+    def vector(self, node, path, key, size=None):
+        """Tuple of finite numbers: `size` of them, or any number when None."""
         value = node[key]
-        values = ([_finite(v) for v in value]
-                  if isinstance(value, (list, tuple)) and len(value) == size else [None])
+        values = ([_finite(v) for v in value] if isinstance(value, (list, tuple))
+                  and size in (None, len(value)) else [None])
         if None in values:
-            self.fail(path, f"{key} must be a list of {size} finite numbers", node)
-            return (0.0,) * size
+            count = "" if size is None else f"{size} "
+            self.fail(path, f"{key} must be a list of {count}finite numbers", node)
         return tuple(values)
 
-    def mapping(self, value, path):
-        if not isinstance(value, dict):
-            self.fail(path, "must be a mapping")
-            return _LocatedDict()
-        return value
+    def block(self, cls, node, path):
+        """Instance of the dataclass `cls` read field by field from the
+        mapping `node`; for a union of kind-tagged dataclasses, of the one
+        that the mapping's `kind` names.
 
-    def dataclass(self, cls, node, path, extra_keys=(), **given):
-        """Instance of `cls` read field by field from the mapping `node`.
-
-        Fields in `given` were read by the caller. Returns None once a value
-        was rejected, so that the constructor does not report it again.
+        Returns None once a value was rejected, so that the constructor
+        does not report it again.
         """
-        node = self.mapping(node, path)
-        self.check_keys(node, path, {_key(f) for f in fields(cls)} | set(extra_keys))
         problems = len(self.problems)
-        kwargs = dict(given)
-        for f in fields(cls):
-            if f.name in given:
-                continue
-            key = _key(f)
-            default = f.default if f.default is not MISSING else f.default_factory()
-            if isinstance(default, str):
-                kwargs[f.name] = node.get(key, default)
-            elif np.ndim(default) == 0:
-                kwargs[f.name] = self.number(node, path, key, default,
-                                             positive=f.metadata.get("positive", False))
+        if not isinstance(node, dict):
+            self.fail(path, "must be a mapping")
+            node = {}
+        kinds = get_args(cls)
+        allowed = own = {"kind"}.union(*map(_keys, kinds)) if kinds else _keys(cls)
+        if kinds:
+            kind = node.get("kind")
+            cls = next((c for c in kinds if c.kind == kind), None)
+            if cls is None:
+                *rest, last = [c.kind for c in kinds]
+                self.fail(path, f"kind must be {', '.join(rest)} or {last}, got {kind!r}",
+                          node)
+                cls = kinds[0]  # read on, so that shared fields such as `cell` are checked
             else:
-                kwargs[f.name] = self.vector(node, path, key, len(default), default)
+                own = _keys(cls) | {"kind"}
+        for key in node:
+            if key not in allowed:
+                self.fail(path, f"unknown key {key!r}", node)
+            elif key not in own:
+                self.fail(path, f"{key} is not valid for {cls.label}", node)
+        values = {f.name: self.value(f, node, path) for f in fields(cls)}
         if len(self.problems) > problems:
             return None
         try:
-            return cls(**kwargs)
+            return cls(**values)
         except InvalidParams as exc:
             self.fail(path, str(exc), node)
             return None
+
+    def value(self, f, node, path):
+        """Field `f` read from `node`, shaped by its annotation or default:
+        `tuple[item, ...]` is a list of numbers or of blocks; a dataclass or
+        a union of kind-tagged ones is a block; `tuple[float, float, float]`
+        or a sequence default is a vector of that size; a string or integer
+        default takes the value as written, for the class to check; any
+        other field is a number."""
+        key = _key(f)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if key not in node:
+            if default is MISSING:
+                return self.fail(path, f"missing key {key!r}", node)
+            return default
+        where = key if path == "$" else f"{path}.{key}"
+        items = get_args(f.type)
+        if items[-1:] == (Ellipsis,):
+            if items[0] is float:
+                return self.vector(node, path, key)
+            if not isinstance(node[key], list):
+                return self.fail(path, f"{key} must be a list", node)
+            return tuple(self.block(items[0], item, f"{where}[{i}]")
+                         for i, item in enumerate(node[key]))
+        if is_dataclass(f.type) or get_origin(f.type) is types.UnionType:
+            return self.block(f.type, node[key], where)
+        if isinstance(default, str) or type(default) is int:
+            return node[key]
+        if items or np.ndim(default):
+            return self.vector(node, path, key, len(items or default))
+        return self.number(node, path, key, f.metadata.get("positive", False))
 
 
 def _finite(value):
@@ -194,117 +331,6 @@ def _finite(value):
     except OverflowError:
         return None
     return value if math.isfinite(value) else None
-
-
-def _key(f):
-    """Config key of a dataclass field: its name plus its unit suffix."""
-    unit = f.metadata.get("unit")
-    return f"{f.name}_{unit}" if unit else f.name
-
-
-_MODULE_KEYS = {"kind", "cell", "yaw_rad", "tilt_axis", "tilt_angle_rad",
-                "eta_rad", "propellers"}
-_PROP_KEYS = {"tilt_axis", "tilt_angle_rad", "spin"}
-_TRAJECTORIES = {cls.kind: cls for cls in (HelixDef, RectangleDef,
-                                           AttitudeSineDef, HoverDef)}
-
-
-def _parse_module(node, path, v):
-    node = v.mapping(node, path)
-    v.check_keys(node, path, _MODULE_KEYS)
-    kind = node.get("kind")
-    if kind not in ("R", "T", "custom"):
-        v.fail(path, f"kind must be R, T or custom, got {kind!r}", node)
-        kind = "R"
-    cell = v.vector(node, path, "cell", 3)
-    if any(c != int(c) for c in cell):
-        v.fail(path, "cell must hold three integers", node)
-    entry = ModuleEntry(
-        kind=kind,
-        cell=tuple(int(c) for c in cell),
-        yaw_rad=v.number(node, path, "yaw_rad", default=0.0),
-    )
-    if kind == "R":
-        entry.tilt_axis = v.vector(node, path, "tilt_axis", 3, default=(0.0, 0.0, 1.0))
-        if np.linalg.norm(entry.tilt_axis) == 0.0:
-            v.fail(path, "tilt_axis must be a non-zero vector", node)
-            entry.tilt_axis = (0.0, 0.0, 1.0)
-        entry.tilt_angle_rad = v.number(node, path, "tilt_angle_rad", default=0.0)
-        for key in ("eta_rad", "propellers"):
-            if key in node:
-                v.fail(path, f"{key} is not valid for an R module", node)
-    elif kind == "T":
-        entry.eta_rad = v.number(node, path, "eta_rad", default=0.0)
-        if abs(entry.eta_rad) >= np.pi / 2:
-            v.fail(path, "eta_rad magnitude must be below pi/2", node)
-        for key in ("tilt_axis", "tilt_angle_rad", "propellers"):
-            if key in node:
-                v.fail(path, f"{key} is not valid for a T module", node)
-    else:
-        props = node.get("propellers")
-        if not isinstance(props, list) or len(props) != 4:
-            v.fail(path, "custom modules need exactly four propellers", node)
-            props = []
-        parsed = []
-        for i, prop in enumerate(props):
-            ppath = f"{path}.propellers[{i}]"
-            prop = v.mapping(prop, ppath)
-            v.check_keys(prop, ppath, _PROP_KEYS)
-            axis = v.vector(prop, ppath, "tilt_axis", 3, default=(0.0, 0.0, 1.0))
-            if np.linalg.norm(axis) == 0.0:
-                v.fail(ppath, "tilt_axis must be a non-zero vector", prop)
-                axis = (0.0, 0.0, 1.0)
-            angle = v.number(prop, ppath, "tilt_angle_rad", default=0.0)
-            spin = prop.get("spin", 1)
-            if isinstance(spin, bool) or spin not in (-1, 1):
-                v.fail(ppath, "spin must be +1 or -1", prop)
-                spin = 1
-            parsed.append((axis, angle, int(spin)))
-        entry.propellers = tuple(parsed)
-    return entry
-
-
-def _parse_trajectory(node, path, v):
-    node = v.mapping(node, path)
-    kind = node.get("kind")
-    if kind == "quintic_chain":
-        return _parse_quintic_chain(node, path, v)
-    if not isinstance(kind, str) or kind not in _TRAJECTORIES:
-        v.fail(path, f"unknown trajectory kind {kind!r}", node)
-        return None
-    return v.dataclass(_TRAJECTORIES[kind], node, path, extra_keys={"kind"})
-
-
-def _parse_quintic_chain(node, path, v):
-    v.check_keys(node, path, {"kind", "waypoints", "durations_s"})
-    raw_wps = node.get("waypoints")
-    if not isinstance(raw_wps, list) or len(raw_wps) < 2:
-        v.fail(path, "waypoints must list at least two entries", node)
-        return None
-    waypoints = []
-    for i, wp in enumerate(raw_wps):
-        wpath = f"{path}.waypoints[{i}]"
-        wp = v.mapping(wp, wpath)
-        v.check_keys(wp, wpath, {"position_m", "rotation_rad"})
-        waypoints.append(Waypoint(
-            position=v.vector(wp, wpath, "position_m", 3),
-            rotation=v.vector(wp, wpath, "rotation_rad", 3,
-                              default=(0.0, 0.0, 0.0)),
-        ))
-    durations = node.get("durations_s")
-    if not isinstance(durations, list) or len(durations) != len(waypoints) - 1:
-        durations = [None]
-    durations = [_finite(d) for d in durations]
-    if any(d is None or d <= 0 for d in durations):
-        v.fail(path, "durations_s must hold one positive number per segment",
-               node)
-        return None
-    try:
-        return QuinticChainDef(waypoints=tuple(waypoints),
-                               durations=tuple(durations))
-    except InvalidParams as exc:
-        v.fail(path, str(exc), node)
-        return None
 
 
 def parse_config(text):
@@ -320,44 +346,10 @@ def parse_config(text):
     if root is None:
         raise SchemaError(["document is empty"])
     v = _Validator()
-    root = v.mapping(root, "$")
-    v.check_keys(root, "$", {"modules", "physical", "gains", "scenario"})
-
-    raw_modules = root.get("modules")
-    modules = []
-    if not isinstance(raw_modules, list) or not raw_modules:
-        v.fail("$", "modules must list at least one module")
-    else:
-        for i, node in enumerate(raw_modules):
-            modules.append(_parse_module(node, f"modules[{i}]", v))
-        cells = [m.cell for m in modules]
-        if len(set(cells)) != len(cells):
-            v.fail("$", "two modules share a grid cell")
-
-    physical = PhysicalParams()
-    if "physical" in root:
-        physical = v.dataclass(PhysicalParams, root["physical"], "physical")
-
-    gains = ControllerGains()
-    if "gains" in root:
-        gains = v.dataclass(ControllerGains, root["gains"], "gains")
-
-    scenario = None
-    if "scenario" in root:
-        node = v.mapping(root["scenario"], "scenario")
-        traj = None
-        if "trajectory" not in node:
-            v.fail("scenario", "missing key 'trajectory'", node)
-        else:
-            traj = _parse_trajectory(node["trajectory"], "scenario.trajectory", v)
-        scenario = v.dataclass(ScenarioParams, node, "scenario", trajectory=traj)
-        if scenario is not None and scenario.duration_s < 0:
-            v.fail("scenario", "duration_s must be non-negative", node)
-
+    config = v.block(StructureConfig, root, "$")
     if v.problems:
         raise SchemaError(v.problems)
-    return StructureConfig(modules=tuple(modules), physical=physical,
-                           gains=gains, scenario=scenario)
+    return config
 
 
 def load_config(path):
@@ -365,99 +357,45 @@ def load_config(path):
         return parse_config(handle.read())
 
 
-def _unit_axis(axis):
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
-        raise SchemaError(["tilt_axis must be a non-zero vector"])
-    return axis / norm
-
-
-def build_module(entry, physical):
-    """ModuleSpec for one config entry."""
-    kwargs = dict(
-        mass=physical.module_mass_kg,
-        arm=physical.arm_m,
-        body_size=tuple(physical.body_size_m),
-        k_m=physical.drag_to_thrust_m,
-    )
-    if entry.kind == "R":
-        rstar = geometry.rodrigues(_unit_axis(entry.tilt_axis), entry.tilt_angle_rad)
-        return vehicle.make_r_module(rstar, **kwargs)
-    if entry.kind == "T":
-        return vehicle.make_t_module(entry.eta_rad, **kwargs)
-    orientations = [geometry.rodrigues(_unit_axis(axis), angle)
-                    for axis, angle, _ in entry.propellers]
-    return vehicle.ModuleSpec(
-        "custom", vehicle.square_positions(physical.arm_m), orientations,
-        [spin for _, _, spin in entry.propellers], **kwargs)
-
-
 def build_structure(config):
-    """Assemble the StructureModel a config describes."""
+    """Assemble the StructureModel a config describes, building each module
+    design (an entry without its cell and yaw) once."""
+    p = config.physical
+    physical = dict(mass=p.module_mass_kg, arm=p.arm_m,
+                    body_size=tuple(p.body_size_m), k_m=p.drag_to_thrust_m)
+    designs = {}
     placements = []
     for entry in config.modules:
-        module = build_module(entry, config.physical)
-        attitude = geometry.rot_principal("z", entry.yaw_rad)
-        placements.append(vehicle.ModulePlacement(module, entry.cell, attitude))
+        design = replace(entry, cell=(0, 0, 0), yaw_rad=0.0)
+        if design not in designs:
+            designs[design] = design.build(**physical)
+        placements.append(vehicle.ModulePlacement(
+            designs[design], entry.cell, geometry.rot_principal("z", entry.yaw_rad)))
     return vehicle.assemble_structure(placements)
 
 
 def build_trajectory(config, dof):
     """Callable t -> Setpoint for the config's scenario."""
-    if config.scenario is None or config.scenario.trajectory is None:
+    if config.scenario is None:
         raise SchemaError(["config has no scenario"])
     return trajectories.make_trajectory(config.scenario.trajectory, dof)
 
 
-def _module_to_dict(entry):
-    out = {"kind": entry.kind, "cell": list(entry.cell)}
-    if entry.yaw_rad:
-        out["yaw_rad"] = entry.yaw_rad
-    if entry.kind == "R":
-        out["tilt_axis"] = list(entry.tilt_axis)
-        out["tilt_angle_rad"] = entry.tilt_angle_rad
-    elif entry.kind == "T":
-        out["eta_rad"] = entry.eta_rad
-    else:
-        out["propellers"] = [
-            {"tilt_axis": list(axis), "tilt_angle_rad": angle, "spin": spin}
-            for axis, angle, spin in entry.propellers
-        ]
-    return out
-
-
-def _fields_to_dict(obj):
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = _trajectory_to_dict(value)
-        elif not isinstance(value, str):
-            value = float(value) if np.ndim(value) == 0 else [float(x) for x in value]
-        out[_key(f)] = value
-    return out
-
-
-def _trajectory_to_dict(defn):
-    if defn.kind == "quintic_chain":
-        return {"kind": "quintic_chain",
-                "waypoints": [{"position_m": list(wp.position),
-                               "rotation_rad": list(wp.rotation)}
-                              for wp in defn.waypoints],
-                "durations_s": list(defn.durations)}
-    return {"kind": defn.kind, **_fields_to_dict(defn)}
+def _plain(value):
+    """`value` as YAML data keyed like the config; a kind-tagged block
+    leads with its kind, and an absent block is left out."""
+    if is_dataclass(value):
+        out = {"kind": value.kind} if hasattr(value, "kind") else {}
+        for f in fields(value):
+            if getattr(value, f.name) is not None:
+                out[_key(f)] = _plain(getattr(value, f.name))
+        return out
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(x) for x in value]
+    return value if isinstance(value, (str, int)) else float(value)
 
 
 def render_config(config):
     """Canonical YAML text that parses back to an equal config."""
-    doc = {
-        "modules": [_module_to_dict(m) for m in config.modules],
-        "physical": _fields_to_dict(config.physical),
-        "gains": _fields_to_dict(config.gains),
-    }
-    if config.scenario is not None:
-        doc["scenario"] = _fields_to_dict(config.scenario)
-    return yaml.dump(doc, sort_keys=False, default_flow_style=None,
+    return yaml.dump(_plain(config), sort_keys=False, default_flow_style=None,
                      Dumper=_ReprDumper)
-

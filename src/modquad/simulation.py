@@ -3,8 +3,8 @@
 Translation and body rates integrate with classic RK4; the attitude
 advances multiplicatively on the rotation group using the midpoint body
 rate, and is re-orthonormalized whenever floating-point drift exceeds
-1e-9. Motors clamp to [0, f_max] (optionally with a deadzone and a
-first-order lag) and hold their thrust between control ticks.
+1e-9. Motors clamp to [0, f_max] and hold their thrust between control
+ticks.
 
 A step does its 3-vector and 3x3 arithmetic on Python floats, which for
 one vehicle is several times cheaper than small numpy arrays; states
@@ -73,40 +73,24 @@ class VehicleState:
 
 @dataclass
 class MotorModel:
-    """Per-rotor thrust limits; lag and deadzone are off by default."""
+    """Per-rotor thrust limit."""
 
     f_max: float = DEFAULT_F_MAX
-    time_constant: float = None
-    deadzone: float = None
 
     def __post_init__(self):
         if self.f_max <= 0.0:
             raise InvalidParams("f_max must be positive")
 
 
-def motor_apply(commands, model, dt, previous=None):
+def motor_apply(commands, model):
     """Thrusts the motors actually produce for the commanded ones.
 
-    Commands clamp to [0, f_max]; below-deadzone commands produce zero;
-    with a time constant the thrust relaxes exponentially from `previous`
-    toward the clamped command. Returns (thrusts, saturated_mask) where
+    Commands clamp to [0, f_max]. Returns (thrusts, saturated_mask) where
     the mask flags every rotor whose command was cut by the limits.
     """
-    if dt <= 0.0:
-        raise InvalidParams("dt must be positive")
     commands = np.asarray(commands, dtype=float)
-    clamped = np.minimum(np.maximum(commands, 0.0), model.f_max)
-    saturated = (commands < 0.0) | (commands > model.f_max)
-    if model.deadzone is not None:
-        dead = clamped < model.deadzone
-        clamped = np.where(dead, 0.0, clamped)
-        saturated = saturated | (dead & (commands != 0.0))
-    if model.time_constant is not None and previous is not None:
-        alpha = 1.0 - np.exp(-dt / model.time_constant)
-        actual = previous + alpha * (clamped - previous)
-    else:
-        actual = clamped
-    return actual, saturated
+    return (np.minimum(np.maximum(commands, 0.0), model.f_max),
+            (commands < 0.0) | (commands > model.f_max))
 
 
 def accelerations(attitude, omega, force_body, torque_body, structure, gravity):
@@ -223,13 +207,11 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
     state = (initial_state.copy() if initial_state is not None
              else initial_state_on_trajectory(trajectory, analysis))
     telemetry = Telemetry(structure.n_rotors, n_ticks + 1)
-    previous = None
     for tick in range(n_ticks + 1):
         t = tick * dt_ctrl
         sp = trajectory(t)
         u_cmd = controller.step(state, sp, dt=dt_ctrl)
-        u_actual, saturated = motor_apply(u_cmd, motor, dt_ctrl, previous)
-        previous = u_actual
+        u_actual, saturated = motor_apply(u_cmd, motor)
         telemetry.append(t, state, sp, u_cmd, u_actual, saturated)
         if tick == n_ticks:
             break

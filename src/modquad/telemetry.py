@@ -222,15 +222,18 @@ def _attitude_errors_deg(table, frame_rotation):
 
 
 def compute_metrics(table, skip_s=5.0, frame_rotation=None):
-    """Tracking metrics over rows with t >= skip_s (all rows if that
-    window is empty). `frame_rotation` is the structure-to-thrust-frame
-    rotation; identity when omitted. Any non-finite cell means diverged."""
+    """Tracking metrics over rows with t >= skip_s (all rows, from the
+    first row's t, if that window is empty). `frame_rotation` is the
+    structure-to-thrust-frame rotation; identity when omitted. Any
+    non-finite cell means diverged."""
     frame_rotation = np.eye(3) if frame_rotation is None else frame_rotation
     columns = {f.name: getattr(table, f.name) for f in fields(table)}
     diverged = not all(np.isfinite(column).all() for column in columns.values())
     mask = table.t >= skip_s
+    window_start = float(skip_s)
     if not np.any(mask):
         mask = np.ones(len(table.t), dtype=bool)
+        window_start = float(table.t[0])
     window = TelemetryTable(**{name: column[mask] for name, column in columns.items()})
     pos_error = window.position - window.position_d
     att_error = _attitude_errors_deg(window, frame_rotation)
@@ -243,6 +246,6 @@ def compute_metrics(table, skip_s=5.0, frame_rotation=None):
             np.mean(window.saturated_count / window.n_rotors)
         ),
         diverged=diverged,
-        window_start=float(skip_s),
+        window_start=window_start,
         samples=int(len(window.t)),
     )

@@ -36,7 +36,8 @@ def _attitude_setpoint(mode, yaw, pitch):
 
 # ---------------------------------------------------------------------------
 # trajectory definitions (parsed from scenario configs)
-# Field metadata is the config schema (see `config`): key unit and positivity.
+# Field metadata is the config schema (see `config`): key unit and positivity;
+# `kind` names the definition in a config and `label` in its messages.
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class HelixDef:
     yaw_period: float = field(default=18.0, metadata={"unit": "s", "positive": True})
 
     kind = "helix"
+    label = "a helix trajectory"
 
     def __post_init__(self):
         if min(self.z_period, self.xy_period, self.yaw_period) <= 0.0:
@@ -66,6 +68,7 @@ class RectangleDef:
     yaw_hold: float = field(default=0.0, metadata={"unit": "rad"})
 
     kind = "rectangle"
+    label = "a rectangle trajectory"
 
     def __post_init__(self):
         if self.lap_time <= 0.0:
@@ -80,6 +83,7 @@ class AttitudeSineDef:
     hover_point: tuple = field(default=(0.0, 0.0, 0.5), metadata={"unit": "m"})
 
     kind = "attitude_sine"
+    label = "an attitude_sine trajectory"
 
     def __post_init__(self):
         if self.period <= 0.0:
@@ -90,24 +94,24 @@ class AttitudeSineDef:
 
 @dataclass(frozen=True)
 class Waypoint:
-    position: tuple
-    rotation: tuple = (0.0, 0.0, 0.0)  # axis-angle vector w.r.t. the start
+    position: tuple[float, float, float] = field(metadata={"unit": "m"})
+    # axis-angle vector w.r.t. the start
+    rotation: tuple = field(default=(0.0, 0.0, 0.0), metadata={"unit": "rad"})
 
 
 @dataclass(frozen=True)
 class QuinticChainDef:
-    waypoints: tuple
-    durations: tuple
+    waypoints: tuple[Waypoint, ...]
+    durations: tuple[float, ...] = field(metadata={"unit": "s"})
 
     kind = "quintic_chain"
+    label = "a quintic_chain trajectory"
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
-            raise InvalidParams("quintic chain needs at least two waypoints")
-        if len(self.durations) != len(self.waypoints) - 1:
-            raise InvalidParams("need one duration per segment")
-        if any(d <= 0.0 for d in self.durations):
-            raise InvalidParams("segment durations must be positive")
+            raise InvalidParams("waypoints must list at least two entries")
+        if len(self.durations) != len(self.waypoints) - 1 or min(self.durations) <= 0.0:
+            raise InvalidParams("durations_s must hold one positive number per segment")
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,7 @@ class HoverDef:
     pitch: float = field(default=0.0, metadata={"unit": "rad"})
 
     kind = "hover"
+    label = "a hover trajectory"
 
 
 # ---------------------------------------------------------------------------

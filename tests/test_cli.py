@@ -167,6 +167,28 @@ def test_metrics_reports_errors(tmp_path, capsys):
     assert not payload["diverged"]
 
 
+def test_metrics_window_past_the_end_reports_all_rows(tmp_path, capsys):
+    cfg = tmp_path / "hover.cfg"
+    write_hover_config(cfg, duration=0.1)
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", str(cfg), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["metrics", str(out), "--skip-s", "1000", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["samples"] == 51
+    assert payload["window_start_s"] == 0.0
+    assert cli.main(["metrics", str(out), "--skip-s", "1000"]) == 0
+    assert "(window from t = 0 s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_metrics_non_finite_skip_exits_2(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["metrics", str(tmp_path / "run.csv"), f"--skip-s={value}"])
+    assert info.value.code == 2
+    assert "--skip-s" in capsys.readouterr().err
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

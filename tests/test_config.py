@@ -132,6 +132,17 @@ def test_custom_module_roundtrip():
 
 
 
+@pytest.mark.parametrize("line", ["eta_rad: 0.3", "tilt_axis: [1, 0, 0]",
+                                  "tilt_angle_rad: 0.1"])
+def test_custom_module_rejects_keys_of_other_kinds(line):
+    key = line.split(":")[0]
+    text = CUSTOM.replace("    cell:", f"    {line}\n    cell:")
+    with pytest.raises(SchemaError) as info:
+        config.parse_config(text)
+    assert info.value.problems == [
+        f"modules[0] (line 3): {key} is not valid for a custom module"]
+
+
 def test_custom_module_rejects_boolean_spin():
     # `true == 1` in Python, but a spin sign is a number
     with pytest.raises(SchemaError) as info:

@@ -1,8 +1,9 @@
 """Property test: rendering any valid config and parsing it back is the identity.
 
-Every field of every trajectory kind, of `physical`, `gains` and
-`scenario` gets a random value that differs from its default, so a key
-that the renderer drops or the parser ignores shows up as a mismatch.
+Every field of every trajectory kind, of every module kind, of `physical`,
+`gains` and `scenario` gets a random value that differs from its default,
+so a key that the renderer drops or the parser ignores shows up as a
+mismatch.
 """
 
 import dataclasses
@@ -101,10 +102,30 @@ scenario = st.builds(
     skip_s=number(5.0),
 )
 MODULES = (
-    config.ModuleEntry(kind="R", cell=(0, 0, 0), yaw_rad=0.25,
-                       tilt_axis=(0.0, 1.0, 0.0), tilt_angle_rad=0.1),
-    config.ModuleEntry(kind="T", cell=(0, 1, 0), eta_rad=-0.5),
+    config.RModule(cell=(0, 0, 0), yaw_rad=0.25, tilt_axis=(0.0, 1.0, 0.0),
+                   tilt_angle_rad=0.1),
+    config.TModule(cell=(0, 1, 0), eta_rad=-0.5),
 )
+
+axis = vector(3, (0.0, 0.0, 1.0)).filter(any)
+propeller = st.builds(config.Propeller, tilt_axis=axis, tilt_angle_rad=number(0.0),
+                      spin=st.sampled_from((-1, 1)))
+
+
+def module(cell):
+    """Any module kind at `cell`, with a non-zero yaw."""
+    placed = dict(cell=st.just(cell), yaw_rad=number(0.0))
+    return st.one_of(
+        st.builds(config.RModule, tilt_axis=axis, tilt_angle_rad=number(0.0), **placed),
+        st.builds(config.TModule, eta_rad=st.floats(-np.pi / 2, np.pi / 2, exclude_min=True,
+                                                    exclude_max=True).filter(bool),
+                  **placed),
+        st.builds(config.CustomModule, propellers=st.tuples(*[propeller] * 4), **placed),
+    )
+
+
+modules = st.lists(st.tuples(*[st.integers(-1000, 1000)] * 3), min_size=1, max_size=6,
+                   unique=True).flatmap(lambda cells: st.tuples(*map(module, cells)))
 
 
 def assert_fields_equal(a, b, path="cfg"):
@@ -128,6 +149,16 @@ def assert_fields_equal(a, b, path="cfg"):
 def test_render_parse_is_identity(physical, gains, scenario):
     cfg = config.StructureConfig(modules=MODULES, physical=physical,
                                  gains=gains, scenario=scenario)
+    rendered = config.render_config(cfg)
+    again = config.parse_config(rendered)
+    assert config.render_config(again) == rendered
+    assert_fields_equal(cfg, again)
+
+
+@settings(max_examples=100, deadline=None)
+@given(modules=modules)
+def test_module_lists_render_and_parse_back(modules):
+    cfg = config.StructureConfig(modules=modules)
     rendered = config.render_config(cfg)
     again = config.parse_config(rendered)
     assert config.render_config(again) == rendered

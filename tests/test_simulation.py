@@ -66,34 +66,21 @@ def test_pure_z_torque_derivative():
 
 
 def test_motor_apply_clamps_negative():
-    actual, sat = simulation.motor_apply([-0.1, 0.3], MotorModel(f_max=0.645), 0.002)
+    actual, sat = simulation.motor_apply([-0.1, 0.3], MotorModel(f_max=0.645))
     assert np.allclose(actual, [0.0, 0.3])
     assert list(sat) == [True, False]
 
 
 def test_motor_apply_clamps_above_max():
-    actual, sat = simulation.motor_apply([2.0], MotorModel(f_max=0.645), 0.002)
+    actual, sat = simulation.motor_apply([2.0], MotorModel(f_max=0.645))
     assert actual[0] == pytest.approx(0.645)
     assert sat[0]
 
 
 def test_motor_apply_passthrough():
-    actual, sat = simulation.motor_apply([0.3], MotorModel(f_max=0.645), 0.002)
+    actual, sat = simulation.motor_apply([0.3], MotorModel(f_max=0.645))
     assert actual[0] == pytest.approx(0.3)
     assert not sat[0]
-
-
-def test_motor_apply_deadzone():
-    model = MotorModel(f_max=0.645, deadzone=0.05)
-    actual, sat = simulation.motor_apply([0.01, 0.3], model, 0.002)
-    assert np.allclose(actual, [0.0, 0.3])
-    assert list(sat) == [True, False]
-
-
-def test_motor_apply_first_order_lag():
-    model = MotorModel(f_max=1.0, time_constant=0.1)
-    actual, _ = simulation.motor_apply([1.0], model, 0.1, previous=np.array([0.0]))
-    assert actual[0] == pytest.approx(1.0 - np.exp(-1.0))
 
 
 def test_free_fall_one_second():

@@ -7,9 +7,8 @@ controller gains, and optionally one scenario (trajectory plus timing).
 
 Every block is read and written from the fields of its dataclass: a
 field's metadata gives the unit suffix of its key and whether it must be
-positive, its annotation or default gives its shape (see
-`_Validator.value`), and the dataclass's `__post_init__` checks the block
-as a whole. Module entries and trajectories are kind-tagged blocks: one
+positive, its annotation or default gives its shape (see `_plan`), and
+the dataclass's `__post_init__` checks the block as a whole. Module entries and trajectories are kind-tagged blocks: one
 dataclass per kind, named by the block's `kind` key.
 """
 
@@ -17,7 +16,8 @@ import functools
 import math
 import re
 import types
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
 from typing import get_args, get_origin
 
 import numpy as np
@@ -80,11 +80,6 @@ def _key(f):
     return f"{f.name}_{unit}" if unit else f.name
 
 
-@functools.cache
-def _keys(cls):
-    return frozenset(_key(f) for f in fields(cls))
-
-
 # math.hypot, unlike a sum of squares, neither overflows nor underflows to
 # zero for finite axes.
 def _tilt(axis, angle):
@@ -123,9 +118,14 @@ class _Module:
     yaw_rad: float = 0.0
 
     def __post_init__(self):
-        if any(c != int(c) for c in self.cell):
-            raise InvalidParams("cell must hold three integers")
-        object.__setattr__(self, "cell", tuple(int(c) for c in self.cell))
+        object.__setattr__(self, "cell", vehicle.grid_cell(self.cell))
+
+    @property
+    def design(self):
+        """The entry's module design as a hashable key: its class and every
+        field but its cell and yaw."""
+        return (type(self),
+                *(v for k, v in vars(self).items() if k not in ("cell", "yaw_rad")))
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,13 @@ _POSITIVE = {"positive": True}
 class PhysicalParams:
     module_mass_kg: float = field(default=vehicle.DEFAULT_MASS, metadata=_POSITIVE)
     arm_m: float = field(default=vehicle.DEFAULT_ARM, metadata=_POSITIVE)
-    body_size_m: tuple = vehicle.DEFAULT_BODY_SIZE
+    body_size_m: tuple = field(default=vehicle.DEFAULT_BODY_SIZE, metadata=_POSITIVE)
     drag_to_thrust_m: float = vehicle.DEFAULT_K_M
     f_max_n: float = field(default=vehicle.DEFAULT_F_MAX, metadata=_POSITIVE)
+
+    def __post_init__(self):
+        if self.drag_to_thrust_m < 0:
+            raise InvalidParams("drag_to_thrust_m must be non-negative")
 
 
 @dataclass
@@ -235,7 +239,7 @@ class _Validator:
         where = f" (line {line})" if line else ""
         self.problems.append(f"{path}{where}: {message}")
 
-    def number(self, node, path, key, positive):
+    def number(self, node, path, key, positive=False):
         value = _finite(node[key])
         if value is None:
             self.fail(path, f"{key} must be a finite number", node)
@@ -243,15 +247,33 @@ class _Validator:
             self.fail(path, f"{key} must be positive", node)
         return value
 
-    def vector(self, node, path, key, size=None):
+    def vector(self, node, path, key, size=None, positive=False):
         """Tuple of finite numbers: `size` of them, or any number when None."""
         value = node[key]
         values = ([_finite(v) for v in value] if isinstance(value, (list, tuple))
                   and size in (None, len(value)) else [None])
+        count = "" if size is None else f"{size} "
         if None in values:
-            count = "" if size is None else f"{size} "
             self.fail(path, f"{key} must be a list of {count}finite numbers", node)
+        elif positive and min(values, default=1.0) <= 0:
+            self.fail(path, f"{key} must be a list of {count}positive numbers", node)
         return tuple(values)
+
+    def cell(self, node, path, key):
+        try:
+            return vehicle.grid_cell(node[key])
+        except InvalidParams as exc:
+            self.fail(path, str(exc), node)
+
+    def nested(self, node, path, key, cls, many=False):
+        """Block of the dataclass `cls`, or with `many` a list of them."""
+        where = key if path == "$" else f"{path}.{key}"
+        if not many:
+            return self.block(cls, node[key], where)
+        if not isinstance(node[key], list):
+            return self.fail(path, f"{key} must be a list", node)
+        return tuple(self.block(cls, item, f"{where}[{i}]")
+                     for i, item in enumerate(node[key]))
 
     def block(self, cls, node, path):
         """Instance of the dataclass `cls` read field by field from the
@@ -265,24 +287,31 @@ class _Validator:
         if not isinstance(node, dict):
             self.fail(path, "must be a mapping")
             node = {}
-        kinds = get_args(cls)
-        allowed = own = {"kind"}.union(*map(_keys, kinds)) if kinds else _keys(cls)
-        if kinds:
+        if isinstance(cls, types.UnionType):
+            kinds, allowed = _kinds(cls)
             kind = node.get("kind")
-            cls = next((c for c in kinds if c.kind == kind), None)
+            cls = kinds.get(kind) if isinstance(kind, str) else None
             if cls is None:
-                *rest, last = [c.kind for c in kinds]
+                *rest, last = kinds
                 self.fail(path, f"kind must be {', '.join(rest)} or {last}, got {kind!r}",
                           node)
-                cls = kinds[0]  # read on, so that shared fields such as `cell` are checked
+                # read on, so that shared fields such as `cell` are checked
+                cls, own = next(iter(kinds.values())), allowed
             else:
-                own = _keys(cls) | {"kind"}
+                own = _plan(cls)[0]
+        else:
+            allowed = own = _plan(cls)[0]
         for key in node:
             if key not in allowed:
                 self.fail(path, f"unknown key {key!r}", node)
             elif key not in own:
                 self.fail(path, f"{key} is not valid for {cls.label}", node)
-        values = {f.name: self.value(f, node, path) for f in fields(cls)}
+        values = {}
+        for name, key, required, read in _plan(cls)[1]:
+            if key in node:
+                values[name] = node[key] if read is None else read(self, node, path, key)
+            elif required:
+                self.fail(path, f"missing key {key!r}", node)
         if len(self.problems) > problems:
             return None
         try:
@@ -291,35 +320,48 @@ class _Validator:
             self.fail(path, str(exc), node)
             return None
 
-    def value(self, f, node, path):
-        """Field `f` read from `node`, shaped by its annotation or default:
-        `tuple[item, ...]` is a list of numbers or of blocks; a dataclass or
-        a union of kind-tagged ones is a block; `tuple[float, float, float]`
-        or a sequence default is a vector of that size; a string or integer
-        default takes the value as written, for the class to check; any
-        other field is a number."""
-        key = _key(f)
+
+@functools.cache
+def _plan(cls):
+    """How `_Validator.block` reads the dataclass `cls`: the keys its blocks
+    may hold, and per field (name, key, required, read), read by
+    `read(validator, node, path, key)`. The field's annotation or default
+    gives the reader: `tuple[x, ...]` is a list of numbers or of blocks; a
+    dataclass or a union of kind-tagged ones is a block; `tuple[int, int,
+    int]` is a grid cell; `tuple[float, float, float]` or a sequence default
+    is a vector of that size; a string or integer default takes the value as
+    written (read is None), for the class to check; any other field is a
+    number. Metadata `positive` asks numbers and vectors to be above zero.
+    A field without a default is required."""
+    plan = []
+    for f in fields(cls):
         default = f.default if f.default_factory is MISSING else f.default_factory()
-        if key not in node:
-            if default is MISSING:
-                return self.fail(path, f"missing key {key!r}", node)
-            return default
-        where = key if path == "$" else f"{path}.{key}"
         items = get_args(f.type)
+        positive = f.metadata.get("positive", False)
         if items[-1:] == (Ellipsis,):
-            if items[0] is float:
-                return self.vector(node, path, key)
-            if not isinstance(node[key], list):
-                return self.fail(path, f"{key} must be a list", node)
-            return tuple(self.block(items[0], item, f"{where}[{i}]")
-                         for i, item in enumerate(node[key]))
-        if is_dataclass(f.type) or get_origin(f.type) is types.UnionType:
-            return self.block(f.type, node[key], where)
-        if isinstance(default, str) or type(default) is int:
-            return node[key]
-        if items or np.ndim(default):
-            return self.vector(node, path, key, len(items or default))
-        return self.number(node, path, key, f.metadata.get("positive", False))
+            read = (partial(_Validator.vector, positive=positive) if items[0] is float
+                    else partial(_Validator.nested, cls=items[0], many=True))
+        elif is_dataclass(f.type) or get_origin(f.type) is types.UnionType:
+            read = partial(_Validator.nested, cls=f.type)
+        elif items[:1] == (int,):
+            read = _Validator.cell
+        elif isinstance(default, str) or type(default) is int:
+            read = None
+        elif items or np.ndim(default):
+            read = partial(_Validator.vector, size=len(items or default),
+                           positive=positive)
+        else:
+            read = partial(_Validator.number, positive=positive)
+        plan.append((f.name, _key(f), default is MISSING, read))
+    keys = {key for _, key, _, _ in plan} | ({"kind"} if hasattr(cls, "kind") else set())
+    return frozenset(keys), tuple(plan)
+
+
+@functools.cache
+def _kinds(union):
+    """A union's dataclasses by kind, and every key their blocks may hold."""
+    kinds = {c.kind: c for c in get_args(union)}
+    return kinds, frozenset().union(*(_plan(c)[0] for c in kinds.values()))
 
 
 def _finite(value):
@@ -359,16 +401,16 @@ def load_config(path):
 
 def build_structure(config):
     """Assemble the StructureModel a config describes, building each module
-    design (an entry without its cell and yaw) once."""
+    design (an entry's kind and fields but its cell and yaw) once."""
     p = config.physical
     physical = dict(mass=p.module_mass_kg, arm=p.arm_m,
                     body_size=tuple(p.body_size_m), k_m=p.drag_to_thrust_m)
     designs = {}
     placements = []
     for entry in config.modules:
-        design = replace(entry, cell=(0, 0, 0), yaw_rad=0.0)
+        design = entry.design
         if design not in designs:
-            designs[design] = design.build(**physical)
+            designs[design] = entry.build(**physical)
         placements.append(vehicle.ModulePlacement(
             designs[design], entry.cell, geometry.rot_principal("z", entry.yaw_rad)))
     return vehicle.assemble_structure(placements)

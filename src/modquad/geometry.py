@@ -162,5 +162,7 @@ def yaw_pitch(r):
 
 def is_rotation(r, tol=1e-9):
     """True when R is orthonormal with determinant +1 within `tol`."""
-    r = np.asarray(r, dtype=float)
-    return orthonormality_drift(r) < tol and abs(np.linalg.det(r) - 1.0) < tol
+    r = np.asarray(r, dtype=float).tolist()
+    (a, b, c), (d, e, f), (g, h, i) = r
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return orthonormality_drift(r) < tol and abs(det - 1.0) < tol

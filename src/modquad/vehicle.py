@@ -12,6 +12,7 @@ model carries the total mass, the inertia tensor about the center of mass
 matrix mapping rotor thrusts to the body wrench.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +33,14 @@ GRAVITY = 9.81  # m/s^2; the world z-axis points up
 
 TORQUE_BALANCE_TOL = 1e-9
 
+# Cells are exact integers, positions floats: within +-2**20 cells a module's
+# offset from the center of mass errs by under 1e-9 of the body size.
+MAX_CELL = 2**20
+
 # Square rotor layout: arm directions and alternating spin signs. The spin
 # sign multiplies the drag torque of each rotor.
 _ARM_SIGNS = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=float)
-_SPIN_SIGNS = (1, -1, 1, -1)
+_SPIN_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,22 +78,18 @@ class ModuleSpec:
         if (any(isinstance(s, (bool, np.bool_)) for s in self.spin_signs)
                 or not np.all(np.abs(spins) == 1.0)):
             raise InvalidParams(f"spin signs must be +1 or -1, got {self.spin_signs}")
-        drift = np.linalg.norm(np.swapaxes(o, 1, 2) @ o - np.eye(3), axis=(1, 2))
-        if not (np.all(drift < 1e-9) and np.all(np.abs(np.linalg.det(o) - 1.0) < 1e-9)):
+        if not _rotations(o):
             raise InvalidParams("propeller orientation is not a rotation matrix")
-        if not np.allclose(p[:2], -p[2:]):
+        if np.abs(p[:2] + p[2:]).max() > 1e-12:
             raise InvalidParams("propellers must form a square (p1 = -p3, p2 = -p4)")
         if abs(np.linalg.norm(p[0]) - np.linalg.norm(p[1])) > 1e-12:
             raise InvalidParams("propellers must form a square (equal arm radii)")
-        if self.kind == "R":
-            if not np.allclose(o, o[0], atol=1e-9):
-                raise InvalidParams("R modules need one shared rotor orientation")
-        elif self.kind == "T":
-            if not np.allclose(o, _t_tilts(p, _arm_tilt_angle(p[0], o[0])), atol=1e-9):
-                raise InvalidParams(
-                    "T modules need alternating +eta/-eta tilts about the arms"
-                )
-        elif self.kind != "custom":
+        if self.kind == "R" and np.abs(o - o[0]).max() > 1e-9:
+            raise InvalidParams("R modules need one shared rotor orientation")
+        if (self.kind == "T"
+                and np.abs(o - _t_tilts(p, _arm_tilt_angle(p[0], o[0]))).max() > 1e-9):
+            raise InvalidParams("T modules need alternating +eta/-eta tilts about the arms")
+        if self.kind not in ("R", "T", "custom"):
             raise InvalidParams(f"kind must be R, T or custom, got {self.kind!r}")
         object.__setattr__(self, "positions", p)
         object.__setattr__(self, "orientations", o)
@@ -97,10 +98,22 @@ class ModuleSpec:
 
     def cuboid_inertia(self):
         """Inertia tensor of the homogeneous solid cuboid about its center."""
-        sx, sy, sz = self.body_size
-        return (self.mass / 12.0) * np.diag(
-            [sy**2 + sz**2, sx**2 + sz**2, sx**2 + sy**2]
-        )
+        return _cuboid_inertia(self.mass, self.body_size)
+
+
+def _cuboid_inertia(masses, body_size):
+    """Inertias (..., 3, 3) of solid cuboids of one size about their centers."""
+    sx, sy, sz = body_size
+    return (np.asarray(masses) / 12.0)[..., None, None] * np.diag(
+        [sy**2 + sz**2, sx**2 + sz**2, sx**2 + sy**2])
+
+
+def _rotations(r, tol=1e-9):
+    """True when every matrix of the (n, 3, 3) stack `r` is orthonormal
+    with determinant +1 within `tol`."""
+    drift = np.swapaxes(r, 1, 2) @ r - np.eye(3)  # Frobenius norm below tol
+    return bool((drift * drift).sum(axis=(1, 2)).max() < tol * tol
+                and np.abs(np.linalg.det(r) - 1.0).max() < tol)
 
 
 def _arm_tilt_angle(position, orientation):
@@ -113,9 +126,16 @@ def _arm_tilt_angle(position, orientation):
 
 def _t_tilts(positions, eta):
     """Rotor orientations tilted by (+eta, -eta, +eta, -eta) about the unit
-    arm vectors: the tilt alternates with the same pattern as the spin."""
-    return np.array([geometry.rodrigues(pos / np.linalg.norm(pos), sign * eta)
-                     for pos, sign in zip(positions, _SPIN_SIGNS)])
+    arm vectors: the tilt alternates with the same pattern as the spin.
+    Rodrigues' formula for all rotors at once, as `geometry.rodrigues`."""
+    x, y, z = (positions / np.linalg.norm(positions, axis=1, keepdims=True)).T
+    s, c = math.sin(eta) * _SPIN_SIGNS, 1.0 - math.cos(eta)
+    xy, xz, yz = c * x * y, c * x * z, c * y * z
+    return np.stack([
+        1.0 - c * (y * y + z * z), xy - s * z, xz + s * y,
+        xy + s * z, 1.0 - c * (x * x + z * z), yz - s * x,
+        xz - s * y, yz + s * x, 1.0 - c * (x * x + y * y),
+    ], axis=1).reshape(-1, 3, 3)
 
 
 @dataclass
@@ -136,9 +156,6 @@ def square_positions(arm):
 def make_r_module(rstar, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
                   body_size=DEFAULT_BODY_SIZE, k_m=DEFAULT_K_M):
     """Module whose four rotors all share the orientation `rstar`."""
-    rstar = np.asarray(rstar, dtype=float)
-    if not geometry.is_rotation(rstar):
-        raise InvalidParams("rstar is not a rotation matrix")
     return ModuleSpec("R", square_positions(arm), np.array([rstar] * 4), _SPIN_SIGNS,
                       mass, arm, tuple(body_size), k_m)
 
@@ -210,15 +227,20 @@ class ModulePlacement:
     attitude: np.ndarray = None
 
     def __post_init__(self):
-        if self.attitude is None:
-            object.__setattr__(self, "attitude", np.eye(3))
-        else:
-            att = np.asarray(self.attitude, dtype=float)
-            if not geometry.is_rotation(att):
-                raise InvalidParams("module attitude is not a rotation matrix")
-            object.__setattr__(self, "attitude", att)
-        if len(self.cell) != 3:
-            raise InvalidParams("grid cell must be (row, col, layer)")
+        att = np.eye(3) if self.attitude is None else np.asarray(self.attitude, dtype=float)
+        if att.shape != (3, 3):
+            raise InvalidParams("module attitude is not a rotation matrix")
+        object.__setattr__(self, "attitude", att)
+        object.__setattr__(self, "cell", grid_cell(self.cell))
+
+
+def grid_cell(value):
+    """`value` as a grid cell (row, col, layer): three exact integers, never
+    read through floats, so that every cell keeps its own value."""
+    if (isinstance(value, (list, tuple)) and len(value) == 3
+            and all(type(c) is int or isinstance(c, np.integer) for c in value)):
+        return tuple(map(int, value))
+    raise InvalidParams("cell must hold three integers")
 
 
 @dataclass(eq=False)
@@ -283,7 +305,8 @@ def assemble_structure(placements):
     Grid spacing equals the module edge length, so cells are adjacent
     cuboids docked face to face. Positions are re-expressed relative to
     the assembly's center of mass and the inertia tensor combines each
-    module's cuboid inertia with its parallel-axis term.
+    module's cuboid inertia with its parallel-axis term. The placement
+    attitudes are checked and applied as one (n, 3, 3) stack.
     """
     placements = tuple(
         p if isinstance(p, ModulePlacement) else ModulePlacement(*p)
@@ -291,32 +314,34 @@ def assemble_structure(placements):
     )
     if not placements:
         raise EmptyStructure("structure needs at least one module")
-    cells = [tuple(int(c) for c in p.cell) for p in placements]
+    cells = [p.cell for p in placements]
     if len(set(cells)) != len(cells):
         raise OverlappingModules("two modules share a grid cell")
-
-    sizes = {p.module.body_size for p in placements}
-    if len(sizes) != 1:
+    if max(abs(c) for cell in cells for c in cell) > MAX_CELL:
+        raise InvalidParams(f"grid cells must lie within +-{MAX_CELL}")
+    modules = [p.module for p in placements]
+    if len({m.body_size for m in modules}) != 1:
         raise InvalidParams("all modules in a structure must share body dimensions")
-    sx, sy, sz = placements[0].module.body_size
+    attitudes = np.array([p.attitude for p in placements])
+    if not _rotations(attitudes):
+        raise InvalidParams("module attitude is not a rotation matrix")
 
-    centers = np.array([[c[1] * sx, c[0] * sy, c[2] * sz] for c in cells])
-    masses = np.array([p.module.mass for p in placements])
+    body_size = modules[0].body_size
+    centers = np.array([(col, row, layer) for row, col, layer in cells],
+                       dtype=float) * body_size
+    masses = np.array([m.mass for m in modules])
     total_mass = float(masses.sum())
     com = masses @ centers / total_mass
     offsets = centers - com
 
-    inertia = np.zeros((3, 3))
-    positions = []
-    orientations = []
-    for placement, d in zip(placements, offsets):
-        module, att = placement.module, placement.attitude
-        inertia += att @ module.cuboid_inertia() @ att.T
-        inertia += module.mass * (np.dot(d, d) * np.eye(3) - np.outer(d, d))
-        positions.append(d + module.positions @ att.T)
-        orientations.append(att @ module.orientations)
-    table = (np.concatenate(positions), np.concatenate(orientations),
-             np.concatenate([p.module.spin_signs for p in placements]),
-             np.repeat([p.module.k_m for p in placements], 4))
+    turned = np.swapaxes(attitudes, 1, 2)
+    inertia = ((attitudes @ _cuboid_inertia(masses, body_size) @ turned).sum(axis=0)
+               + masses @ (offsets * offsets).sum(axis=1) * np.eye(3)
+               - (offsets.T * masses) @ offsets)
+    positions = offsets[:, None] + np.array([m.positions for m in modules]) @ turned
+    orientations = attitudes[:, None] @ np.array([m.orientations for m in modules])
+    table = (positions.reshape(-1, 3), orientations.reshape(-1, 3, 3),
+             np.concatenate([m.spin_signs for m in modules]),
+             np.repeat([m.k_m for m in modules], 4))
     return StructureModel(placements, total_mass, inertia, com, offsets, *table,
                           design_matrix=design_matrix(*table))

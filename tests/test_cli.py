@@ -238,6 +238,16 @@ def test_analyze_out_of_range_eta_exits_2(tmp_path, capsys):
     assert "pi/2" in capsys.readouterr().err
 
 
+def test_analyze_cells_beyond_the_grid_bound_exit_2(tmp_path, capsys):
+    big = tmp_path / "big.cfg"
+    big.write_text("modules:\n"
+                   "  - {kind: T, eta_rad: 0.5, cell: [9007199254740993, 0, 0]}\n"
+                   "  - {kind: T, eta_rad: -0.5, cell: [9007199254740992, 0, 0]}\n")
+    assert cli.main(["analyze", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{big}: grid cells must lie within +-1048576\n"
+
+
 HOVER = "{kind: hover}"
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modquad import actuation, config
+from modquad import actuation, config, geometry, vehicle
 from modquad.errors import ParseError, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -59,6 +59,38 @@ def test_fractional_cell_rejected():
     with pytest.raises(SchemaError) as info:
         config.parse_config(text)
     assert any("cell must hold three integers" in p for p in info.value.problems)
+
+
+def test_cells_beyond_float_precision_stay_distinct():
+    # through floats both cells read as 2**53 and clashed
+    text = """
+modules:
+  - {kind: T, eta_rad: 0.1, cell: [9007199254740993, 0, 0]}
+  - {kind: T, eta_rad: 0.1, cell: [9007199254740992, 0, 0]}
+"""
+    cfg = config.parse_config(text)
+    assert [m.cell for m in cfg.modules] == [(9007199254740993, 0, 0),
+                                             (9007199254740992, 0, 0)]
+
+
+@pytest.mark.parametrize("cell", ["[0.5, 0, 0]", "[true, 0, 0]", "[.inf, 0, 0]",
+                                  "[1.0, 0, 0]", "[0, 0]", "7"])
+def test_cell_must_hold_three_integers(cell):
+    text = f"modules:\n  - {{kind: T, eta_rad: 0.1, cell: {cell}}}\n"
+    with pytest.raises(SchemaError) as info:
+        config.parse_config(text)
+    assert info.value.problems == ["modules[0] (line 2): cell must hold three integers"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("body_size_m: [0, 0.15, 0.06]", "body_size_m must be a list of 3 positive numbers"),
+    ("drag_to_thrust_m: -0.1", "drag_to_thrust_m must be non-negative"),
+])
+def test_physical_block_rejects_impossible_bodies(line, message):
+    text = f"modules:\n  - {{kind: T, eta_rad: 0.1, cell: [0, 0, 0]}}\nphysical:\n  {line}\n"
+    with pytest.raises(SchemaError) as info:
+        config.parse_config(text)
+    assert info.value.problems == [f"physical (line 4): {message}"]
 
 
 def test_unknown_key_rejected_with_location():
@@ -217,3 +249,23 @@ modules:
     axis = structure.rotor_axes[0]
     assert axis[1] == pytest.approx(np.sin(0.3), abs=1e-12)
     assert abs(axis[0]) < 1e-12
+
+
+def test_build_structure_builds_each_design_once(monkeypatch):
+    # sim1 holds 16 entries of 2 designs (eta = +-pi/4); a later change must
+    # not bring back per-entry module builds or per-placement rotation checks
+    cfg = config.load_config(FIXTURES / "sim1.cfg")
+    assert len(cfg.modules) == 16 and len({m.design for m in cfg.modules}) == 2
+    specs, dets, checks = [], [], []
+    post_init, det, is_rotation = (vehicle.ModuleSpec.__post_init__, np.linalg.det,
+                                   geometry.is_rotation)
+    monkeypatch.setattr(vehicle.ModuleSpec, "__post_init__",
+                        lambda self: specs.append(post_init(self)))
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(np.shape(a)) or det(a))
+    monkeypatch.setattr(geometry, "is_rotation",
+                        lambda r, **kw: checks.append(1) or is_rotation(r, **kw))
+    structure = config.build_structure(cfg)
+    assert structure.n_modules == 16
+    assert len(specs) == 2
+    assert [s for s in dets if s != (4, 3, 3)] == [(16, 3, 3)]
+    assert len(dets) == 3 and len(checks) <= 2

@@ -80,8 +80,9 @@ physical = st.builds(
     config.PhysicalParams,
     module_mass_kg=number(config.PhysicalParams.module_mass_kg, positive=True),
     arm_m=number(config.PhysicalParams.arm_m, positive=True),
-    body_size_m=vector(3, config.PhysicalParams.body_size_m),
-    drag_to_thrust_m=number(config.PhysicalParams.drag_to_thrust_m),
+    body_size_m=vector(3, config.PhysicalParams.body_size_m, positive=True),
+    drag_to_thrust_m=st.floats(min_value=0.0, allow_infinity=False).filter(
+        lambda x: x != config.PhysicalParams.drag_to_thrust_m),
     f_max_n=number(config.PhysicalParams.f_max_n, positive=True),
 )
 gains = st.builds(

@@ -222,3 +222,38 @@ def _edited(**arrays):
 def test_malformed_rotor_table_rejected(table):
     with pytest.raises(InvalidParams):
         vehicle.ModuleSpec("custom", **table)
+
+
+@pytest.mark.parametrize("attitude", [
+    np.diag([1.0, 1.0, -1.0]),
+    1.01 * geometry.rot_principal("z", 0.3),
+], ids=["reflection", "scaled_rotation"])
+def test_placement_attitude_must_be_rotation(attitude):
+    m = vehicle.make_r_module(np.eye(3))
+    placements = [vehicle.ModulePlacement(m, (0, 0, 0)),
+                  vehicle.ModulePlacement(m, (0, 1, 0), attitude)]
+    with pytest.raises(InvalidParams, match="attitude is not a rotation"):
+        vehicle.assemble_structure(placements)
+
+
+def test_modules_must_share_body_size():
+    small = vehicle.make_r_module(np.eye(3))
+    tall = vehicle.make_r_module(np.eye(3), body_size=(0.15, 0.15, 0.08))
+    with pytest.raises(InvalidParams, match="share body dimensions"):
+        vehicle.assemble_structure([(small, (0, 0, 0)), (tall, (0, 1, 0))])
+
+
+def test_cells_beyond_the_grid_bound_rejected():
+    m = vehicle.make_r_module(np.eye(3))
+    edge = vehicle.MAX_CELL
+    vehicle.assemble_structure([(m, (edge, 0, 0)), (m, (edge - 1, 0, 0))])
+    with pytest.raises(InvalidParams, match="grid cells"):
+        vehicle.assemble_structure([(m, (0, 0, 0)), (m, (0, -edge - 1, 0))])
+
+
+@pytest.mark.parametrize("cell", [(0.5, 0, 0), (1.0, 0, 0), (True, 0, 0), (0, 0)])
+def test_placement_cell_must_hold_three_integers(cell):
+    # assembly used to truncate (0.5, 0, 0) to (0, 0, 0)
+    m = vehicle.make_r_module(np.eye(3))
+    with pytest.raises(InvalidParams, match="three integers"):
+        vehicle.assemble_structure([(m, cell)])

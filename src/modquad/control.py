@@ -1,11 +1,12 @@
 """Generalized geometric trajectory-tracking controller for 4/5/6 DOF.
 
-The position loop turns tracking errors into a commanded acceleration;
-depending on the controllable DOF the desired attitude is constructed from
-that acceleration (4 DOF), from yaw/pitch targets (5 DOF), or taken from
-the setpoint (6 DOF). The attitude loop runs on the thrust-frame error and
-the resulting wrench is allocated to rotor thrusts by pseudo-inverse,
-which yields the minimum-norm thrust vector.
+The position loop turns tracking errors into a commanded acceleration.
+Every setpoint carries one target attitude of the thrust frame, and the
+controller tracks as much of it as the controllable DOF allows: its x-axis
+as a heading for a thrust along that acceleration (4 DOF), its x-axis
+exactly (5 DOF), or all of it (6 DOF). The attitude loop runs on the
+thrust-frame error and the resulting wrench is allocated to rotor thrusts
+by pseudo-inverse, which yields the minimum-norm thrust vector.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import geometry
 from .actuation import design_in_f_frame
-from .errors import DegenerateThrust, GimbalDegenerate, InvalidParams, ModeMismatch
+from .errors import DegenerateThrust, GimbalDegenerate, InvalidParams
 from .geometry import vee
 from .vehicle import GRAVITY
 
@@ -26,29 +27,23 @@ _EPS = 1e-6
 class Setpoint:
     """One sample of the reference trajectory.
 
-    `mode` is "dof4" (yaw target), "dof5" (yaw and pitch targets) or
-    "dof6" (full desired attitude); it must match the structure's
-    controllable DOF.
+    `attitude` is the target rotation of the thrust frame in the world,
+    whatever the structure's DOF; `desired_attitude` takes from it what
+    the structure can track.
     """
 
     position: np.ndarray
     velocity: np.ndarray
     acceleration: np.ndarray
-    mode: str
-    yaw: float = 0.0
-    pitch: float = 0.0
-    attitude: np.ndarray = None
+    attitude: np.ndarray
     angular_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
         self.acceleration = np.asarray(self.acceleration, dtype=float)
+        self.attitude = np.asarray(self.attitude, dtype=float)
         self.angular_velocity = np.asarray(self.angular_velocity, dtype=float)
-        if self.mode not in ("dof4", "dof5", "dof6"):
-            raise InvalidParams(f"unknown setpoint mode {self.mode!r}")
-        if self.mode == "dof6" and self.attitude is None:
-            raise InvalidParams("dof6 setpoints need a desired attitude")
 
 
 def _positive_diag(values, name):
@@ -108,9 +103,13 @@ def _difference(a, b):
     return [ax - bx, ay - by, az - bz]
 
 
-def _unit(v, norm):
-    """The 3-vector v divided by its norm, as a list of floats."""
+def _unit(v, error, message):
+    """The 3-vector v divided by its norm, as a list of floats; raises
+    `error` with `message` (formatted with the norm) when that is <= 1e-6."""
     x, y, z = v
+    norm = math.hypot(x, y, z)
+    if norm <= _EPS:
+        raise error(message.format(norm=norm))
     return [x / norm, y / norm, z / norm]
 
 
@@ -119,53 +118,41 @@ def _columns(x, y, z):
     return np.array([[x[0], y[0], z[0]], [x[1], y[1], z[1]], [x[2], y[2], z[2]]])
 
 
-def desired_attitude_4dof(accel, yaw):
+def desired_attitude_4dof(accel, heading):
     """Desired attitude whose z-axis carries the commanded acceleration.
 
-    z points along `accel`; x is the yaw heading projected onto the plane
-    normal to z.
+    z points along `accel`; x is the heading 3-vector projected onto the
+    plane normal to z.
     """
-    norm = math.hypot(*accel)
-    if norm <= _EPS:
-        raise DegenerateThrust(f"|accel| = {norm:.2e}")
-    z = _unit(accel, norm)
-    y_raw = geometry.cross3(z, (math.cos(yaw), math.sin(yaw), 0.0))
-    y_norm = math.hypot(*y_raw)
-    if y_norm <= _EPS:
-        raise GimbalDegenerate("thrust direction parallel to heading")
-    y = _unit(y_raw, y_norm)
+    z = _unit(accel, DegenerateThrust, "|accel| = {norm:.2e}")
+    y = _unit(geometry.cross3(z, heading), GimbalDegenerate,
+              "thrust direction parallel to heading")
     return _columns(geometry.cross3(y, z), y, z)
 
 
-def desired_attitude_5dof(accel, yaw, pitch):
-    """Desired attitude that tracks yaw and pitch exactly.
+def desired_attitude_5dof(accel, x):
+    """Desired attitude whose x-axis is the unit 3-vector `x` exactly.
 
-    x is the yaw/pitch heading; the commanded acceleration is projected
-    onto the plane spanned by x and the resulting z, so the pitch target
-    is honored while the thrust stays as close to `accel` as possible.
+    The commanded acceleration is projected onto the plane spanned by x
+    and the resulting z, so the x target is honored while the thrust stays
+    as close to `accel` as possible.
     """
-    norm = math.hypot(*accel)
-    if norm <= _EPS:
-        raise DegenerateThrust(f"|accel| = {norm:.2e}")
-    z_c = _unit(accel, norm)
-    cos_p = math.cos(pitch)  # x = Rz(yaw) Ry(pitch) e1
-    x = (math.cos(yaw) * cos_p, math.sin(yaw) * cos_p, -math.sin(pitch))
-    y_raw = geometry.cross3(z_c, x)
-    y_norm = math.hypot(*y_raw)
-    if y_norm <= _EPS:
-        raise GimbalDegenerate("thrust direction parallel to target x-axis")
-    y = _unit(y_raw, y_norm)
+    z_c = _unit(accel, DegenerateThrust, "|accel| = {norm:.2e}")
+    y = _unit(geometry.cross3(z_c, x), GimbalDegenerate,
+              "thrust direction parallel to target x-axis")
     return _columns(x, y, geometry.cross3(x, y))
 
 
-def desired_attitude(setpoint, accel):
-    """Desired thrust-frame attitude: built from the commanded acceleration
-    for dof4/dof5 setpoints, taken from the setpoint for dof6."""
-    if setpoint.mode == "dof4":
-        return desired_attitude_4dof(accel, setpoint.yaw)
-    if setpoint.mode == "dof5":
-        return desired_attitude_5dof(accel, setpoint.yaw, setpoint.pitch)
-    return np.asarray(setpoint.attitude, dtype=float)
+def desired_attitude(dof, target, accel):
+    """Desired thrust-frame attitude of a `dof`-DOF structure for the
+    target attitude `target` and the commanded acceleration `accel`: the
+    target itself in 6 DOF, else built by `desired_attitude_5dof` or
+    `desired_attitude_4dof` from the target's x-axis."""
+    target = np.asarray(target, dtype=float)
+    if dof == 6:
+        return target
+    x = target[:, 0].tolist()
+    return desired_attitude_5dof(accel, x) if dof == 5 else desired_attitude_4dof(accel, x)
 
 
 def attitude_error(desired, attitude, frame_rotation, omega, omega_desired):
@@ -243,11 +230,6 @@ class Controller:
 
     def step(self, state, setpoint, dt=None):
         """One control tick: rotor thrust commands before motor limits."""
-        dof = self.analysis.controllable_dof
-        if setpoint.mode != f"dof{dof}":
-            raise ModeMismatch(
-                f"setpoint mode {setpoint.mode!r} on a {dof}-DOF structure"
-            )
         e_pos = _difference(setpoint.position, state.position)
         e_vel = _difference(setpoint.velocity, state.velocity)
         if dt is not None and self._integrating:
@@ -256,7 +238,8 @@ class Controller:
                               for i, e in zip(self._integral, e_pos)]
         accel = position_accel(e_pos, e_vel, setpoint.acceleration.tolist(),
                                self.gains, integral=self._integral).tolist()
-        desired = desired_attitude(setpoint, accel).tolist()
+        desired = desired_attitude(self.analysis.controllable_dof, setpoint.attitude,
+                                   accel).tolist()
         attitude = state.attitude.tolist()
         omega = state.angular_velocity.tolist()
         e_rot, e_omega = attitude_error(desired, attitude, self._frame, omega,

@@ -45,10 +45,6 @@ class GimbalDegenerate(ModquadError):
     """Desired thrust direction parallel to the heading reference."""
 
 
-class ModeMismatch(ModquadError):
-    """Setpoint mode does not match the structure's controllable DOF."""
-
-
 class NonFiniteState(ModquadError):
     """Simulation diverged; carries the partial telemetry recorded so far."""
 

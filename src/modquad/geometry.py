@@ -154,10 +154,11 @@ def orthonormalize(r):
 
 
 def yaw_pitch(r):
-    """Yaw and pitch (rad) of a rotation: the Z-Y-X Euler angles of its
-    x-axis."""
-    return (float(np.arctan2(r[1][0], r[0][0])),
-            float(np.arcsin(min(max(-r[2][0], -1.0), 1.0))))
+    """Yaw and pitch (rad) of a rotation, or of each of an (n, 3, 3) stack:
+    the Z-Y-X Euler angles of its x-axis."""
+    r = np.asarray(r, dtype=float)
+    return (np.arctan2(r[..., 1, 0], r[..., 0, 0]),
+            np.arcsin(np.clip(-r[..., 2, 0], -1.0, 1.0)))
 
 
 def is_rotation(r, tol=1e-9):

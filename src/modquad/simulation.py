@@ -165,7 +165,8 @@ def _rk4_mean(k1, k2, k3, k4):
 def initial_state_on_trajectory(trajectory, analysis):
     """State that starts exactly on the reference at t = 0."""
     sp = trajectory(0.0)
-    ctl_attitude = desired_attitude(sp, GRAVITY * geometry.E3 + sp.acceleration)
+    ctl_attitude = desired_attitude(analysis.controllable_dof, sp.attitude,
+                                    GRAVITY * geometry.E3 + sp.acceleration)
     attitude = ctl_attitude @ analysis.f_frame.T
     return VehicleState(
         sp.position.copy(), sp.velocity.copy(), attitude,

@@ -1,10 +1,11 @@
 """The per-tick log of a closed-loop run, its CSV file, and tracking metrics.
 
 One CSV row per control tick, in the columns that the fields of
-`TelemetryTable` declare. The attitude is stored as a unit quaternion
-(w, x, y, z) of the structure attitude; `sat` counts the rotors whose
-command hit a motor limit that tick. Floats are written with repr precision
-so identical runs produce byte-identical files.
+`TelemetryTable` declare. The structure attitude is stored as a unit
+quaternion (w, x, y, z) and the setpoint's target attitude by its yaw and
+pitch; `sat` counts the rotors whose command hit a motor limit that tick.
+Floats are written with repr precision so identical runs produce
+byte-identical files.
 """
 
 import math
@@ -32,8 +33,7 @@ class Telemetry:
     attitude = _logged("attitude")
     angular_velocity = _logged("angular_velocity")
     position_d = _logged("position_d")
-    yaw_d = _logged("yaw_d")
-    pitch_d = _logged("pitch_d")
+    attitude_d = _logged("attitude_d")
     u_commanded = _logged("u_commanded")
     u_actual = _logged("u_actual")
     saturated = _logged("saturated")
@@ -45,17 +45,14 @@ class Telemetry:
         self._records = np.empty(n_rows, dtype=[
             ("t", float), ("position", float, 3), ("velocity", float, 3),
             ("attitude", float, (3, 3)), ("angular_velocity", float, 3),
-            ("position_d", float, 3), ("yaw_d", float), ("pitch_d", float),
+            ("position_d", float, 3), ("attitude_d", float, (3, 3)),
             ("u_commanded", float, n_rotors), ("u_actual", float, n_rotors),
             ("saturated", bool, n_rotors)])
 
     def append(self, t, state, setpoint, u_cmd, u_actual, saturated):
-        # a dof6 setpoint targets a full attitude: log its yaw and pitch
-        yaw_pitch = (geometry.yaw_pitch(setpoint.attitude) if setpoint.mode == "dof6"
-                     else (setpoint.yaw, setpoint.pitch))
         self._records[self._length] = (
             t, state.position, state.velocity, state.attitude, state.angular_velocity,
-            setpoint.position, *yaw_pitch, u_cmd, u_actual, saturated)
+            setpoint.position, setpoint.attitude, u_cmd, u_actual, saturated)
         self._length += 1
 
     def __len__(self):
@@ -138,12 +135,13 @@ def csv_header(n_rotors):
 
 def write_csv(telemetry, path):
     """Write one CSV row per control tick of a telemetry log: its float
-    columns in TelemetryTable field order, then the saturation count."""
+    columns in TelemetryTable field order, then the saturation count. The
+    `yaw_d` and `pitch_d` columns are those of the target attitudes."""
     quaternions = np.reshape([rotation_to_quaternion(r) for r in telemetry.attitude], (-1, 4))
     rows = np.column_stack([
         telemetry.t, telemetry.position, telemetry.velocity, quaternions,
-        telemetry.angular_velocity, telemetry.position_d, telemetry.yaw_d,
-        telemetry.pitch_d, telemetry.u_actual]).tolist()
+        telemetry.angular_velocity, telemetry.position_d,
+        *geometry.yaw_pitch(telemetry.attitude_d), telemetry.u_actual]).tolist()
     counts = telemetry.saturated.sum(axis=1).tolist()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(csv_header(telemetry.n_rotors)) + "\r\n")

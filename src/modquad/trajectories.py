@@ -2,12 +2,14 @@
 hover, and chained quintic segments with analytic derivatives.
 
 Every generator is a pure function of time returning a Setpoint whose
-velocity and acceleration are exact derivatives of the position, and
-whose mode matches the structure's controllable DOF.
+velocity and acceleration are exact derivatives of the position. Its
+attitude is a full target rotation of the thrust frame; `make_trajectory`
+checks once that the structure's DOF can track what the target asks for.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,20 +20,14 @@ from .errors import InvalidParams
 TWO_PI = 2.0 * np.pi
 
 
-def _wrap_angle(a):
-    return (a + np.pi) % TWO_PI - np.pi
-
-
-def _attitude_setpoint(mode, yaw, pitch):
-    """Yaw/pitch targets in the representation the controller mode expects."""
-    if mode == "dof4":
-        if abs(pitch) > 1e-12:
-            raise InvalidParams("4-DOF structures cannot hold a pitch target")
-        return {"yaw": yaw}
-    if mode == "dof5":
-        return {"yaw": yaw, "pitch": pitch}
-    attitude = geometry.rot_principal("z", yaw) @ geometry.rot_principal("y", pitch)
-    return {"yaw": yaw, "pitch": pitch, "attitude": attitude}
+def _yaw_pitch_attitude(yaw, pitch):
+    """Rz(yaw) Ry(pitch), written out from `math` trig: its x-axis is the
+    heading (cos yaw cos pitch, sin yaw cos pitch, -sin pitch)."""
+    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+    cos_p, sin_p = math.cos(pitch), math.sin(pitch)
+    return np.array([cos_y * cos_p, -sin_y, cos_y * sin_p,
+                     sin_y * cos_p, cos_y, sin_y * sin_p,
+                     -sin_p, 0.0, cos_p]).reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +124,7 @@ class HoverDef:
 # generators
 
 
-def helix(t, defn=HelixDef(), dof=4):
+def helix(t, defn=HelixDef()):
     """Circle in xy, cosine z oscillation, linearly wrapping yaw.
 
     Phase convention: t = 0 sits at the +x side of the circle with z at
@@ -156,13 +152,11 @@ def helix(t, defn=HelixDef(), dof=4):
         amp * w_z**2 * cos_z,
     ]
     yaw_rate = TWO_PI / defn.yaw_period
-    yaw = _wrap_angle(yaw_rate * t)
-    extras = _attitude_setpoint(f"dof{dof}", yaw, 0.0)
-    return Setpoint(pos, vel, acc, f"dof{dof}",
-                    angular_velocity=[0.0, 0.0, yaw_rate], **extras)
+    yaw = (yaw_rate * t + np.pi) % TWO_PI - np.pi  # wrapped into [-pi, pi)
+    return Setpoint(pos, vel, acc, _yaw_pitch_attitude(yaw, 0.0), [0.0, 0.0, yaw_rate])
 
 
-def rectangle(t, defn=RectangleDef(), dof=5):
+def rectangle(t, defn=RectangleDef()):
     """Rectangle perimeter at constant height with held yaw/pitch targets.
 
     Each edge is a rest-to-rest quintic taking a quarter of the lap, so
@@ -179,8 +173,7 @@ def rectangle(t, defn=RectangleDef(), dof=5):
     start = corners[edge]
     pos, vel, acc = _rest_to_rest(start, corners[(edge + 1) % 4] - start,
                                   s - edge * edge_time, edge_time)
-    extras = _attitude_setpoint(f"dof{dof}", defn.yaw_hold, defn.pitch_hold)
-    return Setpoint(pos, vel, acc, f"dof{dof}", **extras)
+    return Setpoint(pos, vel, acc, _yaw_pitch_attitude(defn.yaw_hold, defn.pitch_hold))
 
 
 def _rest_to_rest(origin, delta, t, duration):
@@ -199,20 +192,14 @@ def attitude_sine(t, defn=AttitudeSineDef()):
     angle = defn.amplitude * np.sin(rate * t)
     angle_rate = defn.amplitude * rate * np.cos(rate * t)
     attitude = geometry.rot_principal(defn.axis, angle)
-    axis_index = "xyz".index(defn.axis)
     omega = np.zeros(3)
-    omega[axis_index] = angle_rate
-    yaw = angle if defn.axis == "z" else 0.0
-    pitch = angle if defn.axis == "y" else 0.0
-    return Setpoint(np.asarray(defn.hover_point, dtype=float), np.zeros(3),
-                    np.zeros(3), "dof6", yaw=yaw, pitch=pitch,
-                    attitude=attitude, angular_velocity=omega)
+    omega["xyz".index(defn.axis)] = angle_rate
+    return Setpoint(defn.hover_point, np.zeros(3), np.zeros(3), attitude, omega)
 
 
-def hover(t, defn=HoverDef(), dof=6):
-    extras = _attitude_setpoint(f"dof{dof}", defn.yaw, defn.pitch)
-    return Setpoint(np.asarray(defn.point, dtype=float), np.zeros(3),
-                    np.zeros(3), f"dof{dof}", **extras)
+def hover(t, defn=HoverDef()):
+    return Setpoint(defn.point, np.zeros(3), np.zeros(3),
+                    _yaw_pitch_attitude(defn.yaw, defn.pitch))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +226,7 @@ class QuinticChain:
 
     Attitude interpolates the axis-angle vector of the desired attitude
     relative to the start; adequate for the small excursions flown here.
-    Produces 6-DOF setpoints.
+    Only a 6-DOF structure tracks it.
     """
 
     def __init__(self, defn):
@@ -261,10 +248,7 @@ class QuinticChain:
         rotvec = values[3:]
         attitude = geometry.so3_exp(rotvec, 1.0)
         omega = _so3_right_jacobian(rotvec) @ rates[3:]
-        yaw, pitch = geometry.yaw_pitch(attitude)
-        return Setpoint(values[:3], rates[:3], accelerations[:3], "dof6",
-                        yaw=yaw, pitch=pitch, attitude=attitude,
-                        angular_velocity=omega)
+        return Setpoint(values[:3], rates[:3], accelerations[:3], attitude, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +256,18 @@ class QuinticChain:
 
 
 def make_trajectory(defn, dof):
-    """Callable t -> Setpoint for a trajectory definition, in the setpoint
-    mode matching the structure's controllable DOF."""
-    if defn.kind == "helix":
-        return lambda t: helix(t, defn, dof)
-    if defn.kind == "rectangle":
-        return lambda t: rectangle(t, defn, dof)
-    if defn.kind == "attitude_sine":
-        if dof != 6:
-            raise InvalidParams("attitude_sine requires a 6-DOF structure")
-        return lambda t: attitude_sine(t, defn)
+    """Callable t -> Setpoint for a trajectory definition, checked once
+    against the controllable DOF of the structure that will fly it: 4 DOF
+    holds no pitch target, and only 6 DOF tracks a full attitude path."""
+    if defn.kind in ("attitude_sine", "quintic_chain") and dof != 6:
+        raise InvalidParams(f"{defn.kind} requires a 6-DOF structure")
+    pitch = getattr(defn, "pitch_hold", getattr(defn, "pitch", 0.0))  # rectangle, hover
+    if dof == 4 and abs(pitch) > 1e-12:
+        raise InvalidParams("4-DOF structures cannot hold a pitch target")
     if defn.kind == "quintic_chain":
-        if dof != 6:
-            raise InvalidParams("quintic_chain requires a 6-DOF structure")
         return QuinticChain(defn)
-    if defn.kind == "hover":
-        return lambda t: hover(t, defn, dof)
-    raise InvalidParams(f"unknown trajectory kind {defn.kind!r}")
+    generators = {"helix": helix, "rectangle": rectangle,
+                  "attitude_sine": attitude_sine, "hover": hover}
+    if defn.kind not in generators:
+        raise InvalidParams(f"unknown trajectory kind {defn.kind!r}")
+    return partial(generators[defn.kind], defn=defn)

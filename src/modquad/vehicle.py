@@ -86,9 +86,15 @@ class ModuleSpec:
             raise InvalidParams("propellers must form a square (equal arm radii)")
         if self.kind == "R" and np.abs(o - o[0]).max() > 1e-9:
             raise InvalidParams("R modules need one shared rotor orientation")
-        if (self.kind == "T"
-                and np.abs(o - _t_tilts(p, _arm_tilt_angle(p[0], o[0]))).max() > 1e-9):
-            raise InvalidParams("T modules need alternating +eta/-eta tilts about the arms")
+        if self.kind == "T":
+            # rotor i turns by spin_i * eta about its unit arm u_i: it fixes u_i,
+            # and its thrust axis a_i = cos(eta) e3 + spin_i sin(eta) (u_i x e3)
+            u = p / np.linalg.norm(p, axis=1, keepdims=True)
+            a = o[:, :, 2]
+            lateral = spins * (a[:, 0] * u[:, 1] - a[:, 1] * u[:, 0])
+            if (np.abs((o @ u[..., None])[..., 0] - u).max() > 1e-9
+                    or np.ptp([a[:, 2], lateral], axis=1).max() > 1e-9):
+                raise InvalidParams("T modules need alternating +eta/-eta tilts about the arms")
         if self.kind not in ("R", "T", "custom"):
             raise InvalidParams(f"kind must be R, T or custom, got {self.kind!r}")
         object.__setattr__(self, "positions", p)
@@ -114,14 +120,6 @@ def _rotations(r, tol=1e-9):
     drift = np.swapaxes(r, 1, 2) @ r - np.eye(3)  # Frobenius norm below tol
     return bool((drift * drift).sum(axis=(1, 2)).max() < tol * tol
                 and np.abs(np.linalg.det(r) - 1.0).max() < tol)
-
-
-def _arm_tilt_angle(position, orientation):
-    """Signed rotation angle of a rotor about its own arm axis."""
-    axis = position / np.linalg.norm(position)
-    cos_a = (np.trace(orientation) - 1.0) / 2.0
-    sin_a = geometry.vee(0.5 * (orientation - orientation.T)) @ axis
-    return float(np.arctan2(sin_a, np.clip(cos_a, -1.0, 1.0)))
 
 
 def _t_tilts(positions, eta):
@@ -235,12 +233,15 @@ class ModulePlacement:
 
 
 def grid_cell(value):
-    """`value` as a grid cell (row, col, layer): three exact integers, never
-    read through floats, so that every cell keeps its own value."""
-    if (isinstance(value, (list, tuple)) and len(value) == 3
+    """`value` as a grid cell (row, col, layer): three exact integers within
+    +-MAX_CELL, never read through floats, so that every cell keeps its own
+    value."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
             and all(type(c) is int or isinstance(c, np.integer) for c in value)):
-        return tuple(map(int, value))
-    raise InvalidParams("cell must hold three integers")
+        raise InvalidParams("cell must hold three integers")
+    if max(abs(int(c)) for c in value) > MAX_CELL:
+        raise InvalidParams(f"grid cells must lie within +-{MAX_CELL}")
+    return tuple(map(int, value))
 
 
 @dataclass(eq=False)
@@ -317,8 +318,6 @@ def assemble_structure(placements):
     cells = [p.cell for p in placements]
     if len(set(cells)) != len(cells):
         raise OverlappingModules("two modules share a grid cell")
-    if max(abs(c) for cell in cells for c in cell) > MAX_CELL:
-        raise InvalidParams(f"grid cells must lie within +-{MAX_CELL}")
     modules = [p.module for p in placements]
     if len({m.body_size for m in modules}) != 1:
         raise InvalidParams("all modules in a structure must share body dimensions")

@@ -245,7 +245,8 @@ def test_analyze_cells_beyond_the_grid_bound_exit_2(tmp_path, capsys):
                    "  - {kind: T, eta_rad: -0.5, cell: [9007199254740992, 0, 0]}\n")
     assert cli.main(["analyze", str(big)]) == 2
     err = capsys.readouterr().err
-    assert err == f"{big}: grid cells must lie within +-1048576\n"
+    assert err == "".join(f"{big}: modules[{i}] (line {i + 2}): grid cells must lie "
+                          "within +-1048576\n" for i in range(2))
 
 
 HOVER = "{kind: hover}"

@@ -61,16 +61,21 @@ def test_fractional_cell_rejected():
     assert any("cell must hold three integers" in p for p in info.value.problems)
 
 
-def test_cells_beyond_float_precision_stay_distinct():
-    # through floats both cells read as 2**53 and clashed
+def test_cells_beyond_the_grid_bound_rejected_where_parsed():
+    # checked where parsed, so each message names its entry and line;
+    # 2**53 + 1 is compared as the exact integer, never through a float
     text = """
 modules:
-  - {kind: T, eta_rad: 0.1, cell: [9007199254740993, 0, 0]}
-  - {kind: T, eta_rad: 0.1, cell: [9007199254740992, 0, 0]}
+  - {kind: T, eta_rad: 0.1, cell: [1048577, 0, 0]}
+  - {kind: T, eta_rad: 0.1, cell: [0, -1048577, 0]}
+  - {kind: T, eta_rad: 0.1, cell: [0, 0, 9007199254740993]}
+  - {kind: T, eta_rad: 0.1, cell: [1048576, -1048576, 0]}
 """
-    cfg = config.parse_config(text)
-    assert [m.cell for m in cfg.modules] == [(9007199254740993, 0, 0),
-                                             (9007199254740992, 0, 0)]
+    with pytest.raises(SchemaError) as info:
+        config.parse_config(text)
+    assert info.value.problems == [
+        f"modules[{i}] (line {i + 3}): grid cells must lie within +-1048576"
+        for i in range(3)]
 
 
 @pytest.mark.parametrize("cell", ["[0.5, 0, 0]", "[true, 0, 0]", "[.inf, 0, 0]",

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modquad import actuation, control, geometry, vehicle
 from modquad.control import ControllerGains, Setpoint
-from modquad.errors import (
-    DegenerateThrust,
-    GimbalDegenerate,
-    InvalidParams,
-    ModeMismatch,
-)
+from modquad.errors import DegenerateThrust, GimbalDegenerate, InvalidParams
 from modquad.simulation import VehicleState
 
 G = control.GRAVITY
+
+
+def heading(yaw, pitch=0.0):
+    """x-axis of Rz(yaw) Ry(pitch)."""
+    return geometry.rot_principal("z", yaw) @ geometry.rot_principal("y", pitch) @ geometry.E1
 
 
 def unit_gains(**overrides):
@@ -48,16 +49,16 @@ def test_position_accel_free_fall_feedforward():
 
 
 def test_desired_attitude_4dof_hover():
-    assert np.allclose(control.desired_attitude_4dof([0, 0, G], 0.0), np.eye(3))
+    assert np.allclose(control.desired_attitude_4dof([0, 0, G], heading(0.0)), np.eye(3))
 
 
 def test_desired_attitude_4dof_yawed():
-    r = control.desired_attitude_4dof([0, 0, G], np.pi / 2)
+    r = control.desired_attitude_4dof([0, 0, G], heading(np.pi / 2))
     assert np.allclose(r, geometry.rot_principal("z", np.pi / 2))
 
 
 def test_desired_attitude_4dof_tilted():
-    r = control.desired_attitude_4dof([1.0, 0.0, 1.0], 0.0)
+    r = control.desired_attitude_4dof([1.0, 0.0, 1.0], heading(0.0))
     s = np.sqrt(2) / 2
     assert np.allclose(r[:, 2], [s, 0.0, s])
     assert np.allclose(r[:, 1], [0.0, 1.0, 0.0])
@@ -70,25 +71,25 @@ def test_desired_attitude_4dof_z_along_accel():
         accel = rng.normal(size=3)
         accel[2] = abs(accel[2]) + 1.0
         yaw = rng.uniform(-np.pi, np.pi)
-        r = control.desired_attitude_4dof(accel, yaw)
+        r = control.desired_attitude_4dof(accel, heading(yaw))
         assert geometry.is_rotation(r)
         assert np.allclose(r[:, 2], accel / np.linalg.norm(accel))
 
 
 def test_desired_attitude_4dof_degenerate_inputs():
     with pytest.raises(DegenerateThrust):
-        control.desired_attitude_4dof([0.0, 0.0, 1e-9], 0.0)
+        control.desired_attitude_4dof([0.0, 0.0, 1e-9], heading(0.0))
     with pytest.raises(GimbalDegenerate):
-        control.desired_attitude_4dof([G, 0.0, 0.0], 0.0)
+        control.desired_attitude_4dof([G, 0.0, 0.0], heading(0.0))
 
 
 def test_desired_attitude_5dof_identity():
-    assert np.allclose(control.desired_attitude_5dof([0, 0, G], 0.0, 0.0), np.eye(3))
+    assert np.allclose(control.desired_attitude_5dof([0, 0, G], heading(0.0, 0.0)), np.eye(3))
 
 
 def test_desired_attitude_5dof_pitch_target():
     pitch = np.radians(-5.0)
-    r = control.desired_attitude_5dof([0, 0, G], 0.0, pitch)
+    r = control.desired_attitude_5dof([0, 0, G], heading(0.0, pitch))
     c, s = np.cos(np.radians(5.0)), np.sin(np.radians(5.0))
     assert np.allclose(r[:, 0], [c, 0.0, s])
     assert np.allclose(r[:, 1], [0.0, 1.0, 0.0])
@@ -96,7 +97,7 @@ def test_desired_attitude_5dof_pitch_target():
 
 
 def test_desired_attitude_5dof_yawed():
-    r = control.desired_attitude_5dof([0, 0, G], np.pi / 2, 0.0)
+    r = control.desired_attitude_5dof([0, 0, G], heading(np.pi / 2, 0.0))
     assert np.allclose(r, geometry.rot_principal("z", np.pi / 2))
 
 
@@ -107,7 +108,8 @@ def test_desired_attitude_5dof_x_tracks_targets_exactly():
         accel[2] = abs(accel[2]) + 1.0
         yaw = rng.uniform(-np.pi, np.pi)
         pitch = rng.uniform(-1.0, 1.0)
-        r = control.desired_attitude_5dof(accel, yaw, pitch)
+        target = geometry.rot_principal("z", yaw) @ geometry.rot_principal("y", pitch)
+        r = control.desired_attitude(5, target, accel)
         assert geometry.is_rotation(r)
         expected_x = (
             geometry.rot_principal("z", yaw)
@@ -115,6 +117,31 @@ def test_desired_attitude_5dof_x_tracks_targets_exactly():
             @ geometry.E1
         )
         assert np.allclose(r[:, 0], expected_x, atol=1e-12)
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=unit_vectors, angle=st.floats(-np.pi, np.pi), thrust=unit_vectors,
+       magnitude=st.floats(0.1, 100.0))
+def test_desired_attitude_keeps_what_each_dof_tracks(axis, angle, thrust, magnitude):
+    # any target rotation, roll included, and any thrust direction
+    target = geometry.rodrigues(axis, angle)
+    accel = magnitude * thrust
+    x_target = target[:, 0]
+    assume(np.linalg.norm(np.cross(thrust, x_target)) > 1e-3)
+    assert np.array_equal(control.desired_attitude(6, target, accel), target)
+    r5 = control.desired_attitude(5, target, accel)
+    assert geometry.is_rotation(r5)
+    assert np.max(np.abs(r5[:, 0] - x_target)) < 1e-12
+    r4 = control.desired_attitude(4, target, accel)
+    assert geometry.is_rotation(r4)
+    assert np.allclose(r4[:, 2], thrust, atol=1e-12)
+    # x lies in the plane of the heading and z, on the heading's side
+    assert abs(r4[:, 0] @ np.cross(x_target, thrust)) < 1e-9
+    assert r4[:, 0] @ x_target > 0.0
 
 
 def test_attitude_error_zero_at_tracking():
@@ -185,7 +212,7 @@ def test_control_step_hover_matches_hover_allocation():
     s = four_t_structure()
     an = actuation.analyze_structure(s)
     state = VehicleState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-    sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), "dof6", attitude=np.eye(3))
+    sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), np.eye(3))
     u = control.Controller(s, an).step(state, sp)
     assert np.max(np.abs(u - s.mass * G / (16 * np.cos(np.pi / 4)))) < 1e-9
 
@@ -195,26 +222,17 @@ def test_control_step_fixed_point_balances_gravity():
     an = actuation.analyze_structure(s)
     ctl = control.Controller(s, an)
     state = VehicleState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-    sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), "dof6", attitude=np.eye(3))
+    sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), np.eye(3))
     u = ctl.step(state, sp)
     hover = np.array([0.0, 0.0, s.mass * G, 0.0, 0.0, 0.0])
     assert np.linalg.norm(ctl.design_f @ u - hover) < 1e-9
-
-
-def test_control_step_mode_mismatch():
-    s = four_t_structure()
-    an = actuation.analyze_structure(s)
-    state = VehicleState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-    sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), "dof4", yaw=0.0)
-    with pytest.raises(ModeMismatch):
-        control.Controller(s, an).step(state, sp)
 
 
 def test_control_step_descends_when_above_setpoint():
     s = four_t_structure()
     an = actuation.analyze_structure(s)
     state = VehicleState([0, 0, 0.1], np.zeros(3), np.eye(3), np.zeros(3))
-    sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), "dof6", attitude=np.eye(3))
+    sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), np.eye(3))
     u = control.Controller(s, an).step(state, sp)
     ctl = control.Controller(s, an)
     commanded_z_force = (ctl.design_f @ u)[2]
@@ -227,7 +245,7 @@ def test_integral_term_accumulates_and_clamps():
     gains = unit_gains(k_int=[1.0, 1.0, 1.0], integral_limit=0.05)
     ctl = control.Controller(s, an, gains)
     state = VehicleState([0, 0, -0.1], np.zeros(3), np.eye(3), np.zeros(3))
-    sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), "dof6", attitude=np.eye(3))
+    sp = Setpoint(np.zeros(3), np.zeros(3), np.zeros(3), np.eye(3))
     for _ in range(100):
         ctl.step(state, sp, dt=0.01)
     assert ctl._integral[2] == pytest.approx(0.05)

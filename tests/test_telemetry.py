@@ -17,7 +17,7 @@ def make_state(pos, attitude=None):
 
 
 def hover_setpoint(pos):
-    return Setpoint(pos, np.zeros(3), np.zeros(3), "dof6", attitude=np.eye(3))
+    return Setpoint(pos, np.zeros(3), np.zeros(3), np.eye(3))
 
 
 def synthetic_log(n_rows, offset=(0.0, 0.0, 0.0), dt=0.5):
@@ -212,8 +212,7 @@ def reference_write_csv(log, path):
             row.extend(state_q)
             row.extend(log.angular_velocity[i])
             row.extend(log.position_d[i])
-            row.append(log.yaw_d[i])
-            row.append(log.pitch_d[i])
+            row.extend(geometry.yaw_pitch(log.attitude_d[i]))
             row.extend(log.u_actual[i])
             row.append(int(np.sum(log.saturated[i])))
             writer.writerow([repr(float(value)) if not isinstance(value, int)
@@ -231,18 +230,19 @@ cells = st.one_of(
 def random_logs(draw):
     n_rotors = draw(st.sampled_from([4, 8, 64]))
     n_rows = draw(st.integers(1, 50))
-    floats = draw(arrays(np.float64, (n_rows, 15 + 2 * n_rotors), elements=cells))
+    floats = draw(arrays(np.float64, (n_rows, 13 + 2 * n_rotors), elements=cells))
     saturated = draw(arrays(np.bool_, (n_rows, n_rotors)))
+    # the flown attitude and the target attitude of each row
     quaternions = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
-        size=(n_rows, 4))
+        size=(n_rows, 2, 4))
     log = Telemetry(n_rotors, n_rows)
     for row, sat, q in zip(floats, saturated, quaternions):
-        attitude = telemetry.quaternion_to_rotation(q / np.linalg.norm(q))
+        attitude, target = telemetry.quaternion_to_rotation(
+            q / np.linalg.norm(q, axis=1, keepdims=True))
         state = VehicleState(row[1:4], row[4:7], attitude, row[7:10])
-        setpoint = Setpoint(row[10:13], np.zeros(3), np.zeros(3), "dof5",
-                            yaw=row[13], pitch=row[14])
-        log.append(row[0], state, setpoint, row[15:15 + n_rotors],
-                   row[15 + n_rotors:], sat)
+        setpoint = Setpoint(row[10:13], np.zeros(3), np.zeros(3), target)
+        log.append(row[0], state, setpoint, row[13:13 + n_rotors],
+                   row[13 + n_rotors:], sat)
     return log
 
 
@@ -261,12 +261,13 @@ def test_csv_columns_roundtrip_bit_equal_and_match_row_writer(tmp_path_factory, 
     assert path.read_bytes() == reference.read_bytes()
     table = telemetry.read_csv(path)
     quaternions = [telemetry.rotation_to_quaternion(r) for r in log.attitude]
+    yaw_d, pitch_d = geometry.yaw_pitch(log.attitude_d)
     for read, written in ((table.t, log.t), (table.position, log.position),
                           (table.velocity, log.velocity),
                           (table.quaternion, quaternions),
                           (table.angular_velocity, log.angular_velocity),
                           (table.position_d, log.position_d),
-                          (table.yaw_d, log.yaw_d), (table.pitch_d, log.pitch_d),
+                          (table.yaw_d, yaw_d), (table.pitch_d, pitch_d),
                           (table.thrusts, log.u_actual),
                           (table.saturated_count, log.saturated.sum(axis=1))):
         assert same_bits(read, written)

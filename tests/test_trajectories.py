@@ -6,16 +6,25 @@ from modquad.errors import InvalidParams
 from modquad.trajectories import (
     AttitudeSineDef,
     HelixDef,
+    HoverDef,
     QuinticChainDef,
     RectangleDef,
     Waypoint,
 )
 
 
+def yaw_of(sp):
+    return geometry.yaw_pitch(sp.attitude)[0]
+
+
+def pitch_of(sp):
+    return geometry.yaw_pitch(sp.attitude)[1]
+
+
 def test_helix_start_point():
     sp = trajectories.helix(0.0, HelixDef())
     assert np.allclose(sp.position, [-0.05, 0.0, 0.45])
-    assert sp.yaw == 0.0
+    assert yaw_of(sp) == 0.0
 
 
 def test_helix_z_range_endpoints():
@@ -26,8 +35,8 @@ def test_helix_z_range_endpoints():
 
 def test_helix_yaw_wraps_after_full_cycle():
     defn = HelixDef()
-    assert trajectories.helix(18.0, defn).yaw == pytest.approx(
-        trajectories.helix(0.0, defn).yaw, abs=1e-9
+    assert yaw_of(trajectories.helix(18.0, defn)) == pytest.approx(
+        yaw_of(trajectories.helix(0.0, defn)), abs=1e-9
     )
 
 
@@ -41,37 +50,37 @@ def test_helix_stays_on_cylinder():
 
 def test_rectangle_starts_at_first_corner():
     defn = RectangleDef(pitch_hold=np.radians(-5.0))
-    sp = trajectories.rectangle(0.0, defn, dof=5)
+    sp = trajectories.rectangle(0.0, defn)
     assert np.allclose(sp.position, [-0.4, -0.3, defn.height])
-    assert sp.pitch == pytest.approx(np.radians(-5.0))
-    assert sp.mode == "dof5"
+    assert pitch_of(sp) == pytest.approx(np.radians(-5.0))
+    assert np.allclose(sp.attitude, geometry.rot_principal("y", np.radians(-5.0)))
 
 
 def test_rectangle_holds_pitch_everywhere():
     defn = RectangleDef(pitch_hold=np.radians(-5.0))
     for t in np.linspace(0.0, defn.lap_time, 50):
-        assert trajectories.rectangle(t, defn, dof=5).pitch == pytest.approx(
+        assert pitch_of(trajectories.rectangle(t, defn)) == pytest.approx(
             np.radians(-5.0)
         )
 
 
 def test_rectangle_periodic():
     defn = RectangleDef()
-    start = trajectories.rectangle(0.0, defn, dof=5).position
-    end = trajectories.rectangle(defn.lap_time, defn, dof=5).position
+    start = trajectories.rectangle(0.0, defn).position
+    end = trajectories.rectangle(defn.lap_time, defn).position
     assert np.max(np.abs(end - start)) < 1e-9
 
 
 def test_rectangle_corner_velocities_vanish():
     defn = RectangleDef()
     for k in range(4):
-        sp = trajectories.rectangle(k * defn.lap_time / 4.0, defn, dof=5)
+        sp = trajectories.rectangle(k * defn.lap_time / 4.0, defn)
         assert np.allclose(sp.velocity, 0.0, atol=1e-12)
 
 
 def test_rectangle_dof4_rejects_pitch_target():
     with pytest.raises(InvalidParams):
-        trajectories.rectangle(0.0, RectangleDef(pitch_hold=0.1), dof=4)
+        trajectories.make_trajectory(RectangleDef(pitch_hold=0.1), 4)
 
 
 def test_attitude_sine_zero_crossing():
@@ -83,14 +92,14 @@ def test_attitude_sine_zero_crossing():
 def test_attitude_sine_quarter_period_peak():
     defn = AttitudeSineDef()
     sp = trajectories.attitude_sine(22.5, defn)
-    assert sp.pitch == pytest.approx(np.radians(20.0))
+    assert pitch_of(sp) == pytest.approx(np.radians(20.0))
     assert np.allclose(sp.attitude, geometry.rot_principal("y", np.radians(20.0)))
     assert np.allclose(sp.angular_velocity, 0.0, atol=1e-12)
 
 
 def test_attitude_sine_half_period():
     sp = trajectories.attitude_sine(45.0, AttitudeSineDef())
-    assert sp.pitch == pytest.approx(0.0, abs=1e-12)
+    assert pitch_of(sp) == pytest.approx(0.0, abs=1e-12)
 
 
 def chain_def():
@@ -112,7 +121,7 @@ def test_quintic_chain_hits_waypoints():
     sp1 = chain(8.0)
     assert np.allclose(sp1.position, [0.4, 0.2, 0.8])
     assert np.allclose(sp1.attitude, geometry.rot_principal("y", np.radians(12.0)))
-    assert sp1.pitch == pytest.approx(np.radians(12.0))
+    assert pitch_of(sp1) == pytest.approx(np.radians(12.0))
     sp2 = chain(16.0)
     assert np.allclose(sp2.position, [0.0, 0.0, 0.5])
 
@@ -163,7 +172,7 @@ def test_chain_requires_matching_durations():
 
 @pytest.mark.parametrize("factory", [
     lambda t: trajectories.helix(t, HelixDef()),
-    lambda t: trajectories.rectangle(t + 0.5, RectangleDef(), dof=5),
+    lambda t: trajectories.rectangle(t + 0.5, RectangleDef()),
     lambda t: trajectories.QuinticChain(chain_def())(t + 1.0),
 ])
 def test_derivatives_consistent_with_finite_differences(factory):
@@ -193,7 +202,27 @@ def test_make_trajectory_mode_checks():
     with pytest.raises(InvalidParams):
         trajectories.make_trajectory(AttitudeSineDef(), dof=4)
     traj = trajectories.make_trajectory(HelixDef(), dof=4)
-    assert traj(0.3).mode == "dof4"
+    assert np.allclose(traj(0.3).attitude,
+                       geometry.rot_principal("z", 2 * np.pi * 0.3 / HelixDef().yaw_period))
+
+
+@pytest.mark.parametrize("defn, dof", [
+    (AttitudeSineDef(), 4), (AttitudeSineDef(), 5), (chain_def(), 4), (chain_def(), 5),
+    (RectangleDef(pitch_hold=0.1), 4), (HoverDef(pitch=-0.2), 4),
+])
+def test_make_trajectory_rejects_dof_when_built(defn, dof):
+    # the DOF check runs once, when the trajectory is built, not per call
+    with pytest.raises(InvalidParams):
+        trajectories.make_trajectory(defn, dof)
+    trajectories.make_trajectory(defn, 6)(0.0)
+
+
+def test_hover_holds_its_target():
+    traj = trajectories.make_trajectory(HoverDef(point=(0.1, 0.2, 0.3), yaw=0.4, pitch=0.1), 5)
+    sp = traj(2.0)
+    assert np.array_equal(sp.position, [0.1, 0.2, 0.3])
+    assert np.allclose(geometry.yaw_pitch(sp.attitude), (0.4, 0.1), atol=1e-15)
+    assert not np.any(sp.velocity) and not np.any(sp.angular_velocity)
 
 
 def test_definition_invariants_enforced():

@@ -194,6 +194,23 @@ def test_t_kind_requires_alternating_tilt_pattern():
     vehicle.ModuleSpec("T", t.positions, t.orientations, t.spin_signs)
 
 
+@pytest.mark.parametrize("rotor1", [
+    lambda arm: geometry.rot_principal("y", -0.4),  # turned about another axis
+    lambda arm: geometry.rodrigues(arm, 0.4),  # tilt sign does not alternate
+    lambda arm: geometry.rodrigues(arm, -0.5),  # tilt angle differs
+])
+def test_t_kind_rejects_each_broken_tilt_property(rotor1):
+    t = vehicle.make_t_module(0.4)
+    broken = t.orientations.copy()
+    broken[1] = rotor1(t.positions[1] / np.linalg.norm(t.positions[1]))
+    with pytest.raises(InvalidParams, match="alternating"):
+        vehicle.ModuleSpec("T", t.positions, broken, t.spin_signs)
+    # a yawed copy of the pattern is still a T module
+    yaw = geometry.rot_principal("z", 0.3)
+    vehicle.ModuleSpec("T", t.positions @ yaw.T, yaw @ t.orientations @ yaw.T,
+                       t.spin_signs)
+
+
 def test_unknown_kind_rejected():
     m = vehicle.make_r_module(np.eye(3))
     with pytest.raises(InvalidParams):

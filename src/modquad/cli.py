@@ -166,6 +166,7 @@ def _simulate_one(config_path, cfg, output_path):
         )
     except NonFiniteState as exc:
         telemetry.write_csv(exc.telemetry, output_path)
+        exc.telemetry = None  # a pool worker would pickle the whole log to the parent
         raise
     telemetry.write_csv(log_data, output_path)
     return len(log_data)

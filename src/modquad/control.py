@@ -25,25 +25,19 @@ _EPS = 1e-6
 
 @dataclass
 class Setpoint:
-    """One sample of the reference trajectory.
-
-    `attitude` is the target rotation of the thrust frame in the world,
-    whatever the structure's DOF; `desired_attitude` takes from it what
-    the structure can track.
+    """One sample of the reference trajectory. Like every record of the
+    closed-loop tick it holds Python floats (3-lists, and `attitude` as
+    row-major nested lists); tables such as the telemetry log are numpy
+    arrays. `attitude` is the target rotation of the thrust frame in the
+    world, whatever the structure's DOF; `desired_attitude` takes from it
+    what the structure can track.
     """
 
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-    attitude: np.ndarray
-    angular_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        self.acceleration = np.asarray(self.acceleration, dtype=float)
-        self.attitude = np.asarray(self.attitude, dtype=float)
-        self.angular_velocity = np.asarray(self.angular_velocity, dtype=float)
+    position: list
+    velocity: list
+    acceleration: list
+    attitude: list
+    angular_velocity: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
 
 def _positive_diag(values, name):
@@ -52,7 +46,7 @@ def _positive_diag(values, name):
         arr = np.diag(arr)
     if arr.shape != (3,) or np.any(arr <= 0.0):
         raise InvalidParams(f"{name} must be three positive gains")
-    return arr
+    return tuple(arr.tolist())
 
 
 @dataclass
@@ -61,46 +55,39 @@ class ControllerGains:
 
     k_int defaults to zero; enabling it adds an integral correction on
     position with the accumulator clamped to +-integral_limit (m*s).
+    Each gain is checked once and kept as a tuple of three floats.
     Field metadata is the config schema, as for the trajectory definitions.
     """
 
-    k_pos: np.ndarray = field(default_factory=lambda: np.full(3, 6.0))
-    k_vel: np.ndarray = field(default_factory=lambda: np.full(3, 4.0))
-    k_att: np.ndarray = field(default_factory=lambda: np.full(3, 10.0))
-    k_omega: np.ndarray = field(default_factory=lambda: np.full(3, 2.0))
-    k_int: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    k_pos: tuple = (6.0, 6.0, 6.0)
+    k_vel: tuple = (4.0, 4.0, 4.0)
+    k_att: tuple = (10.0, 10.0, 10.0)
+    k_omega: tuple = (2.0, 2.0, 2.0)
+    k_int: tuple = (0.0, 0.0, 0.0)
     integral_limit: float = field(default=2.0, metadata={"positive": True})
 
     def __post_init__(self):
-        self.k_pos = _positive_diag(self.k_pos, "k_pos")
-        self.k_vel = _positive_diag(self.k_vel, "k_vel")
-        self.k_att = _positive_diag(self.k_att, "k_att")
-        self.k_omega = _positive_diag(self.k_omega, "k_omega")
-        self.k_int = np.asarray(self.k_int, dtype=float)
-        if self.k_int.shape != (3,) or np.any(self.k_int < 0.0):
+        for name in ("k_pos", "k_vel", "k_att", "k_omega"):
+            setattr(self, name, _positive_diag(getattr(self, name), name))
+        k_int = np.asarray(self.k_int, dtype=float)
+        if k_int.shape != (3,) or np.any(k_int < 0.0):
             raise InvalidParams("k_int must be three non-negative gains")
+        self.k_int = tuple(k_int.tolist())
 
 
 def position_accel(pos_error, vel_error, accel_ff, gains, integral=None):
     """Commanded acceleration: PD on position/velocity plus gravity and
     the acceleration feed-forward."""
-    kp, kv = gains.k_pos.tolist(), gains.k_vel.tolist()
+    kp, kv = gains.k_pos, gains.k_vel
     ep, ev, ff = pos_error, vel_error, accel_ff
     a = [kp[0] * ep[0] + kv[0] * ev[0] + ff[0],
          kp[1] * ep[1] + kv[1] * ev[1] + ff[1],
          kp[2] * ep[2] + kv[2] * ev[2] + GRAVITY + ff[2]]
     if integral is not None:
-        ki = gains.k_int.tolist()
+        ki = gains.k_int
         a = [a[0] + ki[0] * integral[0], a[1] + ki[1] * integral[1],
              a[2] + ki[2] * integral[2]]
-    return np.array(a)
-
-
-def _difference(a, b):
-    """a - b for two numpy 3-vectors, as a list of floats."""
-    ax, ay, az = a.tolist()
-    bx, by, bz = b.tolist()
-    return [ax - bx, ay - by, az - bz]
+    return a
 
 
 def _unit(v, error, message):
@@ -179,10 +166,10 @@ def attitude_error(desired, attitude, frame_rotation, omega, omega_desired):
 
 def attitude_accel(e_rot, e_omega, gains):
     """Commanded angular acceleration from the attitude errors."""
-    ka, kw = gains.k_att.tolist(), gains.k_omega.tolist()
-    return np.array([-ka[0] * e_rot[0] - kw[0] * e_omega[0],
-                     -ka[1] * e_rot[1] - kw[1] * e_omega[1],
-                     -ka[2] * e_rot[2] - kw[2] * e_omega[2]])
+    ka, kw = gains.k_att, gains.k_omega
+    return [-ka[0] * e_rot[0] - kw[0] * e_omega[0],
+            -ka[1] * e_rot[1] - kw[1] * e_omega[1],
+            -ka[2] * e_rot[2] - kw[2] * e_omega[2]]
 
 
 def wrench(accel, ang_accel, attitude_f, omega, mass, inertia):
@@ -214,7 +201,7 @@ class Controller:
         self.design_f = design_in_f_frame(structure.design_matrix, analysis.f_frame)
         self._alloc = np.linalg.pinv(analysis.dimensioning @ self.design_f)
         self._frame = analysis.f_frame.tolist()
-        self._integrating = bool(np.any(self.gains.k_int > 0.0))
+        self._integrating = any(k > 0.0 for k in self.gains.k_int)
         self._integral = [0.0, 0.0, 0.0]
 
     def reset(self):
@@ -230,22 +217,20 @@ class Controller:
 
     def step(self, state, setpoint, dt=None):
         """One control tick: rotor thrust commands before motor limits."""
-        e_pos = _difference(setpoint.position, state.position)
-        e_vel = _difference(setpoint.velocity, state.velocity)
+        e_pos = geometry.difference3(setpoint.position, state.position)
+        e_vel = geometry.difference3(setpoint.velocity, state.velocity)
         if dt is not None and self._integrating:
             limit = self.gains.integral_limit
             self._integral = [min(max(i + e * dt, -limit), limit)
                               for i, e in zip(self._integral, e_pos)]
-        accel = position_accel(e_pos, e_vel, setpoint.acceleration.tolist(),
-                               self.gains, integral=self._integral).tolist()
+        accel = position_accel(e_pos, e_vel, setpoint.acceleration, self.gains,
+                               integral=self._integral)
         desired = desired_attitude(self.analysis.controllable_dof, setpoint.attitude,
                                    accel).tolist()
-        attitude = state.attitude.tolist()
-        omega = state.angular_velocity.tolist()
-        e_rot, e_omega = attitude_error(desired, attitude, self._frame, omega,
-                                        setpoint.angular_velocity.tolist())
+        e_rot, e_omega = attitude_error(desired, state.attitude, self._frame,
+                                        state.angular_velocity, setpoint.angular_velocity)
         ang_accel = attitude_accel(e_rot.tolist(), e_omega.tolist(), self.gains)
-        attitude_f = geometry.matmul3(attitude, self._frame)
-        w = wrench(accel, ang_accel.tolist(), attitude_f, omega,
+        attitude_f = geometry.matmul3(state.attitude, self._frame)
+        w = wrench(accel, ang_accel, attitude_f, state.angular_velocity,
                    self.structure.mass, self.structure.inertia_floats[0])
         return self.allocate(w)

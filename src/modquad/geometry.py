@@ -1,12 +1,14 @@
 """Rotation-matrix utilities shared by every other module.
 
-Rotations cross module boundaries as plain 3x3 numpy arrays. The helpers
-accept any 3-vector or 3x3 nested sequence and do their arithmetic on
-Python floats: for a single small vector or matrix that is several times
-cheaper than numpy's per-call overhead. `cross3`, `matvec3` and `matmul3`
-return lists of floats for the closed-loop tick; the other helpers
-return rotations and vectors as numpy arrays. Helpers here are pure
-functions and never mutate their inputs.
+One rule holds across the package: the records of the closed-loop tick
+(setpoints and vehicle states) hold Python floats, and tables (rotor
+arrays, telemetry, analysis results) are numpy arrays. The helpers accept
+any 3-vector or 3x3 nested sequence and do their arithmetic on Python
+floats: for a single small vector or matrix that is several times cheaper
+than numpy's per-call overhead. `difference3`, `cross3`, `matvec3` and
+`matmul3` return lists of floats for the tick; the other helpers return
+rotations and vectors as numpy arrays. Helpers here are pure functions
+and never mutate their inputs.
 """
 
 import math
@@ -32,6 +34,13 @@ def hat(v):
         [z, 0.0, -x],
         [-y, x, 0.0],
     ])
+
+
+def difference3(a, b):
+    """a - b for two 3-vectors, as a list of floats."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return [ax - bx, ay - by, az - bz]
 
 
 def cross3(a, b):

@@ -7,8 +7,9 @@ rate, and is re-orthonormalized whenever floating-point drift exceeds
 ticks.
 
 A step does its 3-vector and 3x3 arithmetic on Python floats, which for
-one vehicle is several times cheaper than small numpy arrays; states
-enter and leave it as numpy arrays.
+one vehicle is several times cheaper than small numpy arrays. Tick records
+(states, setpoints) hold floats and tables (rotor arrays, the telemetry
+log) are numpy arrays; `run_scenario` reads the caller's state in once.
 
 State feedback is perfect: no sensors, no estimator, no noise. Each control
 tick appends one row to a preallocated `telemetry.Telemetry` log.
@@ -17,7 +18,7 @@ tick appends one row to a preallocated `telemetry.Telemetry` log.
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,33 +43,18 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class VehicleState:
-    """World position/velocity, attitude, and body angular velocity."""
+    """World position/velocity, attitude, and body angular velocity, as
+    3-lists of floats and the attitude as row-major nested lists."""
 
-    position: np.ndarray
-    velocity: np.ndarray
-    attitude: np.ndarray
-    angular_velocity: np.ndarray
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        self.attitude = np.asarray(self.attitude, dtype=float)
-        self.angular_velocity = np.asarray(self.angular_velocity, dtype=float)
-
-    def copy(self):
-        return VehicleState(
-            self.position.copy(),
-            self.velocity.copy(),
-            self.attitude.copy(),
-            self.angular_velocity.copy(),
-        )
+    position: list
+    velocity: list
+    attitude: list
+    angular_velocity: list
 
     @property
     def finite(self):
         return all(map(math.isfinite, itertools.chain(
-            self.position.tolist(), self.velocity.tolist(),
-            self.attitude.ravel().tolist(), self.angular_velocity.tolist(),
-        )))
+            self.position, self.velocity, *self.attitude, self.angular_velocity)))
 
 
 @dataclass
@@ -103,12 +89,10 @@ def accelerations(attitude, omega, force_body, torque_body, structure, gravity):
     inertia, inertia_inverse = structure.inertia_floats
     mass = structure.mass
     fx, fy, fz = geometry.matvec3(attitude, force_body)
-    wx, wy, wz = omega
-    hx, hy, hz = geometry.matvec3(inertia, omega)
+    gx, gy, gz = geometry.cross3(omega, geometry.matvec3(inertia, omega))
     tx, ty, tz = torque_body
     # torque minus the gyroscopic term omega x (J omega)
-    ang_accel = geometry.matvec3(inertia_inverse, (
-        tx - (wy * hz - wz * hy), ty - (wz * hx - wx * hz), tz - (wx * hy - wy * hx)))
+    ang_accel = geometry.matvec3(inertia_inverse, (tx - gx, ty - gy, tz - gz))
     return [fx / mass, fy / mass, fz / mass - gravity], ang_accel
 
 
@@ -121,9 +105,7 @@ def step(state, thrusts, structure, dt, gravity=GRAVITY):
     """
     wrench_body = (structure.design_matrix @ np.asarray(thrusts, dtype=float)).tolist()
     force, torque = wrench_body[:3], wrench_body[3:]
-    r0 = state.attitude.tolist()
-    v0 = state.velocity.tolist()
-    w0 = state.angular_velocity.tolist()
+    r0, v0, w0 = state.attitude, state.velocity, state.angular_velocity
     r_half = geometry.matmul3(r0, geometry.so3_exp(w0, dt / 2.0).tolist())
     r_full = geometry.matmul3(r0, geometry.so3_exp(w0, dt).tolist())
 
@@ -137,14 +119,14 @@ def step(state, thrusts, structure, dt, gravity=GRAVITY):
     v4, w4 = _advance(v0, dt, a3), _advance(w0, dt, b3)
     a4, b4 = accelerations(r_full, w4, force, torque, structure, gravity)
 
-    position = _advance(state.position.tolist(), dt, _rk4_mean(v0, v2, v3, v4))
+    position = _advance(state.position, dt, _rk4_mean(v0, v2, v3, v4))
     velocity = _advance(v0, dt, _rk4_mean(a1, a2, a3, a4))
     omega = _advance(w0, dt, _rk4_mean(b1, b2, b3, b4))
     omega_mid = [0.5 * (w0[0] + omega[0]), 0.5 * (w0[1] + omega[1]),
                  0.5 * (w0[2] + omega[2])]
     attitude = geometry.matmul3(r0, geometry.so3_exp(omega_mid, dt).tolist())
     if geometry.orthonormality_drift(attitude) > _ORTHO_DRIFT_TOL:
-        attitude = geometry.orthonormalize(attitude)
+        attitude = geometry.orthonormalize(attitude).tolist()
     return VehicleState(position, velocity, attitude, omega)
 
 
@@ -168,10 +150,7 @@ def initial_state_on_trajectory(trajectory, analysis):
     ctl_attitude = desired_attitude(analysis.controllable_dof, sp.attitude,
                                     GRAVITY * geometry.E3 + sp.acceleration)
     attitude = ctl_attitude @ analysis.f_frame.T
-    return VehicleState(
-        sp.position.copy(), sp.velocity.copy(), attitude,
-        np.asarray(sp.angular_velocity, dtype=float).copy(),
-    )
+    return VehicleState(sp.position, sp.velocity, attitude.tolist(), sp.angular_velocity)
 
 
 def run_scenario(structure, analysis, gains, trajectory, duration,
@@ -205,8 +184,11 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
     motor = motor if motor is not None else MotorModel()
 
     controller = Controller(structure, analysis, gains)
-    state = (initial_state.copy() if initial_state is not None
-             else initial_state_on_trajectory(trajectory, analysis))
+    if initial_state is None:
+        initial_state = initial_state_on_trajectory(trajectory, analysis)
+    # the caller's state may hold arrays; the loop runs on fresh float lists
+    state = VehicleState(*(np.asarray(getattr(initial_state, f.name), dtype=float).tolist()
+                           for f in fields(VehicleState)))
     telemetry = Telemetry(structure.n_rotors, n_ticks + 1)
     for tick in range(n_ticks + 1):
         t = tick * dt_ctrl
@@ -218,7 +200,7 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
             break
         for _ in range(substeps):
             state = step(state, u_actual, structure, dt_sim, gravity)
-        if not state.finite or math.hypot(*state.position.tolist()) > _DIVERGENCE_RADIUS:
+        if not state.finite or math.hypot(*state.position) > _DIVERGENCE_RADIUS:
             telemetry.diverged = True
             log.warning("diverged at t = %.3f s: %s", t + dt_ctrl,
                         f"left the {_DIVERGENCE_RADIUS:g} m radius" if state.finite

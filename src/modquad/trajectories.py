@@ -5,6 +5,8 @@ Every generator is a pure function of time returning a Setpoint whose
 velocity and acceleration are exact derivatives of the position. Its
 attitude is a full target rotation of the thrust frame; `make_trajectory`
 checks once that the structure's DOF can track what the target asks for.
+Each generator converts its own results once, so a Setpoint holds fresh
+Python floats and nothing of numpy's scalar types.
 """
 
 import math
@@ -21,13 +23,13 @@ TWO_PI = 2.0 * np.pi
 
 
 def _yaw_pitch_attitude(yaw, pitch):
-    """Rz(yaw) Ry(pitch), written out from `math` trig: its x-axis is the
-    heading (cos yaw cos pitch, sin yaw cos pitch, -sin pitch)."""
+    """Rz(yaw) Ry(pitch) as nested lists, written out from `math` trig: its
+    x-axis is the heading (cos yaw cos pitch, sin yaw cos pitch, -sin pitch)."""
     cos_y, sin_y = math.cos(yaw), math.sin(yaw)
     cos_p, sin_p = math.cos(pitch), math.sin(pitch)
-    return np.array([cos_y * cos_p, -sin_y, cos_y * sin_p,
-                     sin_y * cos_p, cos_y, sin_y * sin_p,
-                     -sin_p, 0.0, cos_p]).reshape(3, 3)
+    return [[cos_y * cos_p, -sin_y, cos_y * sin_p],
+            [sin_y * cos_p, cos_y, sin_y * sin_p],
+            [-sin_p, 0.0, cos_p]]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +175,8 @@ def rectangle(t, defn=RectangleDef()):
     start = corners[edge]
     pos, vel, acc = _rest_to_rest(start, corners[(edge + 1) % 4] - start,
                                   s - edge * edge_time, edge_time)
-    return Setpoint(pos, vel, acc, _yaw_pitch_attitude(defn.yaw_hold, defn.pitch_hold))
+    return Setpoint(pos.tolist(), vel.tolist(), acc.tolist(),
+                    _yaw_pitch_attitude(defn.yaw_hold, defn.pitch_hold))
 
 
 def _rest_to_rest(origin, delta, t, duration):
@@ -191,14 +194,15 @@ def attitude_sine(t, defn=AttitudeSineDef()):
     rate = TWO_PI / defn.period
     angle = defn.amplitude * np.sin(rate * t)
     angle_rate = defn.amplitude * rate * np.cos(rate * t)
-    attitude = geometry.rot_principal(defn.axis, angle)
-    omega = np.zeros(3)
-    omega["xyz".index(defn.axis)] = angle_rate
-    return Setpoint(defn.hover_point, np.zeros(3), np.zeros(3), attitude, omega)
+    attitude = geometry.rot_principal(defn.axis, angle).tolist()
+    omega = [0.0, 0.0, 0.0]
+    omega["xyz".index(defn.axis)] = float(angle_rate)
+    return Setpoint([float(x) for x in defn.hover_point], [0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0], attitude, omega)
 
 
 def hover(t, defn=HoverDef()):
-    return Setpoint(defn.point, np.zeros(3), np.zeros(3),
+    return Setpoint([float(x) for x in defn.point], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                     _yaw_pitch_attitude(defn.yaw, defn.pitch))
 
 
@@ -248,7 +252,8 @@ class QuinticChain:
         rotvec = values[3:]
         attitude = geometry.so3_exp(rotvec, 1.0)
         omega = _so3_right_jacobian(rotvec) @ rates[3:]
-        return Setpoint(values[:3], rates[:3], accelerations[:3], attitude, omega)
+        return Setpoint(values[:3].tolist(), rates[:3].tolist(),
+                        accelerations[:3].tolist(), attitude.tolist(), omega.tolist())
 
 
 # ---------------------------------------------------------------------------

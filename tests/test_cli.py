@@ -1,12 +1,15 @@
 import concurrent.futures
 import json
 import logging
+import pickle
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modquad import cli
+from modquad import cli, telemetry
+from modquad.errors import NonFiniteState
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -135,6 +138,45 @@ def test_simulate_multiple_configs_with_jobs(tmp_path):
     assert code == 0
     assert (outdir / "one.csv").exists()
     assert (outdir / "two.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_divergence_exits_4_with_partial_telemetry(tmp_path, capsys, monkeypatch,
+                                                            jobs):
+    # exp4's structure at its 0.912 N rotor limit, pitching 57 degrees every
+    # 2 s, far past its 35.26-degree static boundary: it falls out of the
+    # 100 m radius after about 5.5 simulated seconds
+    configs = [tmp_path / "one.cfg", tmp_path / "two.cfg"]
+    for path in configs:
+        write_hover_config(path, duration=10.0, physical="physical:\n  f_max_n: 0.912",
+                           trajectory="{kind: attitude_sine, axis: y, amplitude_rad: 1.0, "
+                                      "period_s: 2.0, hover_point_m: [0.0, 0.0, 0.5]}")
+    received = []
+    report = cli._report_sim_result
+
+    def recording_report(future, *job):
+        if future is not None:
+            received.append(future.exception())
+        return report(future, *job)
+
+    monkeypatch.setattr(cli, "_report_sim_result", recording_report)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    outdir = tmp_path / "runs"
+    code = cli.main(["simulate", *map(str, configs), "-o", str(outdir), "--jobs", jobs])
+    assert code == 4
+    err = capsys.readouterr().err
+    for path in configs:
+        t_end = float(re.search(re.escape(str(path)) + r": state diverged at t = ([0-9.]+) s",
+                                err).group(1))
+        # one row per tick reached: t = 0 up to the tick before the divergence
+        table = telemetry.read_csv(outdir / f"{path.stem}.csv")
+        assert len(table.t) == round(t_end / 0.002)
+        assert table.t[-1] == pytest.approx(t_end - 0.002)
+    # a pool worker sends the parent the message, not the preallocated log
+    assert len(received) == (2 if jobs == "2" else 0)
+    for exc in received:
+        assert isinstance(exc, NonFiniteState) and exc.telemetry is None
+        assert len(pickle.dumps(exc)) < 10_000
 
 
 def test_simulate_parses_each_config_once(tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import copy
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -238,6 +241,46 @@ def test_scenario_telemetry_is_deterministic():
     assert np.array_equal(tel_a.position, tel_b.position)
     assert np.array_equal(tel_a.u_actual, tel_b.u_actual)
     assert np.array_equal(tel_a.attitude, tel_b.attitude)
+
+
+def fly_from(state, tmp_path, name):
+    """CSV bytes of a 1 s hover flown from `state`."""
+    s = four_t_structure()
+    an = actuation.analyze_structure(s)
+    traj = trajectories.make_trajectory(trajectories.HoverDef(point=(0, 0, 0.5)), 6)
+    write_csv(simulation.run_scenario(s, an, tuned_gains(), traj, 1.0,
+                                      initial_state=state), tmp_path / name)
+    return (tmp_path / name).read_bytes()
+
+
+OFFSET_START = ([0.01, -0.02, 0.48], [0.1, 0.0, -0.05],
+                geometry.rot_principal("x", 0.05).tolist(), [0.0, 0.2, -0.1])
+
+
+def test_initial_state_arrays_and_lists_log_alike(tmp_path, monkeypatch):
+    stepped = []
+    step = simulation.step
+    monkeypatch.setattr(simulation, "step",
+                        lambda state, *args: stepped.append(state) or step(state, *args))
+    from_lists = fly_from(VehicleState(*OFFSET_START), tmp_path, "lists.csv")
+    stepped.clear()
+    from_arrays = fly_from(VehicleState(*map(np.array, OFFSET_START)), tmp_path, "arrays.csv")
+    assert from_lists == from_arrays
+    # the arrays were read in once: the loop starts from Python floats
+    first = stepped[0]
+    assert all(type(x) is float for x in itertools.chain(
+        first.position, first.velocity, first.angular_velocity, *first.attitude))
+
+
+@pytest.mark.parametrize("as_arrays", [False, True])
+def test_run_leaves_initial_state_unchanged(tmp_path, as_arrays):
+    start = VehicleState(*(map(np.array, OFFSET_START) if as_arrays
+                           else copy.deepcopy(OFFSET_START)))
+    kept = copy.deepcopy(start)
+    fly_from(start, tmp_path, "run.csv")
+    for name in ("position", "velocity", "attitude", "angular_velocity"):
+        assert np.array_equal(getattr(start, name), getattr(kept, name)), name
+        assert type(getattr(start, name)) is type(getattr(kept, name)), name
 
 
 def test_scenario_rejects_oversized_sim_step():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -66,8 +68,8 @@ def test_rectangle_holds_pitch_everywhere():
 
 def test_rectangle_periodic():
     defn = RectangleDef()
-    start = trajectories.rectangle(0.0, defn).position
-    end = trajectories.rectangle(defn.lap_time, defn).position
+    start = np.asarray(trajectories.rectangle(0.0, defn).position)
+    end = np.asarray(trajectories.rectangle(defn.lap_time, defn).position)
     assert np.max(np.abs(end - start)) < 1e-9
 
 
@@ -179,8 +181,9 @@ def test_derivatives_consistent_with_finite_differences(factory):
     h = 1e-4
     for t in np.linspace(0.2, 5.0, 7):
         before, at, after = factory(t - h), factory(t), factory(t + h)
-        vel_fd = (after.position - before.position) / (2 * h)
-        acc_fd = (after.position - 2 * at.position + before.position) / h**2
+        vel_fd = (np.asarray(after.position) - before.position) / (2 * h)
+        acc_fd = (np.asarray(after.position) - 2 * np.asarray(at.position)
+                  + before.position) / h**2
         scale_v = max(1.0, np.linalg.norm(at.velocity))
         scale_a = max(1.0, np.linalg.norm(at.acceleration))
         assert np.linalg.norm(vel_fd - at.velocity) / scale_v < 1e-4
@@ -191,11 +194,28 @@ def test_attitude_sine_rate_consistent_with_finite_differences():
     defn = AttitudeSineDef()
     h = 1e-5
     for t in (3.0, 20.0, 40.0):
-        r0 = trajectories.attitude_sine(t - h, defn).attitude
-        r1 = trajectories.attitude_sine(t + h, defn).attitude
+        r0 = np.asarray(trajectories.attitude_sine(t - h, defn).attitude)
+        r1 = np.asarray(trajectories.attitude_sine(t + h, defn).attitude)
         sp = trajectories.attitude_sine(t, defn)
-        omega_fd = geometry.vee(sp.attitude.T @ ((r1 - r0) / (2 * h)))
+        omega_fd = geometry.vee(np.asarray(sp.attitude).T @ ((r1 - r0) / (2 * h)))
         assert np.allclose(omega_fd, sp.angular_velocity, atol=1e-6)
+
+
+@pytest.mark.parametrize("generator", [
+    lambda t: trajectories.helix(t, HelixDef()),
+    lambda t: trajectories.rectangle(t, RectangleDef(pitch_hold=0.1)),
+    lambda t: trajectories.attitude_sine(t, AttitudeSineDef()),
+    lambda t: trajectories.hover(t, HoverDef(point=(0, 0, 1), yaw=0.3)),
+    lambda t: trajectories.QuinticChain(chain_def())(t),
+])
+def test_setpoints_hold_python_floats(generator):
+    # an np.float64 here would slow every tick's float arithmetic
+    for t in (0.0, 1.3, 7.9, 100.0):
+        sp = generator(t)
+        scalars = [*sp.position, *sp.velocity, *sp.acceleration, *sp.angular_velocity,
+                   *itertools.chain.from_iterable(sp.attitude)]
+        assert len(scalars) == 21 and len(sp.attitude) == 3
+        assert all(type(x) is float for x in scalars)
 
 
 def test_make_trajectory_mode_checks():

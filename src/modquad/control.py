@@ -40,12 +40,13 @@ class Setpoint:
     angular_velocity: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
 
-def _positive_diag(values, name):
+def _diag_gains(values, name, zero_ok=False):
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 2:
+    if arr.ndim == 2 and np.array_equal(arr, np.diag(np.diag(arr))):
         arr = np.diag(arr)
-    if arr.shape != (3,) or np.any(arr <= 0.0):
-        raise InvalidParams(f"{name} must be three positive gains")
+    if arr.shape != (3,) or not np.all(np.isfinite(arr) & (arr >= 0.0 if zero_ok else arr > 0.0)):
+        kind = "non-negative" if zero_ok else "positive"
+        raise InvalidParams(f"{name} must be three finite {kind} gains")
     return tuple(arr.tolist())
 
 
@@ -55,7 +56,8 @@ class ControllerGains:
 
     k_int defaults to zero; enabling it adds an integral correction on
     position with the accumulator clamped to +-integral_limit (m*s).
-    Each gain is checked once and kept as a tuple of three floats.
+    Each gain, three finite floats or a diagonal matrix of them, is
+    checked once and kept as a tuple of three floats.
     Field metadata is the config schema, as for the trajectory definitions.
     """
 
@@ -67,12 +69,10 @@ class ControllerGains:
     integral_limit: float = field(default=2.0, metadata={"positive": True})
 
     def __post_init__(self):
-        for name in ("k_pos", "k_vel", "k_att", "k_omega"):
-            setattr(self, name, _positive_diag(getattr(self, name), name))
-        k_int = np.asarray(self.k_int, dtype=float)
-        if k_int.shape != (3,) or np.any(k_int < 0.0):
-            raise InvalidParams("k_int must be three non-negative gains")
-        self.k_int = tuple(k_int.tolist())
+        for name in ("k_pos", "k_vel", "k_att", "k_omega", "k_int"):
+            setattr(self, name, _diag_gains(getattr(self, name), name, zero_ok=name == "k_int"))
+        if not 0.0 < self.integral_limit < math.inf:
+            raise InvalidParams("integral_limit must be finite and positive")
 
 
 def position_accel(pos_error, vel_error, accel_ff, gains, integral=None):
@@ -101,8 +101,8 @@ def _unit(v, error, message):
 
 
 def _columns(x, y, z):
-    """3x3 array whose columns are the 3-vectors x, y and z."""
-    return np.array([[x[0], y[0], z[0]], [x[1], y[1], z[1]], [x[2], y[2], z[2]]])
+    """3x3 matrix, as nested lists, whose columns are the 3-vectors x, y and z."""
+    return [[x[0], y[0], z[0]], [x[1], y[1], z[1]], [x[2], y[2], z[2]]]
 
 
 def desired_attitude_4dof(accel, heading):
@@ -135,15 +135,14 @@ def desired_attitude(dof, target, accel):
     target attitude `target` and the commanded acceleration `accel`: the
     target itself in 6 DOF, else built by `desired_attitude_5dof` or
     `desired_attitude_4dof` from the target's x-axis."""
-    target = np.asarray(target, dtype=float)
     if dof == 6:
         return target
-    x = target[:, 0].tolist()
+    x = [row[0] for row in target]
     return desired_attitude_5dof(accel, x) if dof == 5 else desired_attitude_4dof(accel, x)
 
 
 def attitude_error(desired, attitude, frame_rotation, omega, omega_desired):
-    """Rotation and rate errors of the thrust frame.
+    """Rotation and rate errors of the thrust frame, as two 3-lists.
 
     `attitude` is the structure attitude in the world, `frame_rotation`
     the fixed structure-to-thrust-frame rotation; the tracked attitude is
@@ -153,15 +152,15 @@ def attitude_error(desired, attitude, frame_rotation, omega, omega_desired):
     # m = desired^T r_wf, so m^T = r_wf^T desired
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = geometry.matmul3(
         zip(*desired), r_wf)
-    e_rot = 0.5 * vee([[m00 - m00, m01 - m10, m02 - m20],
-                       [m10 - m01, m11 - m11, m12 - m21],
-                       [m20 - m02, m21 - m12, m22 - m22]])
+    rx, ry, rz = vee([[m00 - m00, m01 - m10, m02 - m20],
+                      [m10 - m01, m11 - m11, m12 - m21],
+                      [m20 - m02, m21 - m12, m22 - m22]])
     ox, oy, oz = omega
     wx, wy, wz = omega_desired
-    e_omega = np.array([ox - (m00 * wx + m10 * wy + m20 * wz),
-                        oy - (m01 * wx + m11 * wy + m21 * wz),
-                        oz - (m02 * wx + m12 * wy + m22 * wz)])
-    return e_rot, e_omega
+    e_omega = [ox - (m00 * wx + m10 * wy + m20 * wz),
+               oy - (m01 * wx + m11 * wy + m21 * wz),
+               oz - (m02 * wx + m12 * wy + m22 * wz)]
+    return [0.5 * rx, 0.5 * ry, 0.5 * rz], e_omega
 
 
 def attitude_accel(e_rot, e_omega, gains):
@@ -225,11 +224,10 @@ class Controller:
                               for i, e in zip(self._integral, e_pos)]
         accel = position_accel(e_pos, e_vel, setpoint.acceleration, self.gains,
                                integral=self._integral)
-        desired = desired_attitude(self.analysis.controllable_dof, setpoint.attitude,
-                                   accel).tolist()
+        desired = desired_attitude(self.analysis.controllable_dof, setpoint.attitude, accel)
         e_rot, e_omega = attitude_error(desired, state.attitude, self._frame,
                                         state.angular_velocity, setpoint.angular_velocity)
-        ang_accel = attitude_accel(e_rot.tolist(), e_omega.tolist(), self.gains)
+        ang_accel = attitude_accel(e_rot, e_omega, self.gains)
         attitude_f = geometry.matmul3(state.attitude, self._frame)
         w = wrench(accel, ang_accel, attitude_f, state.angular_velocity,
                    self.structure.mass, self.structure.inertia_floats[0])

@@ -5,10 +5,10 @@ One rule holds across the package: the records of the closed-loop tick
 arrays, telemetry, analysis results) are numpy arrays. The helpers accept
 any 3-vector or 3x3 nested sequence and do their arithmetic on Python
 floats: for a single small vector or matrix that is several times cheaper
-than numpy's per-call overhead. `difference3`, `cross3`, `matvec3` and
-`matmul3` return lists of floats for the tick; the other helpers return
-rotations and vectors as numpy arrays. Helpers here are pure functions
-and never mutate their inputs.
+than numpy's per-call overhead. The tick's helpers (`difference3`, `cross3`,
+`matvec3`, `matmul3`, `vee`, `so3_exp`, `orthonormalize`) return floats,
+matrices as row-major nested lists; `hat`, `rodrigues`, `rot_principal` and
+`yaw_pitch` return numpy arrays. Helpers never mutate their inputs.
 """
 
 import math
@@ -84,7 +84,7 @@ def vee(s):
                          + 2.0 * ((b + d) ** 2 + (c + g) ** 2 + (f + h) ** 2))
     if residual >= _SKEW_TOL:
         raise NotSkewSymmetric(f"residual {residual:.3e}")
-    return np.array([0.5 * (h - f), 0.5 * (c - g), 0.5 * (d - b)])
+    return [0.5 * (h - f), 0.5 * (c - g), 0.5 * (d - b)]
 
 
 def rodrigues(axis, angle):
@@ -96,19 +96,19 @@ def rodrigues(axis, angle):
     norm = math.hypot(x, y, z)
     if abs(norm - 1.0) > _UNIT_TOL:
         raise NonUnitAxis(f"|axis| = {norm:.12f}")
-    return _rodrigues(x, y, z, angle)
+    return np.array(_rodrigues(x, y, z, angle))
 
 
 def _rodrigues(x, y, z, angle):
     """Rodrigues' formula for the unit axis (x, y, z), with hat(axis)^2
-    written out entry by entry."""
+    written out entry by entry, as nested lists."""
     s, c = math.sin(angle), 1.0 - math.cos(angle)
     xy, xz, yz = c * x * y, c * x * z, c * y * z
-    return np.array([
+    return [
         [1.0 - c * (y * y + z * z), xy - s * z, xz + s * y],
         [xy + s * z, 1.0 - c * (x * x + z * z), yz - s * x],
         [xz - s * y, yz + s * x, 1.0 - c * (x * x + y * y)],
-    ])
+    ]
 
 
 def rot_principal(axis_id, angle):
@@ -124,7 +124,7 @@ def rot_principal(axis_id, angle):
 
 
 def so3_exp(omega, dt):
-    """Rotation reached after spinning at body rate `omega` for `dt` seconds.
+    """Rotation, as nested lists, reached by spinning at body rate `omega` for `dt` s.
 
     Returns the identity below an angle of 1e-12 rad, which avoids the
     division by zero with error far under machine precision.
@@ -133,7 +133,7 @@ def so3_exp(omega, dt):
     speed = math.hypot(x, y, z)
     angle = speed * dt
     if abs(angle) < _EXP_ANGLE_FLOOR:
-        return np.eye(3)
+        return [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     return _rodrigues(x / speed, y / speed, z / speed, angle)
 
 
@@ -152,14 +152,14 @@ def orthonormality_drift(r):
 
 
 def orthonormalize(r):
-    """Nearest rotation matrix in the Frobenius sense (polar projection)."""
+    """Nearest rotation matrix (Frobenius polar projection), as nested lists."""
     u, _, vt = np.linalg.svd(np.asarray(r, dtype=float))
     out = u @ vt
     if np.linalg.det(out) < 0.0:
         u = u.copy()
         u[:, -1] = -u[:, -1]
         out = u @ vt
-    return out
+    return out.tolist()
 
 
 def yaw_pitch(r):

@@ -64,8 +64,8 @@ class MotorModel:
     f_max: float = DEFAULT_F_MAX
 
     def __post_init__(self):
-        if self.f_max <= 0.0:
-            raise InvalidParams("f_max must be positive")
+        if not 0.0 < self.f_max < math.inf:
+            raise InvalidParams("f_max must be finite and positive")
 
 
 def motor_apply(commands, model):
@@ -86,47 +86,52 @@ def accelerations(attitude, omega, force_body, torque_body, structure, gravity):
     Takes 3-vectors and the 3x3 attitude as any nested sequences and
     returns two lists of floats.
     """
+    (fx, fy, fz), mass = geometry.matvec3(attitude, force_body), structure.mass
+    return ([fx / mass, fy / mass, fz / mass - gravity],
+            angular_acceleration(omega, torque_body, structure))
+
+
+def angular_acceleration(omega, torque_body, structure):
+    """The angular part of `accelerations`, which needs no attitude."""
     inertia, inertia_inverse = structure.inertia_floats
-    mass = structure.mass
-    fx, fy, fz = geometry.matvec3(attitude, force_body)
     gx, gy, gz = geometry.cross3(omega, geometry.matvec3(inertia, omega))
     tx, ty, tz = torque_body
     # torque minus the gyroscopic term omega x (J omega)
-    ang_accel = geometry.matvec3(inertia_inverse, (tx - gx, ty - gy, tz - gz))
-    return [fx / mass, fy / mass, fz / mass - gravity], ang_accel
+    return geometry.matvec3(inertia_inverse, (tx - gx, ty - gy, tz - gz))
 
 
-def step(state, thrusts, structure, dt, gravity=GRAVITY):
-    """One RK4 step with held thrusts.
+def step(state, wrench_body, structure, dt, gravity=GRAVITY):
+    """One RK4 step under the body wrench (force, then torque) of the
+    thrusts held over the control tick, `design_matrix @ thrusts`.
 
     The attitude used inside the stages advances by first-order rotation
     from the start-of-step rates; the final attitude applies the midpoint
     body rate over the full step.
     """
-    wrench_body = (structure.design_matrix @ np.asarray(thrusts, dtype=float)).tolist()
     force, torque = wrench_body[:3], wrench_body[3:]
     r0, v0, w0 = state.attitude, state.velocity, state.angular_velocity
-    r_half = geometry.matmul3(r0, geometry.so3_exp(w0, dt / 2.0).tolist())
-    r_full = geometry.matmul3(r0, geometry.so3_exp(w0, dt).tolist())
+    r_half = geometry.matmul3(r0, geometry.so3_exp(w0, dt / 2.0))
+    r_full = geometry.matmul3(r0, geometry.so3_exp(w0, dt))
 
     # stage i evaluates at velocity v_i and body rate w_i; a_i, b_i are
-    # the linear and angular accelerations there
+    # the linear and angular accelerations there. Stage 3 shares stage 2's
+    # attitude and force, so its linear acceleration is a2.
     a1, b1 = accelerations(r0, w0, force, torque, structure, gravity)
     v2, w2 = _advance(v0, dt / 2, a1), _advance(w0, dt / 2, b1)
     a2, b2 = accelerations(r_half, w2, force, torque, structure, gravity)
     v3, w3 = _advance(v0, dt / 2, a2), _advance(w0, dt / 2, b2)
-    a3, b3 = accelerations(r_half, w3, force, torque, structure, gravity)
-    v4, w4 = _advance(v0, dt, a3), _advance(w0, dt, b3)
+    b3 = angular_acceleration(w3, torque, structure)
+    v4, w4 = _advance(v0, dt, a2), _advance(w0, dt, b3)
     a4, b4 = accelerations(r_full, w4, force, torque, structure, gravity)
 
     position = _advance(state.position, dt, _rk4_mean(v0, v2, v3, v4))
-    velocity = _advance(v0, dt, _rk4_mean(a1, a2, a3, a4))
+    velocity = _advance(v0, dt, _rk4_mean(a1, a2, a2, a4))
     omega = _advance(w0, dt, _rk4_mean(b1, b2, b3, b4))
     omega_mid = [0.5 * (w0[0] + omega[0]), 0.5 * (w0[1] + omega[1]),
                  0.5 * (w0[2] + omega[2])]
-    attitude = geometry.matmul3(r0, geometry.so3_exp(omega_mid, dt).tolist())
+    attitude = geometry.matmul3(r0, geometry.so3_exp(omega_mid, dt))
     if geometry.orthonormality_drift(attitude) > _ORTHO_DRIFT_TOL:
-        attitude = geometry.orthonormalize(attitude).tolist()
+        attitude = geometry.orthonormalize(attitude)
     return VehicleState(position, velocity, attitude, omega)
 
 
@@ -198,8 +203,9 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
         telemetry.append(t, state, sp, u_cmd, u_actual, saturated)
         if tick == n_ticks:
             break
+        wrench_body = (structure.design_matrix @ u_actual).tolist()
         for _ in range(substeps):
-            state = step(state, u_actual, structure, dt_sim, gravity)
+            state = step(state, wrench_body, structure, dt_sim, gravity)
         if not state.finite or math.hypot(*state.position) > _DIVERGENCE_RADIUS:
             telemetry.diverged = True
             log.warning("diverged at t = %.3f s: %s", t + dt_ctrl,

@@ -9,6 +9,7 @@ Each generator converts its own results once, so a Setpoint holds fresh
 Python floats and nothing of numpy's scalar types.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -93,7 +94,7 @@ class AttitudeSineDef:
 @dataclass(frozen=True)
 class Waypoint:
     position: tuple[float, float, float] = field(metadata={"unit": "m"})
-    # axis-angle vector w.r.t. the start
+    # axis-angle vector of the target attitude in the world
     rotation: tuple = field(default=(0.0, 0.0, 0.0), metadata={"unit": "rad"})
 
 
@@ -165,28 +166,26 @@ def rectangle(t, defn=RectangleDef()):
     the lap is periodic and corner velocities vanish.
     """
     half_l, half_w, z = defn.length / 2.0, defn.width / 2.0, defn.height
-    corners = np.array([
-        [-half_l, -half_w, z], [half_l, -half_w, z],
-        [half_l, half_w, z], [-half_l, half_w, z],
-    ])
+    corners = [[-half_l, -half_w, z], [half_l, -half_w, z],
+               [half_l, half_w, z], [-half_l, half_w, z]]
     edge_time = defn.lap_time / 4.0
-    s = np.fmod(t, defn.lap_time)
+    s = math.fmod(t, defn.lap_time)
     edge = min(int(s // edge_time), 3)
     start = corners[edge]
-    pos, vel, acc = _rest_to_rest(start, corners[(edge + 1) % 4] - start,
+    pos, vel, acc = _rest_to_rest(start, geometry.difference3(corners[(edge + 1) % 4], start),
                                   s - edge * edge_time, edge_time)
-    return Setpoint(pos.tolist(), vel.tolist(), acc.tolist(),
-                    _yaw_pitch_attitude(defn.yaw_hold, defn.pitch_hold))
+    return Setpoint(pos, vel, acc, _yaw_pitch_attitude(defn.yaw_hold, defn.pitch_hold))
 
 
 def _rest_to_rest(origin, delta, t, duration):
-    """Value, rate and acceleration at t of the move from `origin` by `delta`
-    along the minimum-jerk quintic 10 tau^3 - 15 tau^4 + 6 tau^5, tau = t / duration."""
+    """Value, rate and acceleration at t (lists of floats) of the move from `origin` by
+    `delta` along the minimum-jerk quintic 10 tau^3 - 15 tau^4 + 6 tau^5, tau = t / duration."""
     tau = min(max(t / duration, 0.0), 1.0)
     s = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
     ds = (30 * tau**2 - 60 * tau**3 + 30 * tau**4) / duration
     dds = (60 * tau - 180 * tau**2 + 120 * tau**3) / duration**2
-    return origin + s * delta, ds * delta, dds * delta
+    return ([o + s * d for o, d in zip(origin, delta)], [ds * d for d in delta],
+            [dds * d for d in delta])
 
 
 def attitude_sine(t, defn=AttitudeSineDef()):
@@ -210,50 +209,46 @@ def hover(t, defn=HoverDef()):
 # quintic segments
 
 
-def _so3_right_jacobian(phi):
-    """Maps the derivative of an axis-angle vector to the body rate."""
-    phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
-    p = geometry.hat(phi)
+def _body_rate(phi, phi_rate):
+    """Body rate of exp(phi) for the rate `phi_rate` of the axis-angle vector phi:
+    the right Jacobian J(phi) phi_rate = phi_rate - a phi x phi_rate + b phi x (phi x phi_rate)."""
+    angle = math.hypot(*phi)
+    c = geometry.cross3(phi, phi_rate)
     if angle < 1e-8:
-        return np.eye(3) - 0.5 * p
-    return (
-        np.eye(3)
-        - ((1.0 - np.cos(angle)) / angle**2) * p
-        + ((angle - np.sin(angle)) / angle**3) * (p @ p)
-    )
+        return [r - 0.5 * x for r, x in zip(phi_rate, c)]
+    a = (1.0 - math.cos(angle)) / angle**2
+    b = (angle - math.sin(angle)) / angle**3
+    cc = geometry.cross3(phi, c)
+    return [r - a * x + b * y for r, x, y in zip(phi_rate, c, cc)]
 
 
 class QuinticChain:
     """Rest-to-rest quintic segments through position/attitude waypoints,
     each a `_rest_to_rest` move like a rectangle edge.
 
-    Attitude interpolates the axis-angle vector of the desired attitude
-    relative to the start; adequate for the small excursions flown here.
-    Only a 6-DOF structure tracks it.
+    Attitude is `exp` of the interpolated axis-angle vector of the
+    waypoints' absolute rotations; adequate for the small excursions flown
+    here. Only a 6-DOF structure tracks it.
     """
 
     def __init__(self, defn):
-        self.starts = np.concatenate([[0.0], np.cumsum(defn.durations)])
-        # per segment: duration, origin and delta of (position, rotation vector)
-        self.segments = []
+        # start times; per segment: duration, origin and delta of (position, rotation vector)
+        self.starts, self.segments = [0.0], []
         for a, b, duration in zip(defn.waypoints, defn.waypoints[1:], defn.durations):
-            origin = np.array([*a.position, *a.rotation], dtype=float)
-            delta = np.array([*b.position, *b.rotation], dtype=float) - origin
+            origin = [float(x) for x in (*a.position, *a.rotation)]
+            delta = [float(x) - o for x, o in zip((*b.position, *b.rotation), origin)]
             self.segments.append((duration, origin, delta))
+            self.starts.append(self.starts[-1] + float(duration))
 
     def __call__(self, t):
         t = min(max(t, 0.0), self.starts[-1])
-        index = min(np.searchsorted(self.starts, t, side="right") - 1,
-                    len(self.segments) - 1)
+        index = min(bisect.bisect_right(self.starts, t) - 1, len(self.segments) - 1)
         duration, origin, delta = self.segments[index]
         values, rates, accelerations = _rest_to_rest(
             origin, delta, t - self.starts[index], duration)
         rotvec = values[3:]
-        attitude = geometry.so3_exp(rotvec, 1.0)
-        omega = _so3_right_jacobian(rotvec) @ rates[3:]
-        return Setpoint(values[:3].tolist(), rates[:3].tolist(),
-                        accelerations[:3].tolist(), attitude.tolist(), omega.tolist())
+        return Setpoint(values[:3], rates[:3], accelerations[:3],
+                        geometry.so3_exp(rotvec, 1.0), _body_rate(rotvec, rates[3:]))
 
 
 # ---------------------------------------------------------------------------

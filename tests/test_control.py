@@ -32,6 +32,24 @@ def test_gains_must_be_positive():
         ControllerGains(k_pos=[1.0, -1.0, 1.0])
 
 
+@pytest.mark.parametrize("overrides", [
+    {"k_pos": [1.0, np.nan, 1.0]}, {"k_vel": [np.inf, 1.0, 1.0]},
+    {"k_att": [1.0, 1.0, np.nan]}, {"k_omega": [1.0, np.inf, 1.0]},
+    {"k_int": [np.nan, 0.0, 0.0]}, {"k_int": [0.0, np.inf, 0.0]},
+    {"integral_limit": -1.0}, {"integral_limit": 0.0},
+    {"integral_limit": np.nan}, {"integral_limit": np.inf},
+    {"k_att": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+])
+def test_gains_reject_non_finite_non_positive_and_non_diagonal_values(overrides):
+    with pytest.raises(InvalidParams):
+        ControllerGains(**overrides)
+
+
+def test_gains_accept_diagonal_matrices():
+    gains = ControllerGains(k_att=np.diag([1.0, 2.0, 3.0]), k_int=np.zeros((3, 3)))
+    assert gains.k_att == (1.0, 2.0, 3.0) and gains.k_int == (0.0, 0.0, 0.0)
+
+
 def test_position_accel_hover():
     a = control.position_accel(np.zeros(3), np.zeros(3), np.zeros(3), unit_gains())
     assert np.allclose(a, [0.0, 0.0, G])
@@ -58,7 +76,7 @@ def test_desired_attitude_4dof_yawed():
 
 
 def test_desired_attitude_4dof_tilted():
-    r = control.desired_attitude_4dof([1.0, 0.0, 1.0], heading(0.0))
+    r = np.asarray(control.desired_attitude_4dof([1.0, 0.0, 1.0], heading(0.0)))
     s = np.sqrt(2) / 2
     assert np.allclose(r[:, 2], [s, 0.0, s])
     assert np.allclose(r[:, 1], [0.0, 1.0, 0.0])
@@ -71,7 +89,7 @@ def test_desired_attitude_4dof_z_along_accel():
         accel = rng.normal(size=3)
         accel[2] = abs(accel[2]) + 1.0
         yaw = rng.uniform(-np.pi, np.pi)
-        r = control.desired_attitude_4dof(accel, heading(yaw))
+        r = np.asarray(control.desired_attitude_4dof(accel, heading(yaw)))
         assert geometry.is_rotation(r)
         assert np.allclose(r[:, 2], accel / np.linalg.norm(accel))
 
@@ -89,7 +107,7 @@ def test_desired_attitude_5dof_identity():
 
 def test_desired_attitude_5dof_pitch_target():
     pitch = np.radians(-5.0)
-    r = control.desired_attitude_5dof([0, 0, G], heading(0.0, pitch))
+    r = np.asarray(control.desired_attitude_5dof([0, 0, G], heading(0.0, pitch)))
     c, s = np.cos(np.radians(5.0)), np.sin(np.radians(5.0))
     assert np.allclose(r[:, 0], [c, 0.0, s])
     assert np.allclose(r[:, 1], [0.0, 1.0, 0.0])
@@ -109,7 +127,7 @@ def test_desired_attitude_5dof_x_tracks_targets_exactly():
         yaw = rng.uniform(-np.pi, np.pi)
         pitch = rng.uniform(-1.0, 1.0)
         target = geometry.rot_principal("z", yaw) @ geometry.rot_principal("y", pitch)
-        r = control.desired_attitude(5, target, accel)
+        r = np.asarray(control.desired_attitude(5, target, accel))
         assert geometry.is_rotation(r)
         expected_x = (
             geometry.rot_principal("z", yaw)
@@ -133,10 +151,10 @@ def test_desired_attitude_keeps_what_each_dof_tracks(axis, angle, thrust, magnit
     x_target = target[:, 0]
     assume(np.linalg.norm(np.cross(thrust, x_target)) > 1e-3)
     assert np.array_equal(control.desired_attitude(6, target, accel), target)
-    r5 = control.desired_attitude(5, target, accel)
+    r5 = np.asarray(control.desired_attitude(5, target, accel))
     assert geometry.is_rotation(r5)
     assert np.max(np.abs(r5[:, 0] - x_target)) < 1e-12
-    r4 = control.desired_attitude(4, target, accel)
+    r4 = np.asarray(control.desired_attitude(4, target, accel))
     assert geometry.is_rotation(r4)
     assert np.allclose(r4[:, 2], thrust, atol=1e-12)
     # x lies in the plane of the heading and z, on the heading's side
@@ -173,7 +191,7 @@ def test_attitude_error_antisymmetric():
         r2 = geometry.rodrigues(axis2, rng.uniform(-1, 1))
         fwd, _ = control.attitude_error(r1, r2, np.eye(3), np.zeros(3), np.zeros(3))
         rev, _ = control.attitude_error(r2, r1, np.eye(3), np.zeros(3), np.zeros(3))
-        assert np.allclose(fwd, -rev, atol=1e-12)
+        assert np.allclose(fwd, -np.asarray(rev), atol=1e-12)
 
 
 def test_attitude_accel_terms():

@@ -142,4 +142,4 @@ def test_orthonormalize_recovers_rotation():
 def test_so3_exp_negative_rate_inverts():
     forward = geometry.so3_exp([0.3, -0.1, 0.5], 0.2)
     backward = geometry.so3_exp([-0.3, 0.1, -0.5], 0.2)
-    assert np.allclose(forward @ backward, np.eye(3), atol=1e-12)
+    assert np.allclose(np.asarray(forward) @ backward, np.eye(3), atol=1e-12)

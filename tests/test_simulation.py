@@ -68,6 +68,12 @@ def test_pure_z_torque_derivative():
     assert np.allclose(ang, [0.0, 0.0, tau_z / s.inertia[2, 2]])
 
 
+@pytest.mark.parametrize("f_max", [np.nan, np.inf, 0.0, -1.0])
+def test_motor_model_rejects_non_finite_and_non_positive_limits(f_max):
+    with pytest.raises(InvalidParams):
+        MotorModel(f_max=f_max)
+
+
 def test_motor_apply_clamps_negative():
     actual, sat = simulation.motor_apply([-0.1, 0.3], MotorModel(f_max=0.645))
     assert np.allclose(actual, [0.0, 0.3])
@@ -90,7 +96,7 @@ def test_free_fall_one_second():
     s = vertical_quad()
     state = rest_state()
     for _ in range(1000):
-        state = simulation.step(state, np.zeros(4), s, 0.001)
+        state = simulation.step(state, s.design_matrix @ np.zeros(4), s, 0.001)
     assert state.position[2] == pytest.approx(-0.5 * G, abs=1e-6)
     assert np.allclose(state.attitude, np.eye(3))
 
@@ -99,7 +105,7 @@ def test_hover_state_fixed_point():
     s = vertical_quad()
     u = np.full(4, s.mass * G / 4)
     state = rest_state()
-    after = simulation.step(state, u, s, 0.001)
+    after = simulation.step(state, s.design_matrix @ u, s, 0.001)
     assert np.linalg.norm(after.position - state.position) < 1e-9
     assert np.linalg.norm(after.velocity - state.velocity) < 1e-9
     assert np.linalg.norm(after.attitude - state.attitude) < 1e-9
@@ -111,7 +117,7 @@ def test_principal_axis_spin_up_matches_closed_form():
     tau_z = s.design_matrix[5] @ u
     state = rest_state()
     for _ in range(1000):
-        state = simulation.step(state, u, s, 0.001)
+        state = simulation.step(state, s.design_matrix @ u, s, 0.001)
     assert state.angular_velocity[2] == pytest.approx(
         tau_z / s.inertia[2, 2], abs=1e-6
     )
@@ -123,7 +129,7 @@ def test_torque_free_tumble_conserves_angular_momentum_norm():
                          np.array([0.4, -0.2, 0.9]))
     h0 = np.linalg.norm(s.inertia @ state.angular_velocity)
     for _ in range(10000):
-        state = simulation.step(state, np.zeros(16), s, 0.001)
+        state = simulation.step(state, s.design_matrix @ np.zeros(16), s, 0.001)
     h1 = np.linalg.norm(s.inertia @ state.angular_velocity)
     assert abs(h1 - h0) / h0 < 1e-6
 
@@ -133,7 +139,7 @@ def test_attitude_stays_on_rotation_group():
     state = VehicleState(np.zeros(3), np.zeros(3), np.eye(3),
                          np.array([0.5, 0.3, 0.8]))
     for k in range(20000):
-        state = simulation.step(state, np.zeros(4), s, 0.001)
+        state = simulation.step(state, s.design_matrix @ np.zeros(4), s, 0.001)
         if k % 2000 == 0:
             assert geometry.orthonormality_drift(state.attitude) < 1e-9
     assert geometry.orthonormality_drift(state.attitude) < 1e-9
@@ -144,7 +150,7 @@ def test_momentum_conserved_without_gravity():
     state = VehicleState(np.zeros(3), np.array([0.3, -0.1, 0.2]), np.eye(3),
                          np.zeros(3))
     for _ in range(500):
-        state = simulation.step(state, np.zeros(4), s, 0.001, gravity=0.0)
+        state = simulation.step(state, s.design_matrix @ np.zeros(4), s, 0.001, gravity=0.0)
     assert np.array_equal(state.velocity, [0.3, -0.1, 0.2])
 
 
@@ -356,7 +362,7 @@ def ref_step(state, thrusts, structure, dt, gravity=G):
     omega = w0 + dt * ((b1 + 2 * b2 + 2 * b3 + b4) / 6.0)
     attitude = r0 @ ref_so3_exp(0.5 * (w0 + omega), dt)
     if np.linalg.norm(attitude.T @ attitude - np.eye(3)) > 1e-9:
-        attitude = geometry.orthonormalize(attitude)
+        attitude = np.asarray(geometry.orthonormalize(attitude))
     return VehicleState(position, velocity, attitude, omega)
 
 
@@ -395,7 +401,8 @@ def unit_scale_states(draw):
        dt=st.sampled_from([0.0005, 0.001, 0.002]))
 def test_step_matches_numpy_reference(structure, state, thrusts, dt):
     thrusts = thrusts[:structure.n_rotors]
-    got = simulation.step(state, thrusts, structure, dt)
+    got = simulation.step(state, structure.design_matrix @ np.asarray(thrusts, dtype=float),
+                          structure, dt)
     want = ref_step(state, thrusts, structure, dt)
     for name in ("position", "velocity", "attitude", "angular_velocity"):
         assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
@@ -405,7 +412,8 @@ def test_step_restores_drifted_attitude():
     drifted = geometry.rot_principal("y", 0.4) + 1e-6 * np.ones((3, 3))
     assert geometry.orthonormality_drift(drifted) > 1e-9
     state = VehicleState(np.zeros(3), np.zeros(3), drifted, np.array([0.2, 0.1, -0.3]))
-    after = simulation.step(state, np.zeros(4), vertical_quad(), 0.001)
+    s = vertical_quad()
+    after = simulation.step(state, s.design_matrix @ np.zeros(4), s, 0.001)
     assert geometry.is_rotation(after.attitude, tol=1e-12)
 
 

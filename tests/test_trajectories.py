@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modquad import geometry, trajectories
 from modquad.errors import InvalidParams
@@ -199,6 +201,51 @@ def test_attitude_sine_rate_consistent_with_finite_differences():
         sp = trajectories.attitude_sine(t, defn)
         omega_fd = geometry.vee(np.asarray(sp.attitude).T @ ((r1 - r0) / (2 * h)))
         assert np.allclose(omega_fd, sp.angular_velocity, atol=1e-6)
+
+
+def test_multi_axis_chain_rate_consistent_with_finite_differences():
+    # waypoints rotate about all three axes, so the rotation vector and its
+    # rate are not parallel and every term of the right Jacobian counts
+    chain = trajectories.QuinticChain(QuinticChainDef(
+        waypoints=(
+            Waypoint((0.0, 0.0, 0.5), (0.1, -0.05, 0.2)),
+            Waypoint((0.4, 0.2, 0.8), (-0.15, 0.25, 0.35)),
+            Waypoint((0.0, 0.0, 0.5), (0.3, 0.1, -0.4)),
+        ),
+        durations=(8.0, 6.0),
+    ))
+    h = 1e-5
+    for t in (1.0, 3.7, 6.2, 9.5, 12.0):
+        r0 = np.asarray(chain(t - h).attitude)
+        r1 = np.asarray(chain(t + h).attitude)
+        sp = chain(t)
+        omega_fd = geometry.vee(np.asarray(sp.attitude).T @ ((r1 - r0) / (2 * h)))
+        assert np.max(np.abs(np.subtract(omega_fd, sp.angular_velocity))) < 1e-9
+
+
+def right_jacobian_matrix(phi):
+    """The right Jacobian of SO(3) at the rotation vector phi, as a matrix."""
+    angle = np.linalg.norm(phi)
+    p = geometry.hat(phi)
+    if angle < 1e-8:
+        return np.eye(3) - 0.5 * p
+    return (np.eye(3) - ((1.0 - math.cos(angle)) / angle**2) * p
+            + ((angle - math.sin(angle)) / angle**3) * (p @ p))
+
+
+components = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(phi=st.tuples(components, components, components),
+       scale=st.sampled_from([1.0, 1e-3, 1e-8, 1e-10, 0.0]),
+       rate=st.tuples(components, components, components))
+def test_body_rate_matches_right_jacobian_matrix(phi, scale, rate):
+    # scales below 1e-8 reach the small-angle branch
+    phi = [scale * x for x in phi]
+    got = trajectories._body_rate(phi, list(rate))
+    want = right_jacobian_matrix(np.array(phi)) @ rate
+    assert np.linalg.norm(np.subtract(got, want)) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("generator", [

@@ -11,12 +11,13 @@ achievable thrust, obtained from the SVD of the force rows; the controller
 tracks this frame's attitude.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .errors import DegenerateStructure, InvalidDOF, ModquadError
+from .errors import DegenerateStructure, InvalidDOF, InvalidParams, ModquadError
 from .vehicle import DEFAULT_F_MAX, GRAVITY
 
 RANK_TOL = 1e-8
@@ -190,8 +191,11 @@ def bounded_least_squares(a, b, upper):
     sit at that solution, the held variable whose gradient points furthest
     into the box is freed; when none points in by more than rounding, u is
     the box-constrained minimum. Each freed variable lowers the objective,
-    so no free set repeats and the loop ends.
+    so no free set repeats and the loop ends. Raises InvalidParams unless
+    `upper` is finite and positive.
     """
+    if not 0.0 < upper < math.inf:
+        raise InvalidParams(f"thrust limit {upper!r} must be finite and positive")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[1]
@@ -295,9 +299,13 @@ def pitch_feasibility_limit(structure, f_max=DEFAULT_F_MAX, angle_tol=1e-4):
     """Largest pitch angle in [0, pi/2] at which a bounded-thrust static
     hover exists.
 
-    Bisects on the pitch angle; assumes feasibility is monotone in pitch,
-    which holds for the symmetric structures this is used on.
+    Bisects on the pitch angle until the bracket is at most `angle_tol`
+    (finite and positive, else InvalidParams) wide or no float lies inside
+    it; assumes feasibility is monotone in pitch, which holds for the
+    symmetric structures this is used on.
     """
+    if not 0.0 < angle_tol < math.inf:
+        raise InvalidParams(f"angle_tol {angle_tol!r} must be finite and positive")
     lo, hi = 0.0, np.pi / 2
     if not static_hover_feasible(structure, geometry.rot_principal("y", lo), f_max):
         return lo
@@ -305,6 +313,8 @@ def pitch_feasibility_limit(structure, f_max=DEFAULT_F_MAX, angle_tol=1e-4):
         return hi
     while hi - lo > angle_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if static_hover_feasible(structure, geometry.rot_principal("y", mid), f_max):
             lo = mid
         else:

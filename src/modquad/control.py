@@ -141,17 +141,15 @@ def desired_attitude(dof, target, accel):
     return desired_attitude_5dof(accel, x) if dof == 5 else desired_attitude_4dof(accel, x)
 
 
-def attitude_error(desired, attitude, frame_rotation, omega, omega_desired):
+def attitude_error(desired, attitude_f, omega, omega_desired):
     """Rotation and rate errors of the thrust frame, as two 3-lists.
 
-    `attitude` is the structure attitude in the world, `frame_rotation`
-    the fixed structure-to-thrust-frame rotation; the tracked attitude is
-    their product.
+    `attitude_f` is the thrust frame's attitude in the world: the structure
+    attitude times the fixed structure-to-thrust-frame rotation.
     """
-    r_wf = geometry.matmul3(attitude, frame_rotation)
-    # m = desired^T r_wf, so m^T = r_wf^T desired
+    # m = desired^T attitude_f, so m^T = attitude_f^T desired
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = geometry.matmul3(
-        zip(*desired), r_wf)
+        zip(*desired), attitude_f)
     rx, ry, rz = vee([[m00 - m00, m01 - m10, m02 - m20],
                       [m10 - m01, m11 - m11, m12 - m21],
                       [m20 - m02, m21 - m12, m22 - m22]])
@@ -199,6 +197,8 @@ class Controller:
         self.gains = gains if gains is not None else ControllerGains()
         self.design_f = design_in_f_frame(structure.design_matrix, analysis.f_frame)
         self._alloc = np.linalg.pinv(analysis.dimensioning @ self.design_f)
+        # the wrench rows the 0/1 dimensioning matrix keeps, in its row order
+        self._rows = np.argmax(analysis.dimensioning, axis=1)
         self._frame = analysis.f_frame.tolist()
         self._integrating = any(k > 0.0 for k in self.gains.k_int)
         self._integral = [0.0, 0.0, 0.0]
@@ -212,7 +212,7 @@ class Controller:
         Entries may be negative; clamping to the motor range is the
         simulator's job.
         """
-        return self._alloc @ (self.analysis.dimensioning @ wrench)
+        return self._alloc @ wrench[self._rows]
 
     def step(self, state, setpoint, dt=None):
         """One control tick: rotor thrust commands before motor limits."""
@@ -225,10 +225,10 @@ class Controller:
         accel = position_accel(e_pos, e_vel, setpoint.acceleration, self.gains,
                                integral=self._integral)
         desired = desired_attitude(self.analysis.controllable_dof, setpoint.attitude, accel)
-        e_rot, e_omega = attitude_error(desired, state.attitude, self._frame,
-                                        state.angular_velocity, setpoint.angular_velocity)
-        ang_accel = attitude_accel(e_rot, e_omega, self.gains)
         attitude_f = geometry.matmul3(state.attitude, self._frame)
+        e_rot, e_omega = attitude_error(desired, attitude_f, state.angular_velocity,
+                                        setpoint.angular_velocity)
+        ang_accel = attitude_accel(e_rot, e_omega, self.gains)
         w = wrench(accel, ang_accel, attitude_f, state.angular_velocity,
                    self.structure.mass, self.structure.inertia_floats[0])
         return self.allocate(w)

@@ -115,38 +115,38 @@ def step(state, wrench_body, structure, dt, gravity=GRAVITY):
 
     # stage i evaluates at velocity v_i and body rate w_i; a_i, b_i are
     # the linear and angular accelerations there. Stage 3 shares stage 2's
-    # attitude and force, so its linear acceleration is a2.
-    a1, b1 = accelerations(r0, w0, force, torque, structure, gravity)
-    v2, w2 = _advance(v0, dt / 2, a1), _advance(w0, dt / 2, b1)
-    a2, b2 = accelerations(r_half, w2, force, torque, structure, gravity)
-    v3, w3 = _advance(v0, dt / 2, a2), _advance(w0, dt / 2, b2)
-    b3 = angular_acceleration(w3, torque, structure)
-    v4, w4 = _advance(v0, dt, a2), _advance(w0, dt, b3)
-    a4, b4 = accelerations(r_full, w4, force, torque, structure, gravity)
+    # attitude and force, so its linear acceleration is a2. The updates
+    # and the weighted means (k1 + 2 k2 + 2 k3 + k4) / 6 are written out
+    # per component.
+    (px, py, pz), (vx, vy, vz), (wx, wy, wz) = state.position, v0, w0
+    h = dt / 2
+    (a1x, a1y, a1z), (b1x, b1y, b1z) = accelerations(r0, w0, force, torque, structure, gravity)
+    v2x, v2y, v2z = vx + h * a1x, vy + h * a1y, vz + h * a1z
+    w2 = [wx + h * b1x, wy + h * b1y, wz + h * b1z]
+    (a2x, a2y, a2z), (b2x, b2y, b2z) = accelerations(r_half, w2, force, torque, structure,
+                                                     gravity)
+    v3x, v3y, v3z = vx + h * a2x, vy + h * a2y, vz + h * a2z
+    w3 = [wx + h * b2x, wy + h * b2y, wz + h * b2z]
+    b3x, b3y, b3z = angular_acceleration(w3, torque, structure)
+    v4x, v4y, v4z = vx + dt * a2x, vy + dt * a2y, vz + dt * a2z
+    w4 = [wx + dt * b3x, wy + dt * b3y, wz + dt * b3z]
+    (a4x, a4y, a4z), (b4x, b4y, b4z) = accelerations(r_full, w4, force, torque, structure,
+                                                     gravity)
 
-    position = _advance(state.position, dt, _rk4_mean(v0, v2, v3, v4))
-    velocity = _advance(v0, dt, _rk4_mean(a1, a2, a2, a4))
-    omega = _advance(w0, dt, _rk4_mean(b1, b2, b3, b4))
-    omega_mid = [0.5 * (w0[0] + omega[0]), 0.5 * (w0[1] + omega[1]),
-                 0.5 * (w0[2] + omega[2])]
+    position = [px + dt * ((vx + 2 * v2x + 2 * v3x + v4x) / 6.0),
+                py + dt * ((vy + 2 * v2y + 2 * v3y + v4y) / 6.0),
+                pz + dt * ((vz + 2 * v2z + 2 * v3z + v4z) / 6.0)]
+    velocity = [vx + dt * ((a1x + 2 * a2x + 2 * a2x + a4x) / 6.0),
+                vy + dt * ((a1y + 2 * a2y + 2 * a2y + a4y) / 6.0),
+                vz + dt * ((a1z + 2 * a2z + 2 * a2z + a4z) / 6.0)]
+    ox, oy, oz = (wx + dt * ((b1x + 2 * b2x + 2 * b3x + b4x) / 6.0),
+                  wy + dt * ((b1y + 2 * b2y + 2 * b3y + b4y) / 6.0),
+                  wz + dt * ((b1z + 2 * b2z + 2 * b3z + b4z) / 6.0))
+    omega_mid = [0.5 * (wx + ox), 0.5 * (wy + oy), 0.5 * (wz + oz)]
     attitude = geometry.matmul3(r0, geometry.so3_exp(omega_mid, dt))
     if geometry.orthonormality_drift(attitude) > _ORTHO_DRIFT_TOL:
         attitude = geometry.orthonormalize(attitude)
-    return VehicleState(position, velocity, attitude, omega)
-
-
-def _advance(x, h, rate):
-    """x + h * rate for 3-vectors."""
-    x0, x1, x2 = x
-    r0, r1, r2 = rate
-    return [x0 + h * r0, x1 + h * r1, x2 + h * r2]
-
-
-def _rk4_mean(k1, k2, k3, k4):
-    """The RK4 weighted mean (k1 + 2 k2 + 2 k3 + k4) / 6 of 3-vectors."""
-    return [(k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0,
-            (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0,
-            (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0]
+    return VehicleState(position, velocity, attitude, [ox, oy, oz])
 
 
 def initial_state_on_trajectory(trajectory, analysis):

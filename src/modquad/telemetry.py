@@ -8,7 +8,6 @@ Floats are written with repr precision so identical runs produce
 byte-identical files.
 """
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -60,36 +59,48 @@ class Telemetry:
 
 
 def rotation_to_quaternion(r):
-    """Unit quaternion (w, x, y, z) of a rotation matrix.
+    """Unit quaternion (w, x, y, z) of a rotation matrix; an (n, 3, 3)
+    stack of rotations gives an (n, 4) array.
 
-    The sign is normalized (first non-zero component positive) so the
-    serialization is deterministic.
+    Each rotation takes the usual branch: the trace when it is positive,
+    else its largest diagonal entry. Rows are grouped by branch, so a
+    branch's square root only sees its own rows. The sign is normalized
+    (first non-zero component positive) so the serialization is
+    deterministic.
     """
     r = np.asarray(r, dtype=float)
-    trace = np.trace(r)
-    if trace > 0.0:
-        s = math.sqrt(trace + 1.0) * 2.0
-        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
-    elif r[1, 1] > r[2, 2]:
-        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s, (r[1, 2] + r[2, 1]) / s])
-    else:
-        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
-                      (r[1, 2] + r[2, 1]) / s, 0.25 * s])
-    q /= np.linalg.norm(q)
-    for component in q:
-        if component != 0.0:
-            if component < 0.0:
-                q = -q
-            break
-    return q
+    m = r.reshape(-1, 3, 3)
+    c = m.transpose(1, 2, 0)  # c[i, j] is entry (i, j) of every rotation, a view
+    trace = c[0, 0] + c[1, 1] + c[2, 2]
+    # -1 for the trace branch, else the index of the pivot diagonal entry;
+    # a NaN rotation fails every comparison and lands on pivot 2
+    pivot = np.where(trace > 0.0, -1, np.where(
+        (c[0, 0] > c[1, 1]) & (c[0, 0] > c[2, 2]), 0, np.where(c[1, 1] > c[2, 2], 1, 2)))
+    q = np.empty((len(m), 4))
+    for branch in (-1, 0, 1, 2):
+        rows = np.flatnonzero(pivot == branch)
+        if branch < 0:
+            s = np.sqrt(trace[rows] + 1.0) * 2.0
+            q[rows, 0] = 0.25 * s
+            q[rows, 1] = (c[2, 1, rows] - c[1, 2, rows]) / s
+            q[rows, 2] = (c[0, 2, rows] - c[2, 0, rows]) / s
+            q[rows, 3] = (c[1, 0, rows] - c[0, 1, rows]) / s
+            continue
+        # pivot i, the others j < k; w's term is c[b, a] - c[a, b] with
+        # (a, b) the two indices after i in cyclic order
+        i, j, k = branch, *(n for n in (0, 1, 2) if n != branch)
+        a, b = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(1.0 + c[i, i, rows] - c[j, j, rows] - c[k, k, rows]) * 2.0
+        q[rows, 0] = (c[b, a, rows] - c[a, b, rows]) / s
+        q[rows, 1 + i] = 0.25 * s
+        q[rows, 1 + j] = (c[i, j, rows] + c[j, i, rows]) / s
+        q[rows, 1 + k] = (c[i, k, rows] + c[k, i, rows]) / s
+    # q . q per row through the same dot product np.linalg.norm takes
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    first = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
+    flip = first < 0.0
+    q[flip] = -q[flip]
+    return q.reshape(r.shape[:-2] + (4,))
 
 
 def quaternion_to_rotation(q):
@@ -137,9 +148,9 @@ def write_csv(telemetry, path):
     """Write one CSV row per control tick of a telemetry log: its float
     columns in TelemetryTable field order, then the saturation count. The
     `yaw_d` and `pitch_d` columns are those of the target attitudes."""
-    quaternions = np.reshape([rotation_to_quaternion(r) for r in telemetry.attitude], (-1, 4))
     rows = np.column_stack([
-        telemetry.t, telemetry.position, telemetry.velocity, quaternions,
+        telemetry.t, telemetry.position, telemetry.velocity,
+        rotation_to_quaternion(telemetry.attitude),
         telemetry.angular_velocity, telemetry.position_d,
         *geometry.yaw_pitch(telemetry.attitude_d), telemetry.u_actual]).tolist()
     counts = telemetry.saturated.sum(axis=1).tolist()

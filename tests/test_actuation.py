@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from modquad import actuation, control, geometry, vehicle
-from modquad.errors import DegenerateStructure, InvalidDOF
+from modquad import actuation, config, control, geometry, vehicle
+from modquad.errors import DegenerateStructure, InvalidDOF, InvalidParams
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def single_r(angle_rad, axis="y"):
@@ -204,6 +209,34 @@ def test_allocation_exact_for_six_dof():
         assert np.linalg.norm(a_f @ u - w) < 1e-8 * np.linalg.norm(w)
 
 
+def fixture_structure(name):
+    cfg = config.load_config(FIXTURES / f"{name}.cfg")
+    return cfg, config.build_structure(cfg)
+
+
+@pytest.fixture(scope="module")
+def fixture_controllers():
+    """Controllers of exp1, exp2 and exp4 (4, 5 and 6 DOF) with their
+    dimensioning matrix and thrust-frame design matrix."""
+    controllers = {}
+    for name in ("exp1", "exp2", "exp4"):
+        cfg, s = fixture_structure(name)
+        an = actuation.analyze_structure(s, f_max=cfg.physical.f_max_n)
+        a_f = actuation.design_in_f_frame(s.design_matrix, an.f_frame)
+        controllers[an.controllable_dof] = (control.Controller(s, an), an.dimensioning, a_f)
+    return controllers
+
+
+@settings(max_examples=100, deadline=None)
+@given(dof=st.sampled_from([4, 5, 6]),
+       w=arrays(np.float64, 6, elements=st.floats(-1e6, 1e6)))
+def test_allocation_selects_rows_exactly(fixture_controllers, dof, w):
+    # selecting the dimensioned rows is the 0/1 matrix product, bit for bit
+    controller, d, a_f = fixture_controllers[dof]
+    expected = np.linalg.pinv(d @ a_f) @ (d @ w)
+    assert controller.allocate(w).tobytes() == expected.tobytes()
+
+
 def test_allocation_is_minimum_norm():
     s = four_t_diagonal()
     an = actuation.analyze_structure(s)
@@ -280,6 +313,35 @@ def test_pitch_feasibility_boundary_exact_at_fine_tolerance():
     oracle = np.arcsin(8 * f_max / (mg * np.sqrt(1.5))) - np.arctan(1 / np.sqrt(2))
     got = actuation.pitch_feasibility_limit(s, f_max=f_max, angle_tol=1e-7)
     assert abs(got - oracle) <= 5e-6
+
+
+@pytest.mark.parametrize("angle_tol", [0.0, -1.0, np.nan, np.inf])
+def test_pitch_feasibility_rejects_invalid_tolerance(angle_tol):
+    with pytest.raises(InvalidParams, match="angle_tol"):
+        actuation.pitch_feasibility_limit(four_t_diagonal(), f_max=0.645, angle_tol=angle_tol)
+
+
+def test_pitch_feasibility_ends_below_float_spacing(monkeypatch):
+    # 1e-300 is below the spacing of floats near the limit, so the bracket
+    # can never get that narrow; the bisection stops once no float lies
+    # strictly inside it
+    _, s = fixture_structure("exp4")
+    f_max = 0.645
+    mg = s.mass * 9.81
+    oracle = np.arcsin(8 * f_max / (mg * np.sqrt(1.5))) - np.arctan(1 / np.sqrt(2))
+    checks = counting(monkeypatch, "static_hover_feasible")
+    got = actuation.pitch_feasibility_limit(s, f_max=f_max, angle_tol=1e-300)
+    assert abs(got - oracle) <= 5e-6
+    assert len(checks) <= 2 + 64
+
+
+@pytest.mark.parametrize("upper", [np.nan, np.inf, 0.0, -1.0])
+def test_invalid_thrust_limit_rejected(upper):
+    s = four_t_diagonal()
+    with pytest.raises(InvalidParams, match="thrust limit"):
+        actuation.bounded_least_squares(s.design_matrix, np.ones(6), upper)
+    with pytest.raises(InvalidParams, match="thrust limit"):
+        actuation.static_hover_feasible(s, np.eye(3), f_max=upper)
 
 
 def test_pitch_feasibility_monotone():

@@ -166,7 +166,7 @@ def test_attitude_error_zero_at_tracking():
     frame = geometry.rot_principal("y", np.pi / 18)
     attitude = frame.T  # structure pose that puts the thrust frame at identity
     e_rot, e_omega = control.attitude_error(
-        np.eye(3), attitude, frame, np.zeros(3), np.zeros(3)
+        np.eye(3), geometry.matmul3(attitude, frame), np.zeros(3), np.zeros(3)
     )
     assert np.allclose(e_rot, 0.0, atol=1e-15)
     assert np.allclose(e_omega, 0.0)
@@ -174,7 +174,7 @@ def test_attitude_error_zero_at_tracking():
 
 def test_attitude_error_small_yaw():
     e_rot, _ = control.attitude_error(
-        np.eye(3), geometry.rot_principal("z", 0.1), np.eye(3),
+        np.eye(3), geometry.matmul3(geometry.rot_principal("z", 0.1), np.eye(3)),
         np.zeros(3), np.zeros(3),
     )
     assert np.allclose(e_rot, [0.0, 0.0, np.sin(0.1)], atol=1e-12)
@@ -189,8 +189,10 @@ def test_attitude_error_antisymmetric():
         axis2 = rng.normal(size=3)
         axis2 /= np.linalg.norm(axis2)
         r2 = geometry.rodrigues(axis2, rng.uniform(-1, 1))
-        fwd, _ = control.attitude_error(r1, r2, np.eye(3), np.zeros(3), np.zeros(3))
-        rev, _ = control.attitude_error(r2, r1, np.eye(3), np.zeros(3), np.zeros(3))
+        fwd, _ = control.attitude_error(r1, geometry.matmul3(r2, np.eye(3)),
+                                        np.zeros(3), np.zeros(3))
+        rev, _ = control.attitude_error(r2, geometry.matmul3(r1, np.eye(3)),
+                                        np.zeros(3), np.zeros(3))
         assert np.allclose(fwd, -np.asarray(rev), atol=1e-12)
 
 

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,108 @@ def test_quaternion_to_rotation_stacks_rows():
     assert stacked.shape == (20, 3, 3)
     for row, r in zip(q, stacked):
         assert np.array_equal(telemetry.quaternion_to_rotation(row), r)
+
+
+def reference_rotation_to_quaternion(r):
+    """Per-row quaternion formula: the bit-for-bit reference for the
+    stacked `telemetry.rotation_to_quaternion`."""
+    r = np.asarray(r, dtype=float)
+    trace = np.trace(r)
+    if trace > 0.0:
+        s = math.sqrt(trace + 1.0) * 2.0
+        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
+                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
+    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
+        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s,
+                      (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
+    elif r[1, 1] > r[2, 2]:
+        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
+        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
+                      0.25 * s, (r[1, 2] + r[2, 1]) / s])
+    else:
+        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
+        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
+                      (r[1, 2] + r[2, 1]) / s, 0.25 * s])
+    q /= np.linalg.norm(q)
+    for component in q:
+        if component != 0.0:
+            if component < 0.0:
+                q = -q
+            break
+    return q
+
+
+def reference_branch(r):
+    """0 for the trace branch of the reference, else 1 + the pivot index."""
+    if np.trace(r) > 0.0:
+        return 0
+    if r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
+        return 1
+    return 2 if r[1, 1] > r[2, 2] else 3
+
+
+def assert_stack_matches_reference(rotations):
+    stacked = telemetry.rotation_to_quaternion(rotations)
+    expected = np.array([reference_rotation_to_quaternion(r) for r in rotations])
+    assert stacked.shape == (len(rotations), 4)
+    assert stacked.tobytes() == expected.tobytes()
+    for r, q in zip(rotations, stacked):
+        assert telemetry.rotation_to_quaternion(r).tobytes() == q.tobytes()
+
+
+@st.composite
+def branch_rotations(draw):
+    """A stack of rotations with rows in every branch of the quaternion
+    formula: component k of each quaternion dominates the others (k = 0
+    puts the trace above zero, k = 1..3 makes diagonal entry k - 1 the
+    strict largest), and components may be exactly zero of either sign."""
+    others = st.floats(-0.5, 0.5)
+    branches = draw(st.lists(st.integers(0, 3), max_size=40)) + [0, 1, 2, 3]
+    quaternions = []
+    for k in draw(st.permutations(branches)):
+        q = [draw(others) for _ in range(4)]
+        q[k] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 2.0))
+        quaternions.append(q)
+    q = np.array(quaternions)
+    return telemetry.quaternion_to_rotation(q / np.linalg.norm(q, axis=1, keepdims=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rotations=branch_rotations())
+def test_stacked_quaternions_match_per_row_formula(rotations):
+    assert {reference_branch(r) for r in rotations} == {0, 1, 2, 3}
+    assert_stack_matches_reference(rotations)
+
+
+def test_stacked_quaternions_half_turns():
+    # a turn by pi about a principal axis leaves w at zero: the sign rule
+    # looks past the leading zero component
+    half_turns = np.array([geometry.rot_principal(axis, np.pi) for axis in "xyz"])
+    assert_stack_matches_reference(half_turns)
+    assert [reference_branch(r) for r in half_turns] == [1, 2, 3]
+
+
+def test_stacked_quaternions_tied_diagonals():
+    # equal diagonal entries take the reference's strict comparisons: a
+    # tie for the largest entry goes to the later branch
+    a = math.sqrt(0.5)
+    q = np.array([[0.0, a, a, 0.0], [0.0, a, 0.0, a], [0.0, 0.0, a, a],
+                  [0.1, 0.7, 0.7, 0.1], [0.5, 0.5, 0.5, 0.5], [0.0, 0.6, 0.6, 0.6]])
+    rotations = telemetry.quaternion_to_rotation(q / np.linalg.norm(q, axis=1, keepdims=True))
+    assert_stack_matches_reference(rotations)
+
+
+def test_stacked_quaternions_empty_stack():
+    assert telemetry.rotation_to_quaternion(np.zeros((0, 3, 3))).shape == (0, 4)
+
+
+def test_stacked_quaternions_nan_rotation():
+    # runs under the suite's filterwarnings = error: no RuntimeWarning
+    rotations = np.array([np.eye(3), np.full((3, 3), np.nan),
+                          geometry.rot_principal("y", 2.5)])
+    assert_stack_matches_reference(rotations)
+    assert np.isnan(telemetry.rotation_to_quaternion(rotations)[1]).all()
 
 
 def test_quaternion_sign_deterministic():
@@ -205,7 +308,7 @@ def reference_write_csv(log, path):
         writer.writerow(_REFERENCE_FIXED_FIELDS
                         + [f"u{i + 1}" for i in range(n)] + ["sat"])
         for i in range(len(log)):
-            state_q = telemetry.rotation_to_quaternion(log.attitude[i])
+            state_q = reference_rotation_to_quaternion(log.attitude[i])
             row = [log.t[i]]
             row.extend(log.position[i])
             row.extend(log.velocity[i])

@@ -3,17 +3,26 @@
 One CSV row per control tick, in the columns that the fields of
 `TelemetryTable` declare. The structure attitude is stored as a unit
 quaternion (w, x, y, z) and the setpoint's target attitude by its yaw and
-pitch; `sat` counts the rotors whose command hit a motor limit that tick.
-Floats are written with repr precision so identical runs produce
-byte-identical files.
+pitch; `sat` counts the rotors whose command hit a motor limit that tick,
+an integer from 0 to the rotor count, which `read_csv` checks. Floats are
+written with repr precision so identical runs produce byte-identical files.
+
+No pass over the rows copies the whole table: `write_csv` encodes
+`_BLOCK_ROWS` rows at a time, `read_csv` streams the file's lines into one
+`np.loadtxt` call, and `compute_metrics` copies the window of only the
+columns it reads and builds its attitude errors block by block.
 """
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import geometry
 from .errors import MalformedTelemetry
+
+# rows per block of the passes over a log or a table
+_BLOCK_ROWS = 1024
 
 
 def _logged(name):
@@ -144,49 +153,87 @@ def csv_header(n_rotors):
     return [name for f in fields(TelemetryTable) for name in f.metadata["columns"] or rotors]
 
 
+def _blocks(n_rows):
+    """Slices of at most _BLOCK_ROWS consecutive rows covering n_rows."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n_rows, _BLOCK_ROWS))
+
+
 def write_csv(telemetry, path):
     """Write one CSV row per control tick of a telemetry log: its float
     columns in TelemetryTable field order, then the saturation count. The
-    `yaw_d` and `pitch_d` columns are those of the target attitudes."""
-    rows = np.column_stack([
-        telemetry.t, telemetry.position, telemetry.velocity,
-        rotation_to_quaternion(telemetry.attitude),
-        telemetry.angular_velocity, telemetry.position_d,
-        *geometry.yaw_pitch(telemetry.attitude_d), telemetry.u_actual]).tolist()
-    counts = telemetry.saturated.sum(axis=1).tolist()
+    `yaw_d` and `pitch_d` columns are those of the target attitudes. Rows
+    are encoded one block at a time."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(csv_header(telemetry.n_rotors)) + "\r\n")
-        handle.writelines(f"{','.join(map(repr, row))},{count}\r\n"
-                          for row, count in zip(rows, counts))
+        for rows in _blocks(len(telemetry)):
+            handle.writelines(_csv_lines(telemetry, rows))
+
+
+def _csv_lines(log, rows):
+    """The CSV lines of one block of log rows; its cells are freed once the
+    lines have been consumed."""
+    floats = np.column_stack([
+        log.t[rows], log.position[rows], log.velocity[rows],
+        rotation_to_quaternion(log.attitude[rows]), log.angular_velocity[rows],
+        log.position_d[rows], *geometry.yaw_pitch(log.attitude_d[rows]),
+        log.u_actual[rows]]).tolist()
+    return (f"{','.join(map(repr, row))},{count}\r\n"
+            for row, count in zip(floats, log.saturated[rows].sum(axis=1).tolist()))
 
 
 def read_csv(path):
-    """Load a telemetry CSV; raises MalformedTelemetry on schema problems."""
+    """Load a telemetry CSV; raises MalformedTelemetry on schema problems.
+
+    The body lines stream through one np.loadtxt call; the file is read a
+    second time only to name the line at fault."""
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline()
-        lines = handle.readlines()
-    if not header:
-        raise MalformedTelemetry("file is empty")
-    header = header.rstrip("\n").split(",")
-    *fixed, sat = csv_header(0)
-    if header[:len(fixed)] != fixed or header[-1] != sat:
-        raise MalformedTelemetry("unexpected column layout")
-    n_rotors = len(header) - len(fixed) - 1
-    if n_rotors < 1 or n_rotors % 4 != 0:
-        raise MalformedTelemetry(f"implausible rotor column count {n_rotors}")
-    if not lines:
-        raise MalformedTelemetry("file has a header but no rows")
-    try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        data = None
+        if not header:
+            raise MalformedTelemetry("file is empty")
+        header = header.rstrip("\n").split(",")
+        *fixed, sat = csv_header(0)
+        if header[:len(fixed)] != fixed or header[-1] != sat:
+            raise MalformedTelemetry("unexpected column layout")
+        n_rotors = len(header) - len(fixed) - 1
+        if n_rotors < 1 or n_rotors % 4 != 0:
+            raise MalformedTelemetry(f"implausible rotor column count {n_rotors}")
+        first = handle.readline()
+        if not first:
+            raise MalformedTelemetry("file has a header but no rows")
+        n_lines = 0
+
+        def body():
+            nonlocal n_lines
+            for n_lines, line in enumerate(itertools.chain([first], handle), 1):
+                yield line
+
+        try:  # a blank line 2 is at fault, and an all-blank body makes loadtxt warn
+            data = (np.loadtxt(body(), delimiter=",", comments=None, ndmin=2)
+                    if first.strip() else None)
+        except ValueError:  # UnicodeDecodeError included
+            data = None
     # loadtxt skips blank lines; the shape check catches them
-    if data is None or data.shape != (len(lines), len(header)):
-        bad = next(n for n, line in enumerate(lines, 2) if not _is_row(line, len(header)))
-        raise MalformedTelemetry(f"line {bad} is not {len(header)} comma-separated numbers")
+    if data is None or data.shape != (n_lines, len(header)):
+        raise MalformedTelemetry(
+            f"line {_first_bad_line(path, len(header))} is not {len(header)} "
+            "comma-separated numbers")
+    counts = data[:, -1]
+    bad = np.flatnonzero(~((counts >= 0) & (counts <= n_rotors)
+                           & (counts == np.floor(counts))))
+    if len(bad):
+        raise MalformedTelemetry(f"line {bad[0] + 2} has sat {float(counts[bad[0]])!r}, "
+                                 f"not an integer from 0 to {n_rotors}")
     widths = [len(f.metadata["columns"]) or n_rotors for f in fields(TelemetryTable)]
     blocks = np.split(data, np.cumsum(widths)[:-1], axis=1)
     return TelemetryTable(*(b[:, 0] if b.shape[1] == 1 else b for b in blocks))
+
+
+def _first_bad_line(path, width):
+    """Number of the first body line that `_is_row` rejects; bytes that are
+    not UTF-8 decode to U+FFFD, which no number holds."""
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        handle.readline()
+        return next(n for n, line in enumerate(handle, 2) if not _is_row(line, width))
 
 
 def _is_row(line, width):
@@ -212,12 +259,12 @@ class MetricsReport:
     samples: int
 
 
-def _attitude_errors_deg(table, frame_rotation):
+def _attitude_errors_deg(quaternion, yaw_d, pitch_d, frame_rotation):
     """Per-axis angle (deg) between the desired and flown thrust frame: the
     arcsine of the vee of 0.5 (m - m^T) with m = desired^T flown, per row."""
-    flown = quaternion_to_rotation(table.quaternion) @ frame_rotation
-    cos_p, sin_p = np.cos(table.pitch_d), np.sin(table.pitch_d)
-    cos_y, sin_y = np.cos(table.yaw_d), np.sin(table.yaw_d)
+    flown = quaternion_to_rotation(quaternion) @ frame_rotation
+    cos_p, sin_p = np.cos(pitch_d), np.sin(pitch_d)
+    cos_y, sin_y = np.cos(yaw_d), np.sin(yaw_d)
     zero = np.zeros_like(cos_p)
     desired = np.moveaxis(np.array([
         [cos_y * cos_p, -sin_y, cos_y * sin_p],
@@ -236,25 +283,28 @@ def compute_metrics(table, skip_s=5.0, frame_rotation=None):
     structure-to-thrust-frame rotation; identity when omitted. Any
     non-finite cell means diverged."""
     frame_rotation = np.eye(3) if frame_rotation is None else frame_rotation
-    columns = {f.name: getattr(table, f.name) for f in fields(table)}
-    diverged = not all(np.isfinite(column).all() for column in columns.values())
+    n_rows = len(table.t)
+    diverged = not all(np.isfinite(getattr(table, f.name)[rows]).all()
+                       for f in fields(table) for rows in _blocks(n_rows))
     mask = table.t >= skip_s
     window_start = float(skip_s)
     if not np.any(mask):
-        mask = np.ones(len(table.t), dtype=bool)
+        mask = np.ones(n_rows, dtype=bool)
         window_start = float(table.t[0])
-    window = TelemetryTable(**{name: column[mask] for name, column in columns.items()})
-    pos_error = window.position - window.position_d
-    att_error = _attitude_errors_deg(window, frame_rotation)
+    position, position_d, quaternion, yaw_d, pitch_d, counts = (
+        column[mask] for column in (table.position, table.position_d, table.quaternion,
+                                    table.yaw_d, table.pitch_d, table.saturated_count))
+    pos_error = position - position_d
+    att_error = np.concatenate([
+        _attitude_errors_deg(quaternion[rows], yaw_d[rows], pitch_d[rows], frame_rotation)
+        for rows in _blocks(len(counts))])
     return MetricsReport(
         max_position_error=np.max(np.abs(pos_error), axis=0),
         rms_position_error=np.sqrt(np.mean(pos_error**2, axis=0)),
         max_attitude_error_deg=np.max(np.abs(att_error), axis=0),
         rms_attitude_error_deg=np.sqrt(np.mean(att_error**2, axis=0)),
-        saturation_fraction=float(
-            np.mean(window.saturated_count / window.n_rotors)
-        ),
+        saturation_fraction=float(np.mean(counts / table.n_rotors)),
         diverged=diverged,
         window_start=window_start,
-        samples=int(len(window.t)),
+        samples=int(len(counts)),
     )

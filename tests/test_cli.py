@@ -272,6 +272,39 @@ def test_metrics_malformed_file_exits_2(tmp_path, capsys):
     assert cli.main(["metrics", str(bad)]) == 2
 
 
+def test_metrics_sat_count_out_of_range_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "hover.cfg"
+    write_hover_config(cfg, duration=0.1)
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", str(cfg), "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[20] = lines[20].rsplit(",", 1)[0] + ",17"  # 16 rotors
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["metrics", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 21 has sat 17.0" in captured.err
+
+
+def test_metrics_invalid_utf8_in_a_late_row_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "hover.cfg"
+    write_hover_config(cfg, duration=2.5)
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", str(cfg), "-o", str(out)]) == 0
+    lines = out.read_bytes().split(b"\r\n")
+    # line 1200 of 1252, about 1 MB into the file: the reader has parsed
+    # many rows before it decodes the bad byte
+    lines[1199] = lines[1199].replace(b"0.", b"\xff.", 1)
+    out.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    assert cli.main(["metrics", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1200 is not" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_analyze_out_of_range_eta_exits_2(tmp_path, capsys):
     bad = tmp_path / "steep.cfg"
     bad.write_text("modules:\n  - kind: T\n    eta_rad: 1.6\n    cell: [0, 0, 0]\n")

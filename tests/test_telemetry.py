@@ -1,5 +1,7 @@
 import csv
 import math
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -198,8 +200,14 @@ def test_csv_rejects_unparseable_rows(tmp_path):
      "line 3 "),
     (lambda lines: lines[:2] + ["# comment"] + lines[2:], "line 3 "),
     (lambda lines: lines[:1], "header but no rows"),
+    (lambda lines: lines[:1] + ["", ""], "line 2 "),
+    (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",-40"] + lines[3:],
+     "line 3 has sat -40.0"),
+    (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",9"], "line 4 has sat 9.0"),
+    (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",2.5"] + lines[3:],
+     "line 3 has sat 2.5"),
 ], ids=["short row", "long row", "blank line", "quoted cell", "hash line",
-        "header only"])
+        "header only", "blank body", "negative sat", "sat above rotor count", "fractional sat"])
 def test_csv_rejection_names_the_line(tmp_path, edit, message):
     path = tmp_path / "run.csv"
     telemetry.write_csv(synthetic_log(3), path)
@@ -294,6 +302,36 @@ def test_saturation_fraction(tmp_path):
     assert report.saturation_fraction == pytest.approx(0.5 / 4.0)
 
 
+
+def random_table(n_rows, n_rotors=8, seed=89):
+    """A TelemetryTable of random rows, t in steps of 2 ms."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n_rows, 4))
+    return telemetry.TelemetryTable(
+        t=np.arange(n_rows) * 0.002, position=rng.normal(size=(n_rows, 3)),
+        velocity=rng.normal(size=(n_rows, 3)),
+        quaternion=q / np.linalg.norm(q, axis=1, keepdims=True),
+        angular_velocity=rng.normal(size=(n_rows, 3)),
+        position_d=rng.normal(size=(n_rows, 3)), yaw_d=rng.uniform(-3, 3, n_rows),
+        pitch_d=rng.uniform(-1.5, 1.5, n_rows), thrusts=rng.uniform(0, 1, (n_rows, n_rotors)),
+        saturated_count=rng.integers(0, n_rotors + 1, n_rows).astype(float))
+
+
+def test_metrics_over_blocks_match_one_block(monkeypatch):
+    # the window starts inside the first block and ends inside the third
+    table = random_table(5 * telemetry._BLOCK_ROWS // 2)
+    frame = geometry.rot_principal("y", 0.3)
+    blocked = telemetry.compute_metrics(table, skip_s=1.0, frame_rotation=frame)
+    table.thrusts[-1, -1] = np.inf
+    assert telemetry.compute_metrics(table, skip_s=1.0).diverged
+    table.thrusts[-1, -1] = 0.5
+    monkeypatch.setattr(telemetry, "_BLOCK_ROWS", len(table.t))
+    whole = telemetry.compute_metrics(table, skip_s=1.0, frame_rotation=frame)
+    assert not blocked.diverged and blocked.samples == whole.samples
+    for name in ("max_position_error", "rms_position_error", "max_attitude_error_deg",
+                 "rms_attitude_error_deg", "saturation_fraction"):
+        assert same_bits(getattr(blocked, name), getattr(whole, name))
+
 _REFERENCE_FIXED_FIELDS = ["t", "rx", "ry", "rz", "vx", "vy", "vz",
                            "qw", "qx", "qy", "qz", "wx", "wy", "wz",
                            "rdx", "rdy", "rdz", "yaw_d", "pitch_d"]
@@ -338,6 +376,15 @@ def random_logs(draw):
     # the flown attitude and the target attitude of each row
     quaternions = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
         size=(n_rows, 2, 4))
+    return log_of_rows(floats, saturated, quaternions)
+
+
+def log_of_rows(floats, saturated, quaternions):
+    """Telemetry log of n rows: per row 13 + 2 n_rotors floats (t, position,
+    velocity, angular velocity, target position, commanded and actual
+    thrusts), the saturated rotors, and two quaternions (flown and target
+    attitude) that need not be normalized."""
+    n_rows, n_rotors = saturated.shape
     log = Telemetry(n_rotors, n_rows)
     for row, sat, q in zip(floats, saturated, quaternions):
         attitude, target = telemetry.quaternion_to_rotation(
@@ -349,15 +396,29 @@ def random_logs(draw):
     return log
 
 
+def long_log(n_rows, n_rotors=8, seed=83):
+    """A log of mixed values: normal floats, -0.0 cells, and every 97th row
+    NaN throughout, its attitudes included."""
+    rng = np.random.default_rng(seed)
+    floats = rng.normal(scale=10.0, size=(n_rows, 13 + 2 * n_rotors))
+    floats[rng.random(floats.shape) < 0.05] = -0.0
+    quaternions = rng.normal(size=(n_rows, 2, 4))
+    floats[::97] = np.nan
+    quaternions[::97] = np.nan
+    return log_of_rows(floats, rng.random((n_rows, n_rotors)) < 0.3, quaternions)
+
+
 def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    """Bit equality, except that a NaN of either sign matches any NaN: the
+    CSV writes every NaN as `nan`."""
+    a, b = (np.where(np.isnan(x), np.nan, x) for x in
+            (np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(log=random_logs())
-def test_csv_columns_roundtrip_bit_equal_and_match_row_writer(tmp_path_factory, log):
-    folder = tmp_path_factory.mktemp("csv")
+def assert_csv_matches_log(log, folder):
+    """The log's CSV equals the row writer's byte for byte, and reads back
+    bit-equal; returns the CSV's path."""
     path, reference = folder / "run.csv", folder / "reference.csv"
     telemetry.write_csv(log, path)
     reference_write_csv(log, reference)
@@ -374,3 +435,50 @@ def test_csv_columns_roundtrip_bit_equal_and_match_row_writer(tmp_path_factory, 
                           (table.thrusts, log.u_actual),
                           (table.saturated_count, log.saturated.sum(axis=1))):
         assert same_bits(read, written)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=random_logs())
+def test_csv_columns_roundtrip_bit_equal_and_match_row_writer(tmp_path_factory, log):
+    assert_csv_matches_log(log, tmp_path_factory.mktemp("csv"))
+
+
+def test_csv_longer_than_one_block(tmp_path):
+    n_rows = 5 * telemetry._BLOCK_ROWS // 2
+    path = assert_csv_matches_log(long_log(n_rows), tmp_path)
+    lines = path.read_text().splitlines()
+    last_block = 2 * telemetry._BLOCK_ROWS  # row index; row i is on line i + 2
+    short, blank = last_block + 100, last_block + 300
+    edited = list(lines)
+    edited[short + 1] = edited[short + 1].rsplit(",", 1)[0]
+    path.write_text("\n".join(edited) + "\n")
+    with pytest.raises(MalformedTelemetry, match=f"line {short + 2} "):
+        telemetry.read_csv(path)
+    path.write_text("\n".join(lines[:blank + 1] + [""] + lines[blank + 1:]) + "\n")
+    with pytest.raises(MalformedTelemetry, match=f"line {blank + 2} "):
+        telemetry.read_csv(path)
+
+
+def traced_peak(function, *args):
+    """Peak bytes that tracemalloc, numpy buffers included, sees while
+    `function(*args)` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_write_and_read_memory_stay_bounded(tmp_path):
+    # one block against four: a writer that holds the whole log's cells
+    # peaks about four times higher on the longer log
+    short, long = (synthetic_log(n * telemetry._BLOCK_ROWS, dt=0.002) for n in (1, 4))
+    short_peak, _ = traced_peak(telemetry.write_csv, short, tmp_path / "short.csv")
+    long_peak, _ = traced_peak(telemetry.write_csv, long, tmp_path / "long.csv")
+    assert long_peak <= 1.25 * short_peak
+    read_peak, table = traced_peak(telemetry.read_csv, tmp_path / "long.csv")
+    table_bytes = sum(getattr(table, f.name).nbytes for f in fields(table))
+    block_bytes = telemetry._BLOCK_ROWS * table_bytes // len(table.t)
+    assert read_peak <= 1.5 * table_bytes + block_bytes

@@ -203,9 +203,6 @@ class Controller:
         self._integrating = any(k > 0.0 for k in self.gains.k_int)
         self._integral = [0.0, 0.0, 0.0]
 
-    def reset(self):
-        self._integral = [0.0, 0.0, 0.0]
-
     def allocate(self, wrench):
         """Minimum-norm thrusts solving the row-reduced wrench equation.
 

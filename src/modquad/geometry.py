@@ -8,7 +8,8 @@ floats: for a single small vector or matrix that is several times cheaper
 than numpy's per-call overhead. The tick's helpers (`difference3`, `cross3`,
 `matvec3`, `matmul3`, `vee`, `so3_exp`, `orthonormalize`) return floats,
 matrices as row-major nested lists; `hat`, `rodrigues`, `rot_principal` and
-`yaw_pitch` return numpy arrays. Helpers never mutate their inputs.
+`yaw_pitch` return numpy arrays. `yaw_pitch` and `is_rotation` also take an
+(n, 3, 3) stack. Helpers never mutate their inputs.
 """
 
 import math
@@ -171,8 +172,10 @@ def yaw_pitch(r):
 
 
 def is_rotation(r, tol=1e-9):
-    """True when R is orthonormal with determinant +1 within `tol`."""
-    r = np.asarray(r, dtype=float).tolist()
-    (a, b, c), (d, e, f), (g, h, i) = r
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return orthonormality_drift(r) < tol and abs(det - 1.0) < tol
+    """True when R, or every matrix of an (n, 3, 3) stack, is orthonormal
+    (Frobenius distance of R^T R from the identity) with determinant +1,
+    both within `tol`."""
+    r = np.asarray(r, dtype=float)
+    drift = np.swapaxes(r, -1, -2) @ r - np.eye(3)
+    return bool((drift * drift).sum(axis=(-2, -1)).max() < tol * tol
+                and np.abs(np.linalg.det(r) - 1.0).max() < tol)

@@ -165,20 +165,20 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
 
     The controller runs every dt_ctrl (an integer multiple of dt_sim);
     motor thrusts are zero-order-held over the sim sub-steps. Raises
-    InvalidParams before any work when the run would exceed MAX_TICK_ROTORS
-    (ticks x rotors) or MAX_SUBSTEPS, and NonFiniteState (with the partial
-    telemetry attached) when the state leaves a 100 m radius or stops being
-    finite.
+    InvalidParams before any work on a step or duration that is not finite,
+    or when the run would exceed MAX_TICK_ROTORS (ticks x rotors) or
+    MAX_SUBSTEPS, and NonFiniteState (with the partial telemetry attached)
+    when the state leaves a 100 m radius or stops being finite.
     """
     if analysis.applicable is False:
         raise InapplicableDesign("structure cannot hover along its thrust axis")
     if not 0.0 < dt_sim <= 0.01:
         raise InvalidParams("dt_sim must lie in (0, 0.01] s")
-    substeps = int(round(dt_ctrl / dt_sim))
+    if not 0.0 <= duration < math.inf:
+        raise InvalidParams("duration must be finite and non-negative")
+    substeps = int(round(dt_ctrl / dt_sim)) if math.isfinite(dt_ctrl) else 0
     if substeps < 1 or abs(dt_ctrl - substeps * dt_sim) > 1e-12:
         raise InvalidParams("dt_ctrl must be an integer multiple of dt_sim")
-    if duration < 0.0:
-        raise InvalidParams("duration must be non-negative")
     n_ticks = int(round(duration / dt_ctrl))
     if (n_ticks + 1) * structure.n_rotors > MAX_TICK_ROTORS:
         raise InvalidParams(f"{n_ticks + 1:.4g} ticks x {structure.n_rotors} rotors exceed "
@@ -198,9 +198,8 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
     for tick in range(n_ticks + 1):
         t = tick * dt_ctrl
         sp = trajectory(t)
-        u_cmd = controller.step(state, sp, dt=dt_ctrl)
-        u_actual, saturated = motor_apply(u_cmd, motor)
-        telemetry.append(t, state, sp, u_cmd, u_actual, saturated)
+        u_actual, saturated = motor_apply(controller.step(state, sp, dt=dt_ctrl), motor)
+        telemetry.append(t, state, sp, u_actual, saturated)
         if tick == n_ticks:
             break
         wrench_body = (structure.design_matrix @ u_actual).tolist()

@@ -42,7 +42,6 @@ class Telemetry:
     angular_velocity = _logged("angular_velocity")
     position_d = _logged("position_d")
     attitude_d = _logged("attitude_d")
-    u_commanded = _logged("u_commanded")
     u_actual = _logged("u_actual")
     saturated = _logged("saturated")
 
@@ -54,13 +53,12 @@ class Telemetry:
             ("t", float), ("position", float, 3), ("velocity", float, 3),
             ("attitude", float, (3, 3)), ("angular_velocity", float, 3),
             ("position_d", float, 3), ("attitude_d", float, (3, 3)),
-            ("u_commanded", float, n_rotors), ("u_actual", float, n_rotors),
-            ("saturated", bool, n_rotors)])
+            ("u_actual", float, n_rotors), ("saturated", bool, n_rotors)])
 
-    def append(self, t, state, setpoint, u_cmd, u_actual, saturated):
+    def append(self, t, state, setpoint, u_actual, saturated):
         self._records[self._length] = (
             t, state.position, state.velocity, state.attitude, state.angular_velocity,
-            setpoint.position, setpoint.attitude, u_cmd, u_actual, saturated)
+            setpoint.position, setpoint.attitude, u_actual, saturated)
         self._length += 1
 
     def __len__(self):

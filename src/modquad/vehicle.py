@@ -12,7 +12,6 @@ model carries the total mass, the inertia tensor about the center of mass
 matrix mapping rotor thrusts to the body wrench.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +77,7 @@ class ModuleSpec:
         if (any(isinstance(s, (bool, np.bool_)) for s in self.spin_signs)
                 or not np.all(np.abs(spins) == 1.0)):
             raise InvalidParams(f"spin signs must be +1 or -1, got {self.spin_signs}")
-        if not _rotations(o):
+        if not geometry.is_rotation(o):
             raise InvalidParams("propeller orientation is not a rotation matrix")
         if np.abs(p[:2] + p[2:]).max() > 1e-12:
             raise InvalidParams("propellers must form a square (p1 = -p3, p2 = -p4)")
@@ -114,28 +113,6 @@ def _cuboid_inertia(masses, body_size):
         [sy**2 + sz**2, sx**2 + sz**2, sx**2 + sy**2])
 
 
-def _rotations(r, tol=1e-9):
-    """True when every matrix of the (n, 3, 3) stack `r` is orthonormal
-    with determinant +1 within `tol`."""
-    drift = np.swapaxes(r, 1, 2) @ r - np.eye(3)  # Frobenius norm below tol
-    return bool((drift * drift).sum(axis=(1, 2)).max() < tol * tol
-                and np.abs(np.linalg.det(r) - 1.0).max() < tol)
-
-
-def _t_tilts(positions, eta):
-    """Rotor orientations tilted by (+eta, -eta, +eta, -eta) about the unit
-    arm vectors: the tilt alternates with the same pattern as the spin.
-    Rodrigues' formula for all rotors at once, as `geometry.rodrigues`."""
-    x, y, z = (positions / np.linalg.norm(positions, axis=1, keepdims=True)).T
-    s, c = math.sin(eta) * _SPIN_SIGNS, 1.0 - math.cos(eta)
-    xy, xz, yz = c * x * y, c * x * z, c * y * z
-    return np.stack([
-        1.0 - c * (y * y + z * z), xy - s * z, xz + s * y,
-        xy + s * z, 1.0 - c * (x * x + z * z), yz - s * x,
-        xz - s * y, yz + s * x, 1.0 - c * (x * x + y * y),
-    ], axis=1).reshape(-1, 3, 3)
-
-
 @dataclass
 class TorqueBalanceReport:
     """Net torque of a module when every rotor produces 1 N."""
@@ -169,7 +146,9 @@ def make_t_module(eta, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
     if abs(eta) >= np.pi / 2:
         raise InvalidParams(f"|eta| must be below pi/2, got {eta}")
     positions = square_positions(arm)
-    return ModuleSpec("T", positions, _t_tilts(positions, eta), _SPIN_SIGNS,
+    arms = positions / np.linalg.norm(positions, axis=1, keepdims=True)
+    tilts = [geometry.rodrigues(u, s * eta) for u, s in zip(arms.tolist(), _SPIN_SIGNS)]
+    return ModuleSpec("T", positions, np.array(tilts), _SPIN_SIGNS,
                       mass, arm, tuple(body_size), k_m)
 
 
@@ -263,8 +242,13 @@ class StructureModel:
     spin_signs: np.ndarray
     drag_ratios: np.ndarray
     design_matrix: np.ndarray
-    _inertia_inverse: np.ndarray = field(default=None, repr=False)
-    _inertia_floats: tuple = field(default=None, repr=False)
+    inertia_inverse: np.ndarray = field(init=False, repr=False)
+    # (inertia, inertia_inverse) as nested lists of Python floats
+    inertia_floats: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.inertia_inverse = np.linalg.inv(self.inertia)
+        self.inertia_floats = (self.inertia.tolist(), self.inertia_inverse.tolist())
 
     @property
     def n_modules(self):
@@ -273,20 +257,6 @@ class StructureModel:
     @property
     def n_rotors(self):
         return 4 * len(self.placements)
-
-    @property
-    def inertia_inverse(self):
-        if self._inertia_inverse is None:
-            self._inertia_inverse = np.linalg.inv(self.inertia)
-        return self._inertia_inverse
-
-    @property
-    def inertia_floats(self):
-        """(inertia, inertia_inverse) as nested lists of Python floats."""
-        if self._inertia_floats is None:
-            self._inertia_floats = (self.inertia.tolist(),
-                                    self.inertia_inverse.tolist())
-        return self._inertia_floats
 
     @property
     def rotor_axes(self):
@@ -322,7 +292,7 @@ def assemble_structure(placements):
     if len({m.body_size for m in modules}) != 1:
         raise InvalidParams("all modules in a structure must share body dimensions")
     attitudes = np.array([p.attitude for p in placements])
-    if not _rotations(attitudes):
+    if not geometry.is_rotation(attitudes):
         raise InvalidParams("module attitude is not a rotation matrix")
 
     body_size = modules[0].body_size

@@ -157,24 +157,27 @@ def test_criterion_4_allocation():
 
 
 def test_criterion_5_integrator():
+    # states and wrenches as float lists, each wrench computed once, as
+    # run_scenario hands them to the step
     s = vehicle.assemble_structure([(vehicle.make_r_module(np.eye(3)), (0, 0, 0))])
-    state = simulation.VehicleState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
+    no_thrust = (s.design_matrix @ np.zeros(4)).tolist()
+    state = simulation.VehicleState([0.0] * 3, [0.0] * 3, np.eye(3).tolist(), [0.0] * 3)
     for _ in range(1000):
-        state = simulation.step(state, s.design_matrix @ np.zeros(4), s, 0.001)
+        state = simulation.step(state, no_thrust, s, 0.001)
     fall_err = abs(state.position[2] + 0.5 * G)
 
-    state = simulation.VehicleState(np.zeros(3), np.zeros(3), np.eye(3),
-                                    np.array([0.5, 0.3, 0.8]))
-    worst_drift = 0.0
+    state = simulation.VehicleState([0.0] * 3, [0.0] * 3, np.eye(3).tolist(),
+                                    [0.5, 0.3, 0.8])
     for _ in range(100000):
-        state = simulation.step(state, s.design_matrix @ np.zeros(4), s, 0.001)
+        state = simulation.step(state, no_thrust, s, 0.001)
     worst_drift = geometry.orthonormality_drift(state.attitude)
 
     u = np.array([0.2, 0.0, 0.2, 0.0])
     tau_z = s.design_matrix[5] @ u
-    state = simulation.VehicleState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
+    spin_up = (s.design_matrix @ u).tolist()
+    state = simulation.VehicleState([0.0] * 3, [0.0] * 3, np.eye(3).tolist(), [0.0] * 3)
     for _ in range(1000):
-        state = simulation.step(state, s.design_matrix @ u, s, 0.001)
+        state = simulation.step(state, spin_up, s, 0.001)
     spin_err = abs(state.angular_velocity[2] - tau_z / s.inertia[2, 2])
 
     ok = fall_err < 1e-6 and worst_drift < 1e-9 and spin_err < 1e-6

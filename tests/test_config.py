@@ -258,7 +258,9 @@ modules:
 
 def test_build_structure_builds_each_design_once(monkeypatch):
     # sim1 holds 16 entries of 2 designs (eta = +-pi/4); a later change must
-    # not bring back per-entry module builds or per-placement rotation checks
+    # not bring back per-entry module builds or per-placement rotation checks:
+    # each check is one stacked determinant, one per design and one for all
+    # placements
     cfg = config.load_config(FIXTURES / "sim1.cfg")
     assert len(cfg.modules) == 16 and len({m.design for m in cfg.modules}) == 2
     specs, dets, checks = [], [], []
@@ -273,4 +275,4 @@ def test_build_structure_builds_each_design_once(monkeypatch):
     assert structure.n_modules == 16
     assert len(specs) == 2
     assert [s for s in dets if s != (4, 3, 3)] == [(16, 3, 3)]
-    assert len(dets) == 3 and len(checks) <= 2
+    assert len(dets) == 3 and len(checks) == 3

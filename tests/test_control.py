@@ -269,5 +269,3 @@ def test_integral_term_accumulates_and_clamps():
     for _ in range(100):
         ctl.step(state, sp, dt=0.01)
     assert ctl._integral[2] == pytest.approx(0.05)
-    ctl.reset()
-    assert np.allclose(ctl._integral, 0.0)

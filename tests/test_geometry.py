@@ -115,6 +115,22 @@ def test_rotation_outputs_are_valid_rotations():
     assert geometry.is_rotation(geometry.so3_exp([0.3, -0.2, 0.9], 0.5), tol=1e-9)
 
 
+def test_is_rotation_checks_every_member_of_a_stack():
+    rng = np.random.default_rng(17)
+    axes = rng.normal(size=(16, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    stack = np.array([geometry.rodrigues(a, t) for a, t in
+                      zip(axes, rng.uniform(-np.pi, np.pi, 16))])
+    assert geometry.is_rotation(stack)
+    for member in (0, 7, 15):
+        reflected, scaled = stack.copy(), stack.copy()
+        reflected[member] = reflected[member] @ np.diag([1.0, 1.0, -1.0])
+        scaled[member] *= 1.0 + 1e-8
+        assert np.linalg.det(reflected[member]) == pytest.approx(-1.0)
+        assert not geometry.is_rotation(reflected)
+        assert not geometry.is_rotation(scaled)
+
+
 def test_rodrigues_fixes_its_axis():
     rng = np.random.default_rng(11)
     for _ in range(1000):

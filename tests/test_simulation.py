@@ -289,6 +289,17 @@ def test_run_leaves_initial_state_unchanged(tmp_path, as_arrays):
         assert type(getattr(start, name)) is type(getattr(kept, name)), name
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["duration", "dt_ctrl"])
+def test_scenario_rejects_non_finite_duration_and_control_step(name, value):
+    s = four_t_structure()
+    an = actuation.analyze_structure(s)
+    traj = trajectories.make_trajectory(trajectories.HoverDef(), 6)
+    args = {"duration": 1.0, "dt_ctrl": 0.002, name: value}
+    with pytest.raises(InvalidParams):
+        simulation.run_scenario(s, an, tuned_gains(), traj, **args)
+
+
 def test_scenario_rejects_oversized_sim_step():
     s = four_t_structure()
     an = actuation.analyze_structure(s)

@@ -28,8 +28,7 @@ def synthetic_log(n_rows, offset=(0.0, 0.0, 0.0), dt=0.5):
     for i in range(n_rows):
         pos = np.array([0.1, -0.2, 0.5])
         log.append(i * dt, make_state(pos + np.asarray(offset)),
-                   hover_setpoint(pos), np.full(4, 0.3), np.full(4, 0.3),
-                   np.zeros(4, dtype=bool))
+                   hover_setpoint(pos), np.full(4, 0.3), np.zeros(4, dtype=bool))
     return log
 
 
@@ -245,7 +244,7 @@ def test_metrics_attitude_error_with_frame_rotation(tmp_path):
     for i in range(20):
         log.append(i * 0.5, make_state(np.zeros(3), frame.T),
                    hover_setpoint(np.zeros(3)), np.full(4, 0.3),
-                   np.full(4, 0.3), np.zeros(4, dtype=bool))
+                   np.zeros(4, dtype=bool))
     path = tmp_path / "run.csv"
     telemetry.write_csv(log, path)
     table = telemetry.read_csv(path)
@@ -263,12 +262,11 @@ def test_metrics_window_skips_transient(tmp_path):
     pos = np.array([0.1, -0.2, 0.5])
     for i in range(10):
         combined.append(i * 0.5, make_state(pos + [0.5, 0, 0]),
-                        hover_setpoint(pos), np.full(4, 0.3), np.full(4, 0.3),
+                        hover_setpoint(pos), np.full(4, 0.3),
                         np.zeros(4, dtype=bool))
     for i in range(10, 20):
         combined.append(i * 0.5, make_state(pos), hover_setpoint(pos),
-                        np.full(4, 0.3), np.full(4, 0.3),
-                        np.zeros(4, dtype=bool))
+                        np.full(4, 0.3), np.zeros(4, dtype=bool))
     telemetry.write_csv(combined, path)
     report = telemetry.compute_metrics(telemetry.read_csv(path), skip_s=5.0)
     assert report.max_position_error[0] == 0.0
@@ -295,7 +293,7 @@ def test_saturation_fraction(tmp_path):
     for i in range(10):
         sat = np.array([i % 2 == 0, False, False, False])
         log.append(float(i), make_state(pos), hover_setpoint(pos),
-                   np.full(4, 0.3), np.full(4, 0.3), sat)
+                   np.full(4, 0.3), sat)
     path = tmp_path / "run.csv"
     telemetry.write_csv(log, path)
     report = telemetry.compute_metrics(telemetry.read_csv(path), skip_s=0.0)
@@ -371,7 +369,7 @@ cells = st.one_of(
 def random_logs(draw):
     n_rotors = draw(st.sampled_from([4, 8, 64]))
     n_rows = draw(st.integers(1, 50))
-    floats = draw(arrays(np.float64, (n_rows, 13 + 2 * n_rotors), elements=cells))
+    floats = draw(arrays(np.float64, (n_rows, 13 + n_rotors), elements=cells))
     saturated = draw(arrays(np.bool_, (n_rows, n_rotors)))
     # the flown attitude and the target attitude of each row
     quaternions = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
@@ -380,10 +378,10 @@ def random_logs(draw):
 
 
 def log_of_rows(floats, saturated, quaternions):
-    """Telemetry log of n rows: per row 13 + 2 n_rotors floats (t, position,
-    velocity, angular velocity, target position, commanded and actual
-    thrusts), the saturated rotors, and two quaternions (flown and target
-    attitude) that need not be normalized."""
+    """Telemetry log of n rows: per row 13 + n_rotors floats (t, position,
+    velocity, angular velocity, target position, thrusts), the saturated
+    rotors, and two quaternions (flown and target attitude) that need not
+    be normalized."""
     n_rows, n_rotors = saturated.shape
     log = Telemetry(n_rotors, n_rows)
     for row, sat, q in zip(floats, saturated, quaternions):
@@ -391,8 +389,7 @@ def log_of_rows(floats, saturated, quaternions):
             q / np.linalg.norm(q, axis=1, keepdims=True))
         state = VehicleState(row[1:4], row[4:7], attitude, row[7:10])
         setpoint = Setpoint(row[10:13], np.zeros(3), np.zeros(3), target)
-        log.append(row[0], state, setpoint, row[13:13 + n_rotors],
-                   row[13 + n_rotors:], sat)
+        log.append(row[0], state, setpoint, row[13:], sat)
     return log
 
 
@@ -400,7 +397,7 @@ def long_log(n_rows, n_rotors=8, seed=83):
     """A log of mixed values: normal floats, -0.0 cells, and every 97th row
     NaN throughout, its attitudes included."""
     rng = np.random.default_rng(seed)
-    floats = rng.normal(scale=10.0, size=(n_rows, 13 + 2 * n_rotors))
+    floats = rng.normal(scale=10.0, size=(n_rows, 13 + n_rotors))
     floats[rng.random(floats.shape) < 0.05] = -0.0
     quaternions = rng.normal(size=(n_rows, 2, 4))
     floats[::97] = np.nan

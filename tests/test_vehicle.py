@@ -241,6 +241,18 @@ def test_malformed_rotor_table_rejected(table):
         vehicle.ModuleSpec("custom", **table)
 
 
+@pytest.mark.parametrize("rotor", range(4))
+@pytest.mark.parametrize("bad", [
+    np.diag([1.0, 1.0, -1.0]),
+    (1.0 + 1e-8) * np.eye(3),
+], ids=["reflection", "scaled"])
+def test_module_rejects_a_bad_orientation_at_each_rotor(rotor, bad):
+    orientations = np.array([np.eye(3)] * 4)
+    orientations[rotor] = bad
+    with pytest.raises(InvalidParams, match="not a rotation matrix"):
+        vehicle.ModuleSpec("custom", **_edited(orientations=orientations))
+
+
 @pytest.mark.parametrize("attitude", [
     np.diag([1.0, 1.0, -1.0]),
     1.01 * geometry.rot_principal("z", 0.3),

@@ -1,11 +1,9 @@
 """Actuation analysis of a structure: controllable DOF, thrust frame, allocation.
 
-The 6x4n design matrix splits into force rows (top three) and torque rows
-(bottom three). The number of controllable DOF is
-
-    3 + rank(force rows) - (number of force rows dependent on torque rows),
-
-which lands in {4, 5, 6} for valid structures. The thrust frame ("F-frame")
+The 6x4n design matrix A splits into force rows (top three) and torque rows
+(bottom three), which have rank 3 in a valid structure. The controllable
+DOF, 3 + rank(force rows) - (force rows dependent on torque rows), are then
+rank(A), in {4, 5, 6} for valid structures. The thrust frame ("F-frame")
 is a body-fixed frame whose z-axis points along the direction of maximum
 achievable thrust, obtained from the SVD of the force rows; the controller
 tracks this frame's attitude.
@@ -26,9 +24,9 @@ _KKT_ROUNDING = 1e3 * np.finfo(float).eps
 _MAX_PASSES_PER_VARIABLE = 20
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ActuationAnalysis:
-    """Ranks, controllable DOF, thrust frame, and row selector of a structure."""
+    """Ranks, DOF, thrust frame, kept wrench rows and hover answer of a structure."""
 
     rank_total: int
     rank_force: int
@@ -37,11 +35,11 @@ class ActuationAnalysis:
     controllable_dof: int
     force_axes: np.ndarray  # U of the force rows: actuation ellipsoid directions
     force_sigma: np.ndarray  # singular values of the force rows: semi-axes (N)
-    f_frame: np.ndarray = None
-    dimensioning: np.ndarray = None
-    applicable: bool = None
-    tie_broken: bool = False
-    hover_residual: float = None
+    f_frame: np.ndarray
+    wrench_rows: np.ndarray
+    applicable: bool
+    tie_broken: bool
+    hover_residual: float
 
     @property
     def singular_values(self):
@@ -55,32 +53,6 @@ def _numeric_rank(sigma):
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.sum(sigma > RANK_TOL * sigma[0]))
-
-
-def analyze(a):
-    """Rank/DOF analysis of a 6x4n design matrix.
-
-    A singular value counts toward rank when it exceeds RANK_TOL times the
-    largest one. Raises DegenerateStructure when the torque rows are rank
-    deficient, which no valid module arrangement produces.
-    """
-    a = np.asarray(a, dtype=float)
-    force_axes, force_sigma, _ = np.linalg.svd(a[:3])
-    rank_total = _numeric_rank(np.linalg.svd(a, compute_uv=False))
-    rank_force = _numeric_rank(force_sigma)
-    rank_torque = _numeric_rank(np.linalg.svd(a[3:], compute_uv=False))
-    if rank_torque < 3:
-        raise DegenerateStructure(f"torque rows have rank {rank_torque} < 3")
-    dependent = rank_torque + rank_force - rank_total
-    return ActuationAnalysis(
-        rank_total=rank_total,
-        rank_force=rank_force,
-        rank_torque=rank_torque,
-        dependent_force_rows=dependent,
-        controllable_dof=3 + rank_force - dependent,
-        force_axes=force_axes,
-        force_sigma=force_sigma,
-    )
 
 
 def _signed(v, reference, fallback):
@@ -150,27 +122,16 @@ def _f_frame_with_ties(u, sigma, structure):
     return np.column_stack([x, np.cross(z, x), z]), False
 
 
-def f_frame(a_f, structure):
-    """Rotation from the structure frame to its thrust frame, for the force
-    rows `a_f` of its design matrix."""
-    u, sigma, _ = np.linalg.svd(np.asarray(a_f, dtype=float))
-    rotation, _ = _f_frame_with_ties(u, sigma, structure)
-    return rotation
+_WRENCH_ROWS = {4: [2, 3, 4, 5], 5: [0, 2, 3, 4, 5], 6: [0, 1, 2, 3, 4, 5]}
 
 
-def dimensioning_matrix(dof):
-    """Row selector reducing the wrench equation to the controllable DOF.
-
-    4 DOF keeps (f_z, torques); 5 DOF adds f_x; 6 DOF keeps everything.
-    """
-    if dof == 4:
-        return np.hstack([np.zeros((4, 2)), np.eye(4)])
-    if dof == 5:
-        top = np.concatenate([[1.0, 0.0], np.zeros(4)])
-        return np.vstack([top, np.hstack([np.zeros((4, 2)), np.eye(4)])])
-    if dof == 6:
-        return np.eye(6)
-    raise InvalidDOF(f"controllable DOF must be 4, 5 or 6, got {dof}")
+def wrench_rows(dof):
+    """Integer array (a tuple would index several axes) of the wrench rows the
+    controllable DOF keep: 4 DOF keeps (f_z, torques), 5 DOF adds f_x, 6 DOF
+    keeps everything."""
+    if dof not in _WRENCH_ROWS:
+        raise InvalidDOF(f"controllable DOF must be 4, 5 or 6, got {dof}")
+    return np.array(_WRENCH_ROWS[dof])
 
 
 def design_in_f_frame(a, f_frame_rotation):
@@ -267,18 +228,36 @@ def applicability(structure, f_frame_rotation, f_max=DEFAULT_F_MAX):
 
 
 def analyze_structure(structure, f_max=DEFAULT_F_MAX):
-    """Full actuation analysis of an assembled structure."""
+    """Full actuation analysis of an assembled structure. A singular value
+    counts toward rank above RANK_TOL times the largest one; torque rows of
+    rank below 3, which no valid module arrangement has, raise
+    DegenerateStructure."""
     a = structure.design_matrix
-    analysis = analyze(a)
-    rotation, tie = _f_frame_with_ties(analysis.force_axes, analysis.force_sigma,
-                                       structure)
-    analysis.f_frame = rotation
-    analysis.tie_broken = tie
-    analysis.dimensioning = dimensioning_matrix(analysis.controllable_dof)
-    analysis.applicable = applicability(structure, rotation, f_max)
+    force_axes, force_sigma, _ = np.linalg.svd(a[:3])
+    rank_total = _numeric_rank(np.linalg.svd(a, compute_uv=False))
+    rank_force = _numeric_rank(force_sigma)
+    rank_torque = _numeric_rank(np.linalg.svd(a[3:], compute_uv=False))
+    if rank_torque < 3:
+        raise DegenerateStructure(f"torque rows have rank {rank_torque} < 3")
+    rows = wrench_rows(rank_total)
+    rotation, tie = _f_frame_with_ties(force_axes, force_sigma, structure)
+    applicable = applicability(structure, rotation, f_max)
     target = structure.mass * GRAVITY * rotation[:, 2]
-    _, analysis.hover_residual = bounded_least_squares(a[:3], target, f_max)
-    return analysis
+    _, hover_residual = bounded_least_squares(a[:3], target, f_max)
+    return ActuationAnalysis(
+        rank_total=rank_total,
+        rank_force=rank_force,
+        rank_torque=rank_torque,
+        dependent_force_rows=rank_force + 3 - rank_total,
+        controllable_dof=rank_total,
+        force_axes=force_axes,
+        force_sigma=force_sigma,
+        f_frame=rotation,
+        wrench_rows=rows,
+        applicable=applicable,
+        tie_broken=tie,
+        hover_residual=hover_residual,
+    )
 
 
 def hover_wrench(mass, attitude):

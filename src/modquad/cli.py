@@ -81,8 +81,8 @@ def _analysis_payload(cfg, structure, analysis):
         ],
         "f_frame": [[float(x) for x in row] for row in analysis.f_frame],
         "f_frame_tie_broken": bool(analysis.tie_broken),
-        "dimensioning_rows": int(analysis.dimensioning.shape[0]),
-        "dimensioning": [[float(x) for x in row] for row in analysis.dimensioning],
+        "dimensioning_rows": len(analysis.wrench_rows),
+        "dimensioning": np.eye(6)[analysis.wrench_rows].tolist(),
         "applicable": bool(analysis.applicable),
         "hover_residual_n": float(analysis.hover_residual),
         "f_max_n": cfg.physical.f_max_n,
@@ -260,13 +260,14 @@ def cmd_metrics(args):
     except (MalformedTelemetry, OSError, UnicodeDecodeError) as exc:
         _report(args.telemetry, exc)
         return EXIT_SCHEMA
-    frame_rotation = None
+    frame_rotation, scenario = None, config_mod.ScenarioParams  # the schema's defaults
     if args.config is not None:
         cfg = _load(args.config)
         _, analysis = _build_and_analyze(args.config, cfg)
         frame_rotation = analysis.f_frame
-    report = telemetry.compute_metrics(table, skip_s=args.skip_s,
-                                       frame_rotation=frame_rotation)
+        scenario = cfg.scenario or scenario
+    skip_s = scenario.skip_s if args.skip_s is None else args.skip_s
+    report = telemetry.compute_metrics(table, skip_s=skip_s, frame_rotation=frame_rotation)
     payload = {
         "samples": report.samples,
         "window_start_s": _json_number(report.window_start),
@@ -314,8 +315,9 @@ def build_parser():
 
     p_metrics = sub.add_parser("metrics", help="tracking metrics from telemetry")
     p_metrics.add_argument("telemetry")
-    p_metrics.add_argument("--skip-s", type=_finite_float, default=5.0,
-                           help="transient window to exclude (s)")
+    p_metrics.add_argument("--skip-s", type=_finite_float, default=None,
+                           help="transient window to exclude (s; default: the "
+                                "config's scenario.skip_s, else 5)")
     p_metrics.add_argument("--config", default=None,
                            help="config to recover the thrust-frame rotation")
     p_metrics.add_argument("--format", choices=("text", "json"), default="text")

@@ -190,21 +190,18 @@ class Controller:
     """
 
     def __init__(self, structure, analysis, gains=None):
-        if analysis.f_frame is None or analysis.dimensioning is None:
-            raise InvalidParams("analysis must include the thrust frame and row selector")
         self.structure = structure
         self.analysis = analysis
         self.gains = gains if gains is not None else ControllerGains()
         self.design_f = design_in_f_frame(structure.design_matrix, analysis.f_frame)
-        self._alloc = np.linalg.pinv(analysis.dimensioning @ self.design_f)
-        # the wrench rows the 0/1 dimensioning matrix keeps, in its row order
-        self._rows = np.argmax(analysis.dimensioning, axis=1)
+        self._rows = analysis.wrench_rows
+        self._alloc = np.linalg.pinv(self.design_f[self._rows])
         self._frame = analysis.f_frame.tolist()
         self._integrating = any(k > 0.0 for k in self.gains.k_int)
         self._integral = [0.0, 0.0, 0.0]
 
     def allocate(self, wrench):
-        """Minimum-norm thrusts solving the row-reduced wrench equation.
+        """Minimum-norm thrusts solving the wrench equation on its kept rows.
 
         Entries may be negative; clamping to the motor range is the
         simulator's job.

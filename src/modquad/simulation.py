@@ -170,7 +170,7 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
     MAX_SUBSTEPS, and NonFiniteState (with the partial telemetry attached)
     when the state leaves a 100 m radius or stops being finite.
     """
-    if analysis.applicable is False:
+    if not analysis.applicable:
         raise InapplicableDesign("structure cannot hover along its thrust axis")
     if not 0.0 < dt_sim <= 0.01:
         raise InvalidParams("dt_sim must lie in (0, 0.01] s")

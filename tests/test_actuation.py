@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -39,31 +40,31 @@ def vertical_2x2():
 
 
 def test_single_r_module_has_four_dof():
-    an = actuation.analyze(single_r(np.pi / 18).design_matrix)
+    an = actuation.analyze_structure(single_r(np.pi / 18))
     assert an.rank_force == 1
     assert an.dependent_force_rows == 0
     assert an.controllable_dof == 4
 
 
 def test_two_opposed_r_modules_have_five_dof():
-    an = actuation.analyze(two_r(np.pi / 6, -np.pi / 6).design_matrix)
+    an = actuation.analyze_structure(two_r(np.pi / 6, -np.pi / 6))
     assert an.rank_total == 5
     assert an.controllable_dof == 5
 
 
 def test_four_t_modules_have_six_dof():
-    an = actuation.analyze(four_t_diagonal().design_matrix)
+    an = actuation.analyze_structure(four_t_diagonal())
     assert an.controllable_dof == 6
 
 
 def test_vertical_grid_stays_at_four_dof():
-    an = actuation.analyze(vertical_2x2().design_matrix)
+    an = actuation.analyze_structure(vertical_2x2())
     assert an.controllable_dof == 4
 
 
 def test_single_t_module_dof_four_through_coupling():
     s = vehicle.assemble_structure([(vehicle.make_t_module(np.pi / 4), (0, 0, 0))])
-    an = actuation.analyze(s.design_matrix)
+    an = actuation.analyze_structure(s)
     assert an.rank_force == 3
     assert an.dependent_force_rows == 2
     assert an.controllable_dof == 4
@@ -72,33 +73,42 @@ def test_single_t_module_dof_four_through_coupling():
 def test_dof_equals_rank_of_design_matrix():
     for s in (single_r(np.pi / 18), two_r(np.pi / 6, -np.pi / 6),
               four_t_diagonal(), vertical_2x2()):
-        an = actuation.analyze(s.design_matrix)
+        an = actuation.analyze_structure(s)
         assert an.controllable_dof == np.linalg.matrix_rank(s.design_matrix, tol=1e-9)
 
 
+# one untilted R module without rotor drag: four parallel thrusts give no
+# torque about z, so the torque rows have rank 2
+FLAT_DRAGLESS = """
+modules:
+  - kind: R
+    cell: [0, 0, 0]
+physical:
+  drag_to_thrust_m: 0
+"""
+
+
 def test_degenerate_torque_rows_rejected():
-    a = np.zeros((6, 8))
-    a[2] = 1.0
-    a[5] = 0.5
-    with pytest.raises(DegenerateStructure):
-        actuation.analyze(a)
+    s = config.build_structure(config.parse_config(FLAT_DRAGLESS))
+    with pytest.raises(DegenerateStructure, match="torque rows have rank 2 < 3"):
+        actuation.analyze_structure(s)
 
 
 def test_f_frame_single_tilted_module():
     s = single_r(np.pi / 18)
-    rf = actuation.f_frame(s.design_matrix[:3], s)
+    rf = actuation.analyze_structure(s).f_frame
     assert np.max(np.abs(rf - geometry.rot_principal("y", np.pi / 18))) < 1e-9
 
 
 def test_f_frame_opposed_pair_aligns_with_structure():
     s = two_r(np.pi / 6, -np.pi / 6)
-    rf = actuation.f_frame(s.design_matrix[:3], s)
+    rf = actuation.analyze_structure(s).f_frame
     assert np.max(np.abs(rf - np.eye(3))) < 1e-9
 
 
 def test_f_frame_vertical_quadrotor_is_identity():
     s = single_r(0.0)
-    assert np.max(np.abs(actuation.f_frame(s.design_matrix[:3], s) - np.eye(3))) < 1e-12
+    assert np.max(np.abs(actuation.analyze_structure(s).f_frame - np.eye(3))) < 1e-12
 
 
 def test_f_frame_four_t_tie_resolves_to_identity():
@@ -124,7 +134,7 @@ def test_f_frame_outputs_are_rotations():
     for _ in range(50):
         angles = rng.uniform(-0.6, 0.6, size=2)
         s = two_r(*angles)
-        assert geometry.is_rotation(actuation.f_frame(s.design_matrix[:3], s))
+        assert geometry.is_rotation(actuation.analyze_structure(s).f_frame)
 
 
 @pytest.mark.parametrize("structure", [
@@ -148,27 +158,44 @@ def test_analyze_structure_decomposes_each_block_once(monkeypatch, structure):
 
 def test_applicability_examples():
     gentle = two_r(-np.pi / 6, np.pi / 6)
-    assert actuation.applicability(gentle, actuation.f_frame(gentle.design_matrix[:3], gentle))
+    assert actuation.applicability(gentle, actuation.analyze_structure(gentle).f_frame)
     obtuse = two_r(np.pi / 3, -np.pi / 3)
-    assert not actuation.applicability(
-        obtuse, actuation.f_frame(obtuse.design_matrix[:3], obtuse))
+    assert not actuation.applicability(obtuse, actuation.analyze_structure(obtuse).f_frame)
     hover = single_r(0.0)
-    assert actuation.applicability(hover, actuation.f_frame(hover.design_matrix[:3], hover))
+    assert actuation.applicability(hover, actuation.analyze_structure(hover).f_frame)
+
+
+def old_dimensioning_matrix(dof):
+    """The 0/1 row selector that `wrench_rows` replaced, kept as the
+    reference its rows must reproduce."""
+    if dof == 4:
+        return np.hstack([np.zeros((4, 2)), np.eye(4)])
+    if dof == 5:
+        top = np.concatenate([[1.0, 0.0], np.zeros(4)])
+        return np.vstack([top, np.hstack([np.zeros((4, 2)), np.eye(4)])])
+    return np.eye(6)
+
+
+def dimensioning(dof):
+    """The 0/1 matrix whose rows pick the wrench rows `wrench_rows(dof)`."""
+    return np.eye(6)[actuation.wrench_rows(dof)]
 
 
 def test_dimensioning_matrices_exact():
-    d4 = actuation.dimensioning_matrix(4)
+    for dof in (4, 5, 6):
+        assert actuation.wrench_rows(dof).dtype.kind == "i"
+    d4 = dimensioning(4)
     assert d4.shape == (4, 6)
     assert np.array_equal(d4, np.hstack([np.zeros((4, 2)), np.eye(4)]))
-    d5 = actuation.dimensioning_matrix(5)
+    d5 = dimensioning(5)
     assert d5.shape == (5, 6)
     expected5 = np.zeros((5, 6))
     expected5[0, 0] = 1.0
     expected5[1:, 2:] = np.eye(4)
     assert np.array_equal(d5, expected5)
-    assert np.array_equal(actuation.dimensioning_matrix(6), np.eye(6))
+    assert np.array_equal(dimensioning(6), np.eye(6))
     with pytest.raises(InvalidDOF):
-        actuation.dimensioning_matrix(3)
+        actuation.wrench_rows(3)
 
 
 def test_allocate_zero_wrench():
@@ -217,13 +244,14 @@ def fixture_structure(name):
 @pytest.fixture(scope="module")
 def fixture_controllers():
     """Controllers of exp1, exp2 and exp4 (4, 5 and 6 DOF) with their
-    dimensioning matrix and thrust-frame design matrix."""
+    0/1 dimensioning matrix and thrust-frame design matrix."""
     controllers = {}
     for name in ("exp1", "exp2", "exp4"):
         cfg, s = fixture_structure(name)
         an = actuation.analyze_structure(s, f_max=cfg.physical.f_max_n)
         a_f = actuation.design_in_f_frame(s.design_matrix, an.f_frame)
-        controllers[an.controllable_dof] = (control.Controller(s, an), an.dimensioning, a_f)
+        controllers[an.controllable_dof] = (control.Controller(s, an),
+                                            old_dimensioning_matrix(an.controllable_dof), a_f)
     return controllers
 
 
@@ -241,7 +269,7 @@ def test_allocation_is_minimum_norm():
     s = four_t_diagonal()
     an = actuation.analyze_structure(s)
     a_f = actuation.design_in_f_frame(s.design_matrix, an.f_frame)
-    reduced = an.dimensioning @ a_f
+    reduced = a_f[an.wrench_rows]
     _, _, vt = np.linalg.svd(reduced)
     null_basis = vt[6:]
     controller = control.Controller(s, an)
@@ -269,13 +297,12 @@ def test_ellipsoid_bound():
 
 def test_analysis_invariant_under_design_scaling():
     s = two_r(np.pi / 6, -np.pi / 6)
-    base = actuation.analyze(s.design_matrix)
-    scaled = actuation.analyze(10.0 * s.design_matrix)
+    base = actuation.analyze_structure(s)
+    scaled = actuation.analyze_structure(
+        dataclasses.replace(s, design_matrix=10.0 * s.design_matrix))
     assert scaled.controllable_dof == base.controllable_dof
     assert np.allclose(scaled.singular_values, base.singular_values)
-    rf_base = actuation.f_frame(s.design_matrix[:3], s)
-    rf_scaled = actuation.f_frame(10.0 * s.design_matrix[:3], s)
-    assert np.allclose(rf_base, rf_scaled)
+    assert np.allclose(base.f_frame, scaled.f_frame)
 
 
 def test_bounded_least_squares_respects_box():
@@ -355,7 +382,7 @@ def test_pitch_feasibility_monotone():
 
 def test_f_frame_reexpression_preserves_singular_values():
     s = two_r(np.pi / 6, -np.pi / 6)
-    rf = actuation.f_frame(s.design_matrix[:3], s)
+    rf = actuation.analyze_structure(s).f_frame
     a_f = actuation.design_in_f_frame(s.design_matrix, rf)
     for block in (slice(0, 3), slice(3, 6)):
         before = np.linalg.svd(s.design_matrix[block], compute_uv=False)
@@ -464,10 +491,16 @@ def test_assembly_and_dof_match_module_oracle(structure):
         expected = np.vstack([force, r @ module_a[3:] + np.cross(d, force.T).T])
         assert np.allclose(a[:, 4 * i:4 * i + 4], expected, rtol=0.0, atol=1e-12)
     # 3 + r_f - (r_t + r_f - r_total) = r_total since the torque rows have rank 3
-    an = actuation.analyze(a)
+    an = actuation.analyze_structure(structure)
     rank = np.linalg.matrix_rank(a, tol=actuation.RANK_TOL * np.linalg.norm(a, 2))
     assert an.controllable_dof == an.rank_total == rank
-    assert geometry.is_rotation(actuation.f_frame(a[:3], structure))
+    assert an.dependent_force_rows == an.rank_force + an.rank_torque - rank
+    assert geometry.is_rotation(an.f_frame)
+    # selecting the kept rows gives the allocation of the 0/1 matrix, bit for bit
+    d = old_dimensioning_matrix(an.controllable_dof)
+    a_f = actuation.design_in_f_frame(a, an.f_frame)
+    assert np.array_equal(np.eye(6)[an.wrench_rows], d)
+    assert control.Controller(structure, an)._alloc.tobytes() == np.linalg.pinv(d @ a_f).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -74,6 +74,27 @@ def test_analyze_inapplicable_design_exits_3(capsys):
     assert "inapplicable" in err
 
 
+def test_simulate_inapplicable_design_exits_3_without_csv(tmp_path, capsys):
+    cfg = tmp_path / "fig5d_hover.cfg"
+    cfg.write_text((FIXTURES / "fig5d.cfg").read_text() + """
+scenario:
+  trajectory: {kind: hover, point_m: [0.0, 0.0, 0.5]}
+  duration_s: 0.5
+""")
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", str(cfg), "-o", str(out)]) == 3
+    assert "cannot hover" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_degenerate_torque_rows_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("modules:\n  - kind: R\n    cell: [0, 0, 0]\n"
+                   "physical:\n  drag_to_thrust_m: 0\n")
+    assert cli.main(["analyze", str(cfg)]) == 2
+    assert "torque rows have rank 2 < 3" in capsys.readouterr().err
+
+
 def test_analyze_schema_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("modules: []\n")
@@ -207,6 +228,27 @@ def test_metrics_reports_errors(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert max(payload["max_position_error_m"]) < 1e-6
     assert not payload["diverged"]
+
+
+def test_metrics_window_from_config_unless_flag_given(tmp_path, capsys):
+    cfg = tmp_path / "hover.cfg"
+    write_hover_config(cfg, duration=0.5, extra="  skip_s: 0.1\n")
+    bare = tmp_path / "bare.cfg"
+    bare.write_text(cfg.read_text().split("scenario:")[0])
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", str(cfg), "-o", str(out)]) == 0
+    capsys.readouterr()
+
+    def window_start(*options):
+        assert cli.main(["metrics", str(out), "--format", "json", *options]) == 0
+        return json.loads(capsys.readouterr().out)["window_start_s"]
+
+    assert window_start("--config", str(cfg)) == 0.1
+    # the default 5 s window is empty on a 0.5 s run, so every row counts
+    assert window_start() == 0.0
+    assert window_start("--config", str(bare)) == 0.0
+    assert window_start("--config", str(cfg), "--skip-s", "0.3") == 0.3
+    assert window_start("--skip-s", "0.3") == 0.3
 
 
 def test_metrics_window_past_the_end_reports_all_rows(tmp_path, capsys):

@@ -1,17 +1,19 @@
 import copy
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modquad import actuation, control, geometry, simulation, trajectories, vehicle
-from modquad.errors import InvalidParams, NonFiniteState
+from modquad import actuation, config, control, geometry, simulation, trajectories, vehicle
+from modquad.errors import InapplicableDesign, InvalidParams, NonFiniteState
 from modquad.simulation import MotorModel, VehicleState
 from modquad.telemetry import read_csv, write_csv
 
 G = simulation.GRAVITY
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def vertical_quad():
@@ -205,6 +207,17 @@ def test_scenario_requires_integer_step_ratio():
     with pytest.raises(InvalidParams):
         simulation.run_scenario(s, an, tuned_gains(), traj, 1.0,
                                 dt_ctrl=0.003, dt_sim=0.002)
+
+
+def test_inapplicable_design_is_not_flown():
+    # fig5d's rotor axes form an obtuse angle, so it cannot hover
+    s = config.build_structure(config.load_config(FIXTURES / "fig5d.cfg"))
+    an = actuation.analyze_structure(s)
+    assert not an.applicable
+    traj = trajectories.make_trajectory(trajectories.HoverDef(point=(0, 0, 0.5)),
+                                        an.controllable_dof)
+    with pytest.raises(InapplicableDesign):
+        simulation.run_scenario(s, an, tuned_gains(), traj, 0.5)
 
 
 def test_divergence_aborts_with_partial_telemetry(caplog, tmp_path):

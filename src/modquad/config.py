@@ -26,13 +26,6 @@ import yaml
 from . import geometry, trajectories, vehicle
 from .control import ControllerGains
 from .errors import InvalidParams, ParseError, SchemaError
-from .trajectories import (
-    AttitudeSineDef,
-    HelixDef,
-    HoverDef,
-    QuinticChainDef,
-    RectangleDef,
-)
 
 
 class _LocatedDict(dict):
@@ -53,7 +46,15 @@ def _construct_located_mapping(loader, node):
     data = _LocatedDict()
     data.line = node.start_mark.line + 1
     yield data
+    written = node.value[:]  # `construct_mapping` merges `<<` entries into node.value
     data.update(loader.construct_mapping(node, deep=True))
+    if len(data) < len(node.value):  # a key repeated, or one merged in overridden
+        written = [key for key, _ in written if key.tag != "tag:yaml.org,2002:merge"]
+        keys = [loader.construct_object(key) for key in written]  # built above
+        if len(set(keys)) < len(keys):
+            i = next(i for i, key in enumerate(keys) if key in keys[:i])
+            raise yaml.constructor.ConstructorError(
+                None, None, f"found duplicate key {keys[i]!r}", written[i].start_mark)
 
 
 _LineLoader.add_constructor("tag:yaml.org,2002:map", _construct_located_mapping)
@@ -204,7 +205,7 @@ class PhysicalParams:
 
 @dataclass
 class ScenarioParams:
-    trajectory: HelixDef | RectangleDef | AttitudeSineDef | QuinticChainDef | HoverDef
+    trajectory: trajectories.Trajectory
     duration_s: float = 30.0
     dt_ctrl_s: float = field(default=0.002, metadata=_POSITIVE)
     dt_sim_s: float = field(default=0.001, metadata=_POSITIVE)

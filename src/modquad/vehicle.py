@@ -12,6 +12,8 @@ model carries the total mass, the inertia tensor about the center of mass
 matrix mapping rotor thrusts to the body wrench.
 """
 
+import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +110,7 @@ class ModuleSpec:
 
 def _cuboid_inertia(masses, body_size):
     """Inertias (..., 3, 3) of solid cuboids of one size about their centers."""
-    sx, sy, sz = body_size
+    sx, sy, sz = np.asarray(body_size, dtype=float)  # numpy powers overflow, not raise
     return (np.asarray(masses) / 12.0)[..., None, None] * np.diag(
         [sy**2 + sz**2, sx**2 + sz**2, sx**2 + sy**2])
 
@@ -247,7 +249,12 @@ class StructureModel:
     inertia_floats: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.inertia_inverse = np.linalg.inv(self.inertia)
+        self.inertia_inverse = np.full((3, 3), np.nan)
+        if math.isfinite(self.mass * GRAVITY) and np.isfinite(self.inertia).all():
+            with contextlib.suppress(np.linalg.LinAlgError):  # a singular inertia
+                self.inertia_inverse = np.linalg.inv(self.inertia)
+        if not np.isfinite(self.inertia_inverse).all():
+            raise InvalidParams("structure weight, inertia and its inverse must be finite")
         self.inertia_floats = (self.inertia.tolist(), self.inertia_inverse.tolist())
 
     @property
@@ -299,14 +306,14 @@ def assemble_structure(placements):
     centers = np.array([(col, row, layer) for row, col, layer in cells],
                        dtype=float) * body_size
     masses = np.array([m.mass for m in modules])
-    total_mass = float(masses.sum())
-    com = masses @ centers / total_mass
-    offsets = centers - com
-
     turned = np.swapaxes(attitudes, 1, 2)
-    inertia = ((attitudes @ _cuboid_inertia(masses, body_size) @ turned).sum(axis=0)
-               + masses @ (offsets * offsets).sum(axis=1) * np.eye(3)
-               - (offsets.T * masses) @ offsets)
+    with np.errstate(over="ignore", invalid="ignore"):  # `StructureModel` rejects overflow
+        total_mass = float(masses.sum())
+        com = masses @ centers / total_mass
+        offsets = centers - com
+        inertia = ((attitudes @ _cuboid_inertia(masses, body_size) @ turned).sum(axis=0)
+                   + masses @ (offsets * offsets).sum(axis=1) * np.eye(3)
+                   - (offsets.T * masses) @ offsets)
     positions = offsets[:, None] + np.array([m.positions for m in modules]) @ turned
     orientations = attitudes[:, None] @ np.array([m.orientations for m in modules])
     table = (positions.reshape(-1, 3), orientations.reshape(-1, 3, 3),

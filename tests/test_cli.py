@@ -524,3 +524,36 @@ def test_analysis_result_logged_at_info(caplog):
     infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert len(infos) == 1
     assert "4-DOF" in infos[0] and "applicable True" in infos[0]
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("modules:\n  - {kind: T, eta_rad: 0.7, cell: [0, 0, 0]}\n"
+     "physical:\n  f_max_n: 0.645\nphysical:\n  f_max_n: 9.0\n", "physical", 5),
+    ("modules:\n  - kind: T\n    eta_rad: 0.7\n    cell: [0, 0, 0]\n    eta_rad: 0.1\n",
+     "eta_rad", 5),
+])
+def test_analyze_repeated_key_exits_2_with_its_line(tmp_path, capsys, text, key, line):
+    # the last value used to win silently
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    assert cli.main(["analyze", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"found duplicate key {key!r}" in captured.err
+    assert f"line {line}," in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("physical", [
+    "body_size_m: [1.0e-200, 1.0e-200, 1.0e-200]",  # singular inertia
+    "body_size_m: [1.0e+200, 1.0e+200, 1.0e+200]",  # inertia overflows
+    "module_mass_kg: 1.0e+308",  # weight overflows
+])
+def test_analyze_extreme_physical_values_exit_2(tmp_path, capsys, physical):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text("modules:\n  - {kind: T, eta_rad: 0.7, cell: [0, 0, 0]}\n"
+                   f"physical:\n  {physical}\n")
+    assert cli.main(["analyze", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{cfg}: structure weight, inertia and its inverse "
+                            "must be finite\n")

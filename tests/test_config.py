@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modquad import actuation, config, geometry, vehicle
+from modquad.control import Setpoint
 from modquad.errors import ParseError, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -125,6 +126,15 @@ modules:
     assert any("not valid for an R module" in p for p in info.value.problems)
 
 
+def test_repeated_key_rejected_but_merged_key_may_be_overridden():
+    text = ("modules:\n  - {kind: T, eta_rad: 0.7, cell: [0, 0, 0]}\n"
+            "physical:\n  <<: {f_max_n: 0.9, arm_m: 0.04}\n  f_max_n: 0.5\n")
+    physical = config.parse_config(text).physical
+    assert (physical.f_max_n, physical.arm_m) == (0.5, 0.04)
+    with pytest.raises(ParseError, match="duplicate key 'f_max_n'"):
+        config.parse_config(text + "  f_max_n: 0.6\n")
+
+
 def test_invalid_yaml_raises_parse_error():
     with pytest.raises(ParseError):
         config.parse_config("modules: [unclosed")
@@ -231,6 +241,17 @@ def test_build_structure_matches_fixture_layout():
     assert structure.mass == pytest.approx(16 * 0.135)
     analysis = actuation.analyze_structure(structure)
     assert analysis.controllable_dof == 6
+
+
+@pytest.mark.parametrize("name", ["exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "fig5a",
+                                  "sim1", "sim2", "sim3"])
+def test_build_trajectory_returns_the_configs_definition(name):
+    cfg = config.load_config(FIXTURES / f"{name}.cfg")
+    analysis = actuation.analyze_structure(config.build_structure(cfg),
+                                           f_max=cfg.physical.f_max_n)
+    trajectory = config.build_trajectory(cfg, analysis.controllable_dof)
+    assert trajectory is cfg.scenario.trajectory
+    assert isinstance(trajectory(0.0), Setpoint)
 
 
 def test_build_trajectory_requires_scenario():

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -26,35 +28,33 @@ def pitch_of(sp):
 
 
 def test_helix_start_point():
-    sp = trajectories.helix(0.0, HelixDef())
+    sp = HelixDef()(0.0)
     assert np.allclose(sp.position, [-0.05, 0.0, 0.45])
     assert yaw_of(sp) == 0.0
 
 
 def test_helix_z_range_endpoints():
     defn = HelixDef()
-    assert trajectories.helix(7.0, defn).position[2] == pytest.approx(0.95)
-    assert trajectories.helix(14.0, defn).position[2] == pytest.approx(0.45)
+    assert defn(7.0).position[2] == pytest.approx(0.95)
+    assert defn(14.0).position[2] == pytest.approx(0.45)
 
 
 def test_helix_yaw_wraps_after_full_cycle():
     defn = HelixDef()
-    assert yaw_of(trajectories.helix(18.0, defn)) == pytest.approx(
-        yaw_of(trajectories.helix(0.0, defn)), abs=1e-9
-    )
+    assert yaw_of(defn(18.0)) == pytest.approx(yaw_of(defn(0.0)), abs=1e-9)
 
 
 def test_helix_stays_on_cylinder():
     defn = HelixDef()
     for t in np.linspace(0.0, 30.0, 200):
-        sp = trajectories.helix(t, defn)
+        sp = defn(t)
         radial = np.linalg.norm(sp.position[:2] - np.array(defn.center))
         assert radial == pytest.approx(defn.radius, abs=1e-12)
 
 
 def test_rectangle_starts_at_first_corner():
     defn = RectangleDef(pitch_hold=np.radians(-5.0))
-    sp = trajectories.rectangle(0.0, defn)
+    sp = defn(0.0)
     assert np.allclose(sp.position, [-0.4, -0.3, defn.height])
     assert pitch_of(sp) == pytest.approx(np.radians(-5.0))
     assert np.allclose(sp.attitude, geometry.rot_principal("y", np.radians(-5.0)))
@@ -63,22 +63,20 @@ def test_rectangle_starts_at_first_corner():
 def test_rectangle_holds_pitch_everywhere():
     defn = RectangleDef(pitch_hold=np.radians(-5.0))
     for t in np.linspace(0.0, defn.lap_time, 50):
-        assert pitch_of(trajectories.rectangle(t, defn)) == pytest.approx(
-            np.radians(-5.0)
-        )
+        assert pitch_of(defn(t)) == pytest.approx(np.radians(-5.0))
 
 
 def test_rectangle_periodic():
     defn = RectangleDef()
-    start = np.asarray(trajectories.rectangle(0.0, defn).position)
-    end = np.asarray(trajectories.rectangle(defn.lap_time, defn).position)
+    start = np.asarray(defn(0.0).position)
+    end = np.asarray(defn(defn.lap_time).position)
     assert np.max(np.abs(end - start)) < 1e-9
 
 
 def test_rectangle_corner_velocities_vanish():
     defn = RectangleDef()
     for k in range(4):
-        sp = trajectories.rectangle(k * defn.lap_time / 4.0, defn)
+        sp = defn(k * defn.lap_time / 4.0)
         assert np.allclose(sp.velocity, 0.0, atol=1e-12)
 
 
@@ -88,21 +86,21 @@ def test_rectangle_dof4_rejects_pitch_target():
 
 
 def test_attitude_sine_zero_crossing():
-    sp = trajectories.attitude_sine(0.0, AttitudeSineDef())
+    sp = AttitudeSineDef()(0.0)
     assert np.allclose(sp.attitude, np.eye(3))
     assert np.allclose(sp.position, AttitudeSineDef().hover_point)
 
 
 def test_attitude_sine_quarter_period_peak():
     defn = AttitudeSineDef()
-    sp = trajectories.attitude_sine(22.5, defn)
+    sp = defn(22.5)
     assert pitch_of(sp) == pytest.approx(np.radians(20.0))
     assert np.allclose(sp.attitude, geometry.rot_principal("y", np.radians(20.0)))
     assert np.allclose(sp.angular_velocity, 0.0, atol=1e-12)
 
 
 def test_attitude_sine_half_period():
-    sp = trajectories.attitude_sine(45.0, AttitudeSineDef())
+    sp = AttitudeSineDef()(45.0)
     assert pitch_of(sp) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -118,7 +116,7 @@ def chain_def():
 
 
 def test_quintic_chain_hits_waypoints():
-    chain = trajectories.QuinticChain(chain_def())
+    chain = chain_def()
     sp0 = chain(0.0)
     assert np.allclose(sp0.position, [0.0, 0.0, 0.5])
     assert np.allclose(sp0.attitude, np.eye(3))
@@ -131,7 +129,7 @@ def test_quintic_chain_hits_waypoints():
 
 
 def test_quintic_chain_rest_at_waypoints():
-    chain = trajectories.QuinticChain(chain_def())
+    chain = chain_def()
     for t in (0.0, 8.0, 16.0):
         sp = chain(t)
         assert np.allclose(sp.velocity, 0.0, atol=1e-9)
@@ -140,11 +138,10 @@ def test_quintic_chain_rest_at_waypoints():
 
 def test_quintic_chain_mid_segment():
     defn = chain_def()
-    chain = trajectories.QuinticChain(defn)
     for k, duration in enumerate(defn.durations):
         a = np.array(defn.waypoints[k].position)
         b = np.array(defn.waypoints[k + 1].position)
-        sp = chain(sum(defn.durations[:k]) + duration / 2.0)
+        sp = defn(sum(defn.durations[:k]) + duration / 2.0)
         assert np.allclose(sp.position, 0.5 * (a + b), atol=1e-12)
         assert np.allclose(sp.velocity, 15.0 * (b - a) / (8.0 * duration), atol=1e-12)
         assert np.allclose(sp.acceleration, 0.0, atol=1e-12)
@@ -152,10 +149,10 @@ def test_quintic_chain_mid_segment():
 
 def test_quintic_chain_equal_waypoints_hold_still():
     rotation = (0.0, np.radians(10.0), 0.0)
-    chain = trajectories.QuinticChain(QuinticChainDef(
+    chain = QuinticChainDef(
         waypoints=(Waypoint((0.3, -0.1, 0.6), rotation),
                    Waypoint((0.3, -0.1, 0.6), rotation)),
-        durations=(2.0,)))
+        durations=(2.0,))
     first = chain(0.0)
     for t in np.linspace(0.0, 2.5, 11):
         sp = chain(t)
@@ -175,9 +172,9 @@ def test_chain_requires_matching_durations():
 
 
 @pytest.mark.parametrize("factory", [
-    lambda t: trajectories.helix(t, HelixDef()),
-    lambda t: trajectories.rectangle(t + 0.5, RectangleDef()),
-    lambda t: trajectories.QuinticChain(chain_def())(t + 1.0),
+    lambda t: HelixDef()(t),
+    lambda t: RectangleDef()(t + 0.5),
+    lambda t: chain_def()(t + 1.0),
 ])
 def test_derivatives_consistent_with_finite_differences(factory):
     h = 1e-4
@@ -196,9 +193,9 @@ def test_attitude_sine_rate_consistent_with_finite_differences():
     defn = AttitudeSineDef()
     h = 1e-5
     for t in (3.0, 20.0, 40.0):
-        r0 = np.asarray(trajectories.attitude_sine(t - h, defn).attitude)
-        r1 = np.asarray(trajectories.attitude_sine(t + h, defn).attitude)
-        sp = trajectories.attitude_sine(t, defn)
+        r0 = np.asarray(defn(t - h).attitude)
+        r1 = np.asarray(defn(t + h).attitude)
+        sp = defn(t)
         omega_fd = geometry.vee(np.asarray(sp.attitude).T @ ((r1 - r0) / (2 * h)))
         assert np.allclose(omega_fd, sp.angular_velocity, atol=1e-6)
 
@@ -206,14 +203,14 @@ def test_attitude_sine_rate_consistent_with_finite_differences():
 def test_multi_axis_chain_rate_consistent_with_finite_differences():
     # waypoints rotate about all three axes, so the rotation vector and its
     # rate are not parallel and every term of the right Jacobian counts
-    chain = trajectories.QuinticChain(QuinticChainDef(
+    chain = QuinticChainDef(
         waypoints=(
             Waypoint((0.0, 0.0, 0.5), (0.1, -0.05, 0.2)),
             Waypoint((0.4, 0.2, 0.8), (-0.15, 0.25, 0.35)),
             Waypoint((0.0, 0.0, 0.5), (0.3, 0.1, -0.4)),
         ),
         durations=(8.0, 6.0),
-    ))
+    )
     h = 1e-5
     for t in (1.0, 3.7, 6.2, 9.5, 12.0):
         r0 = np.asarray(chain(t - h).attitude)
@@ -248,14 +245,13 @@ def test_body_rate_matches_right_jacobian_matrix(phi, scale, rate):
     assert np.linalg.norm(np.subtract(got, want)) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("generator", [
-    lambda t: trajectories.helix(t, HelixDef()),
-    lambda t: trajectories.rectangle(t, RectangleDef(pitch_hold=0.1)),
-    lambda t: trajectories.attitude_sine(t, AttitudeSineDef()),
-    lambda t: trajectories.hover(t, HoverDef(point=(0, 0, 1), yaw=0.3)),
-    lambda t: trajectories.QuinticChain(chain_def())(t),
-])
-def test_setpoints_hold_python_floats(generator):
+KINDS = typing.get_args(trajectories.Trajectory)
+# every kind, with the pitched rectangle and hover next to their level defaults
+DEFINITIONS = [HelixDef(), RectangleDef(), RectangleDef(pitch_hold=0.1), AttitudeSineDef(),
+               HoverDef(), HoverDef(pitch=-0.2), chain_def()]
+
+
+def assert_python_floats(generator):
     # an np.float64 here would slow every tick's float arithmetic
     for t in (0.0, 1.3, 7.9, 100.0):
         sp = generator(t)
@@ -263,6 +259,17 @@ def test_setpoints_hold_python_floats(generator):
                    *itertools.chain.from_iterable(sp.attitude)]
         assert len(scalars) == 21 and len(sp.attitude) == 3
         assert all(type(x) is float for x in scalars)
+
+
+@pytest.mark.parametrize("generator", [
+    lambda t: HelixDef()(t),
+    lambda t: RectangleDef(pitch_hold=0.1)(t),
+    lambda t: AttitudeSineDef()(t),
+    lambda t: HoverDef(point=(0, 0, 1), yaw=0.3)(t),
+    lambda t: chain_def()(t),
+])
+def test_setpoints_hold_python_floats(generator):
+    assert_python_floats(generator)
 
 
 def test_make_trajectory_mode_checks():
@@ -301,3 +308,54 @@ def test_definition_invariants_enforced():
         AttitudeSineDef(period=0.0)
     with pytest.raises(InvalidParams):
         AttitudeSineDef(axis="w")
+
+
+def test_definitions_cover_every_kind():
+    assert {type(d) for d in DEFINITIONS} == set(KINDS)
+    assert [k.kind for k in KINDS] == ["helix", "rectangle", "attitude_sine",
+                                       "quintic_chain", "hover"]
+
+
+@pytest.mark.parametrize("dof", [4, 5, 6])
+@pytest.mark.parametrize("defn", DEFINITIONS, ids=lambda d: type(d).__name__)
+def test_make_trajectory_returns_the_definition_or_names_what_it_lacks(defn, dof):
+    if defn.kind in ("attitude_sine", "quintic_chain") and dof != 6:
+        message = f"{defn.kind} requires a 6-DOF structure"
+    elif dof == 4 and defn in (RectangleDef(pitch_hold=0.1), HoverDef(pitch=-0.2)):
+        message = "4-DOF structures cannot hold a pitch target"
+    else:
+        assert trajectories.make_trajectory(defn, dof) is defn
+        assert_python_floats(defn)
+        return
+    with pytest.raises(InvalidParams) as excinfo:
+        trajectories.make_trajectory(defn, dof)
+    assert str(excinfo.value) == message
+
+
+POSITIVE_FIELDS = [(kind, f.name) for kind in KINDS for f in dataclasses.fields(kind)
+                   if f.metadata.get("positive")]
+
+
+def test_positive_fields_listed():
+    assert POSITIVE_FIELDS == [
+        (HelixDef, "radius"), (HelixDef, "z_period"), (HelixDef, "xy_period"),
+        (HelixDef, "yaw_period"), (RectangleDef, "length"), (RectangleDef, "width"),
+        (RectangleDef, "lap_time"), (AttitudeSineDef, "period")]
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, -math.inf, math.nan])
+@pytest.mark.parametrize("kind, name", POSITIVE_FIELDS,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_positive_fields_checked_when_built(kind, name, value):
+    with pytest.raises(InvalidParams) as excinfo:
+        kind(**{name: value})
+    assert str(excinfo.value) == f"{name} must be positive"
+    kind(**{name: 1e-300})
+
+
+def test_chain_segments_are_not_fields():
+    # the precomputed segments stay out of equality, the schema and the repr
+    a, b = chain_def(), chain_def()
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert [f.name for f in dataclasses.fields(a)] == ["waypoints", "durations"]
+    assert "segments" not in repr(a) and "starts" not in repr(a)

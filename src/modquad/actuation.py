@@ -22,6 +22,7 @@ RANK_TOL = 1e-8
 TIE_TOL = 1e-8
 _KKT_ROUNDING = 1e3 * np.finfo(float).eps
 _MAX_PASSES_PER_VARIABLE = 20
+_SQUARES_SAFE = (2.0 ** -500, 2.0 ** 500)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,34 +141,54 @@ def design_in_f_frame(a, f_frame_rotation):
     return np.vstack([rt @ a[:3], rt @ a[3:]])
 
 
-def bounded_least_squares(a, b, upper):
+def _norm(v):
+    """Euclidean norm of an array's entries: the square root of their dot
+    product, bit for bit as np.linalg.norm computes it, or math.hypot's
+    where the squares would overflow or underflow."""
+    entries = v.ravel(order="K")
+    safe = math.hypot(*entries.tolist())
+    if _SQUARES_SAFE[0] < safe < _SQUARES_SAFE[1]:
+        return math.sqrt(entries.dot(entries))
+    return safe
+
+
+def _check_thrust_limit(upper):
+    if not 0.0 < upper < math.inf:
+        raise InvalidParams(f"thrust limit {upper!r} must be finite and positive")
+
+
+def bounded_least_squares(a, b, upper, start=None):
     """min ||A u - b|| subject to 0 <= u <= upper (a scalar), solved exactly
     by the active-set bounded-variable least squares of Stark & Parker
     (Computational Statistics, 1995). Returns (u, residual_norm).
 
-    Starts from the minimum-norm solution clipped to the box; when nothing
-    was clipped, that is the answer. Otherwise the free variables move
-    toward their least-squares solution with the others held, stopping at
-    the first bound one of them meets (it is held from then on). Once they
-    sit at that solution, the held variable whose gradient points furthest
-    into the box is freed; when none points in by more than rounding, u is
-    the box-constrained minimum. Each freed variable lowers the objective,
-    so no free set repeats and the loop ends. Raises InvalidParams unless
+    Without `start`, it starts from the minimum-norm solution clipped to
+    the box; when nothing was clipped, that is the answer. A `start` (any
+    point, clipped into the box) is the warm alternative. From there the
+    free variables (those strictly inside the box) move toward their
+    least-squares solution with the others held, stopping at the first
+    bound one of them meets (it is held from then on). Once they sit at
+    that solution, the held variable whose gradient points furthest into
+    the box is freed; when none points in by more than rounding, u is the
+    box-constrained minimum. Each freed variable lowers the objective, so
+    no free set repeats and the loop ends. Raises InvalidParams unless
     `upper` is finite and positive.
     """
-    if not 0.0 < upper < math.inf:
-        raise InvalidParams(f"thrust limit {upper!r} must be finite and positive")
+    _check_thrust_limit(upper)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[1]
-    least_norm = np.linalg.lstsq(a, b, rcond=None)[0]
-    u = np.clip(least_norm, 0.0, upper)
-    if np.array_equal(u, least_norm):
-        return u, float(np.linalg.norm(a @ u - b))
+    if start is None:
+        least_norm = np.linalg.lstsq(a, b, rcond=None)[0]
+        u = np.clip(least_norm, 0.0, upper)
+        if np.array_equal(u, least_norm):
+            return u, _norm(a @ u - b)
+    else:
+        u = np.clip(np.asarray(start, dtype=float), 0.0, upper)
     free = (u > 0.0) & (u < upper)
-    norm_a = np.linalg.norm(a)
+    norm_a = _norm(a)
     # gradient entries below this are rounding in A^T (b - A u)
-    tol = _KKT_ROUNDING * norm_a * (np.linalg.norm(b) + norm_a * upper * np.sqrt(n))
+    tol = _KKT_ROUNDING * norm_a * (_norm(b) + norm_a * upper * math.sqrt(n))
     refused = np.zeros(n, dtype=bool)  # freed, but its step pointed out of the box
     entering, inward = None, 0.0
     passes = _MAX_PASSES_PER_VARIABLE * (n + 1)
@@ -204,7 +225,7 @@ def bounded_least_squares(a, b, upper):
         push[free | refused] = -np.inf
         entering = int(np.argmax(push))
         if push[entering] <= tol:
-            return u, float(np.linalg.norm(a @ u - b))
+            return u, _norm(a @ u - b)
         free[entering] = True
         inward = 1.0 if u[entering] == 0.0 else -1.0
     raise ModquadError(f"bounded least squares did not settle in {passes} passes")
@@ -266,12 +287,85 @@ def hover_wrench(mass, attitude):
     return np.concatenate([force, np.zeros(3)])
 
 
-def static_hover_feasible(structure, attitude, f_max=DEFAULT_F_MAX):
+class HoverEvidence:
+    """The last infeasible hover probe of one structure at one thrust
+    limit, which lets later probes skip most cold solves.
+
+    For any unit vector d, thrusts in the box leave a residual of at least
+    d.w - h(d) at a wrench w, where h(d) = f_max sum max(0, A^T d) is the
+    support function of the attainable set (Durham, JGCD 1993). A probe is
+    infeasible when that bound clears the threshold by more than rounding,
+    with d the residual direction of the last infeasible probe, or of zero
+    thrust (w itself) before there is one; otherwise the cold solve
+    decides. The cold residual is never below the minimum, so each answer
+    is the cold solve's. Feasible answers need the cold solve itself: near
+    the threshold it can stop above the minimum.
+    """
+
+    __slots__ = ("infeasible", "_bound", "_rounding")
+
+    def __init__(self):
+        self.infeasible = None  # (wrench, thrusts) of the last infeasible probe
+        self._bound = None  # (d, h(d)) of self.infeasible, once a probe needs it
+        self._rounding = None
+
+    def rounding(self, a, w, f_max):
+        """Bound on the rounding of a residual or dual bound at wrench w:
+        each entry of A u or A^T d sums at most n products, with |A u| at
+        most f_max sum |a_ij| in the box, and ||w|| is the weight at every
+        attitude."""
+        if self._rounding is None:
+            scale = _norm(w) + f_max * float(np.abs(a).sum())
+            self._rounding = _KKT_ROUNDING * a.shape[1] * scale
+        return self._rounding
+
+    def dual_bound(self, a, w, f_max):
+        """Lower bound d.w - h(d) on the residual at w, with d the unit
+        residual direction of the last infeasible probe, or before there is
+        one, that of zero thrust: w itself."""
+        if self.infeasible is None:
+            d, support = _direction_and_support(a, w, f_max)
+        else:
+            if self._bound is None:
+                wrench, thrusts = self.infeasible
+                self._bound = _direction_and_support(a, wrench - a @ thrusts, f_max)
+            d, support = self._bound
+        return float(d @ w) - support
+
+    def decide(self, a, w, f_max, threshold):
+        """Whether the residual at w is at most `threshold`, as a cold
+        bounded_least_squares answers; an infeasible solve becomes the
+        evidence."""
+        _check_thrust_limit(f_max)
+        if self.dual_bound(a, w, f_max) > threshold + self.rounding(a, w, f_max):
+            return False
+        u, residual = bounded_least_squares(a, w, f_max)
+        if residual <= threshold:
+            return True
+        self.infeasible, self._bound = (w, u), None
+        return False
+
+
+def _direction_and_support(a, residual, f_max):
+    """Unit direction d of a residual, and h(d)."""
+    d = residual / _norm(residual)
+    return d, f_max * float(np.maximum(a.T @ d, 0.0).sum())
+
+
+def static_hover_feasible(structure, attitude, f_max=DEFAULT_F_MAX, evidence=None):
     """Whether bounded thrusts can hold the structure static at `attitude`:
-    the exact bounded least-squares residual is below 1e-6 of the weight."""
+    the exact bounded least-squares residual is below 1e-6 of the weight.
+
+    `evidence`, a HoverEvidence that earlier calls on the same structure
+    and thrust limit filled in, gives the same answer, without a solve
+    when its dual bound proves the hover infeasible."""
+    a = structure.design_matrix
     w = hover_wrench(structure.mass, attitude)
-    _, residual = bounded_least_squares(structure.design_matrix, w, f_max)
-    return residual <= 1e-6 * structure.mass * GRAVITY
+    threshold = 1e-6 * structure.mass * GRAVITY
+    if evidence is not None:
+        return evidence.decide(a, w, f_max, threshold)
+    _, residual = bounded_least_squares(a, w, f_max)
+    return residual <= threshold
 
 
 def pitch_feasibility_limit(structure, f_max=DEFAULT_F_MAX, angle_tol=1e-4):
@@ -281,20 +375,24 @@ def pitch_feasibility_limit(structure, f_max=DEFAULT_F_MAX, angle_tol=1e-4):
     Bisects on the pitch angle until the bracket is at most `angle_tol`
     (finite and positive, else InvalidParams) wide or no float lies inside
     it; assumes feasibility is monotone in pitch, which holds for the
-    symmetric structures this is used on.
+    symmetric structures this is used on. Each probe after the first hands
+    the earlier probes' HoverEvidence to static_hover_feasible, so the
+    limit equals that of a bisection of cold solves.
     """
     if not 0.0 < angle_tol < math.inf:
         raise InvalidParams(f"angle_tol {angle_tol!r} must be finite and positive")
     lo, hi = 0.0, np.pi / 2
     if not static_hover_feasible(structure, geometry.rot_principal("y", lo), f_max):
         return lo
-    if static_hover_feasible(structure, geometry.rot_principal("y", hi), f_max):
+    evidence = HoverEvidence()
+    if static_hover_feasible(structure, geometry.rot_principal("y", hi), f_max, evidence):
         return hi
     while hi - lo > angle_tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if static_hover_feasible(structure, geometry.rot_principal("y", mid), f_max):
+        if static_hover_feasible(structure, geometry.rot_principal("y", mid), f_max,
+                                 evidence):
             lo = mid
         else:
             hi = mid

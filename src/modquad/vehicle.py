@@ -40,8 +40,11 @@ MAX_CELL = 2**20
 
 # Square rotor layout: arm directions and alternating spin signs. The spin
 # sign multiplies the drag torque of each rotor.
-_ARM_SIGNS = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=float)
+_ARM_SIGNS = np.array([[1, 1, 0], [1, -1, 0], [-1, -1, 0], [-1, 1, 0]], dtype=float)
 _SPIN_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+# Unit arm vectors (the T tilt axes): the same for every arm length, so an
+# extreme one cannot under- or overflow their norms.
+_UNIT_ARMS = (_ARM_SIGNS / np.linalg.norm(_ARM_SIGNS, axis=1, keepdims=True)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +86,16 @@ class ModuleSpec:
             raise InvalidParams("propeller orientation is not a rotation matrix")
         if np.abs(p[:2] + p[2:]).max() > 1e-12:
             raise InvalidParams("propellers must form a square (p1 = -p3, p2 = -p4)")
-        if abs(np.linalg.norm(p[0]) - np.linalg.norm(p[1])) > 1e-12:
+        # hypot, unlike a sum of squares, neither under- nor overflows
+        radii = np.hypot(np.hypot(p[:, 0], p[:, 1]), p[:, 2])
+        if abs(radii[0] - radii[1]) > 1e-12:
             raise InvalidParams("propellers must form a square (equal arm radii)")
         if self.kind == "R" and np.abs(o - o[0]).max() > 1e-9:
             raise InvalidParams("R modules need one shared rotor orientation")
         if self.kind == "T":
             # rotor i turns by spin_i * eta about its unit arm u_i: it fixes u_i,
             # and its thrust axis a_i = cos(eta) e3 + spin_i sin(eta) (u_i x e3)
-            u = p / np.linalg.norm(p, axis=1, keepdims=True)
+            u = p / radii[:, None]
             a = o[:, :, 2]
             lateral = spins * (a[:, 0] * u[:, 1] - a[:, 1] * u[:, 0])
             if (np.abs((o @ u[..., None])[..., 0] - u).max() > 1e-9
@@ -127,7 +132,7 @@ class TorqueBalanceReport:
 
 def square_positions(arm):
     """Rotor positions of the square layout, (4, 3), in the module frame."""
-    return arm * np.hstack([_ARM_SIGNS, np.zeros((4, 1))])
+    return arm * _ARM_SIGNS
 
 
 def make_r_module(rstar, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
@@ -147,10 +152,8 @@ def make_t_module(eta, mass=DEFAULT_MASS, arm=DEFAULT_ARM,
     """
     if abs(eta) >= np.pi / 2:
         raise InvalidParams(f"|eta| must be below pi/2, got {eta}")
-    positions = square_positions(arm)
-    arms = positions / np.linalg.norm(positions, axis=1, keepdims=True)
-    tilts = [geometry.rodrigues(u, s * eta) for u, s in zip(arms.tolist(), _SPIN_SIGNS)]
-    return ModuleSpec("T", positions, np.array(tilts), _SPIN_SIGNS,
+    tilts = [geometry.rodrigues(u, s * eta) for u, s in zip(_UNIT_ARMS, _SPIN_SIGNS)]
+    return ModuleSpec("T", square_positions(arm), np.array(tilts), _SPIN_SIGNS,
                       mass, arm, tuple(body_size), k_m)
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -369,6 +369,9 @@ def test_invalid_thrust_limit_rejected(upper):
         actuation.bounded_least_squares(s.design_matrix, np.ones(6), upper)
     with pytest.raises(InvalidParams, match="thrust limit"):
         actuation.static_hover_feasible(s, np.eye(3), f_max=upper)
+    with pytest.raises(InvalidParams, match="thrust limit"):
+        actuation.static_hover_feasible(s, np.eye(3), f_max=upper,
+                                        evidence=actuation.HoverEvidence())
 
 
 def test_pitch_feasibility_monotone():
@@ -403,6 +406,29 @@ def counting(monkeypatch, name):
     return calls
 
 
+def cold_pitch_limit(structure, f_max, angle_tol):
+    """pitch_feasibility_limit's bisection with one cold
+    static_hover_feasible call per probe."""
+    def feasible(pitch):
+        return actuation.static_hover_feasible(
+            structure, geometry.rot_principal("y", pitch), f_max=f_max)
+
+    lo, hi = 0.0, np.pi / 2
+    if not feasible(lo):
+        return lo
+    if feasible(hi):
+        return hi
+    while hi - lo > angle_tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_solver_calls_go_through_the_module(monkeypatch):
     # analyze_structure solves once for applicability and once for the
     # hover residual; the obtuse pair fails the rotor-axis Gram check, so
@@ -418,7 +444,8 @@ def test_solver_calls_go_through_the_module(monkeypatch):
     checks = counting(monkeypatch, "static_hover_feasible")
     actuation.pitch_feasibility_limit(four_t_diagonal(), f_max=0.645, angle_tol=1e-2)
     assert len(checks) == 2 + int(np.ceil(np.log2(np.pi / 2 / 1e-2)))
-    assert len(solves) == len(checks)
+    # the dual bound decides five infeasible probes without a solve
+    assert len(solves) == 5
 
 
 # Accelerated projected-gradient solver that the active-set
@@ -447,6 +474,13 @@ def assert_box_minimum(a, b, upper):
     """bounded_least_squares stays in the box, meets the KKT sign
     conditions and does no worse than the projected-gradient reference."""
     u, residual = actuation.bounded_least_squares(a, b, upper)
+    assert_kkt(a, b, upper, u, residual)
+    assert residual <= ref_projected_gradient(a, b, upper)[1] + 1e-12
+
+
+def assert_kkt(a, b, upper, u, residual):
+    """u lies in the box, `residual` is its residual, and the gradient
+    meets the KKT sign conditions of the box-constrained minimum."""
     assert np.all(u >= 0.0) and np.all(u <= upper)
     assert residual == pytest.approx(np.linalg.norm(a @ u - b), rel=1e-12, abs=1e-15)
     gradient = a.T @ (a @ u - b)
@@ -456,11 +490,12 @@ def assert_box_minimum(a, b, upper):
     assert np.all(gradient[at_zero] >= -eps)
     assert np.all(gradient[at_upper] <= eps)
     assert np.all(np.abs(gradient[~at_zero & ~at_upper]) <= eps)
-    assert residual <= ref_projected_gradient(a, b, upper)[1] + 1e-12
 
 
 @st.composite
-def rt_structures(draw):
+def rt_structures(draw, max_tilt=1.2, max_eta=1.4):
+    """Up to six R or T modules: R tilts up to `max_tilt` rad about a
+    random axis, T tilts up to `max_eta` rad, each at a random yaw."""
     cells = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 2, 0), (2, 1, 0)]
     placements = []
     for cell in draw(st.permutations(cells))[:draw(st.integers(1, 6))]:
@@ -468,10 +503,10 @@ def rt_structures(draw):
             axis = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
             assume(np.linalg.norm(axis) > 0.1)
             tilt = geometry.rodrigues(axis / np.linalg.norm(axis),
-                                      draw(st.floats(-1.2, 1.2)))
+                                      draw(st.floats(-max_tilt, max_tilt)))
             module = vehicle.make_r_module(tilt)
         else:
-            module = vehicle.make_t_module(draw(st.floats(-1.4, 1.4)))
+            module = vehicle.make_t_module(draw(st.floats(-max_eta, max_eta)))
         yaw = geometry.rot_principal("z", draw(st.floats(-np.pi, np.pi)))
         placements.append(vehicle.ModulePlacement(module, cell, yaw))
     return vehicle.assemble_structure(placements)
@@ -513,11 +548,117 @@ def test_bounded_least_squares_hover_problems(structure, roll, pitch, f_max, for
     assert_box_minimum(structure.design_matrix[:rows], wrench[:rows], f_max)
 
 
-@settings(max_examples=100, deadline=None)
-@given(shape=st.tuples(st.integers(3, 6), st.integers(1, 64)), seed=st.integers(0, 2**32 - 1),
-       scale=st.sampled_from([0.1, 1.0, 10.0, 100.0]), upper=st.floats(0.01, 5.0))
-def test_bounded_least_squares_random_problems(shape, seed, scale, upper):
+random_problems = dict(
+    shape=st.tuples(st.integers(3, 6), st.integers(1, 64)), seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.1, 1.0, 10.0, 100.0]), upper=st.floats(0.01, 5.0))
+
+
+def random_problem(shape, seed, scale):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=shape)
-    b = rng.normal(size=shape[0]) * scale
+    return rng, rng.normal(size=shape), rng.normal(size=shape[0]) * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(**random_problems)
+def test_bounded_least_squares_random_problems(shape, seed, scale, upper):
+    _, a, b = random_problem(shape, seed, scale)
     assert_box_minimum(a, b, upper)
+
+
+@pytest.mark.parametrize("scale", [2.0**-700, 2.0**700])
+def test_bounded_least_squares_at_scales_whose_squares_leave_floats(scale):
+    # the residual and the rounding tolerance neither under- nor overflow:
+    # the problem scaled by a power of two has the scaled answer
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6, 16))
+    b = rng.normal(size=6) * 10.0
+    u, residual = actuation.bounded_least_squares(a, b, 0.5)
+    u_scaled, residual_scaled = actuation.bounded_least_squares(a, b * scale, 0.5 * scale)
+    assert residual > 0.0
+    assert residual_scaled / scale == pytest.approx(residual, rel=1e-12)
+    assert np.allclose(u_scaled / scale, u, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**random_problems, held=st.floats(0.0, 1.0))
+def test_bounded_least_squares_warm_start_meets_cold_residual(shape, seed, scale, upper,
+                                                              held):
+    # a start anywhere in the box, with a share `held` of it on the bounds
+    rng, a, b = random_problem(shape, seed, scale)
+    start = rng.uniform(0.0, upper, size=shape[1])
+    on_bound = rng.uniform(size=shape[1]) < held
+    start[on_bound] = rng.choice([0.0, upper], size=int(on_bound.sum()))
+    u, residual = actuation.bounded_least_squares(a, b, upper, start=start)
+    assert_kkt(a, b, upper, u, residual)
+    _, cold = actuation.bounded_least_squares(a, b, upper)
+    rounding = 1e-10 * (np.linalg.norm(b) + np.linalg.norm(a) * upper * np.sqrt(shape[1]))
+    assert abs(residual - cold) <= rounding
+
+
+# tilts small enough that most structures hover at a level attitude, so
+# that pitch limits fall strictly inside (0, pi/2)
+hovering_structures = rt_structures(max_tilt=0.6, max_eta=0.8)
+
+
+# One structure's pitch probes at two angles. Before any infeasible probe
+# the dual bound uses zero thrust's residual, the wrench itself; after the
+# first probe, if infeasible, its residual. Either bound is at most the
+# cold residual (weak duality), so one that clears the threshold leaves
+# the cold solve infeasible, and the answer drawn from it is the cold one.
+@settings(max_examples=150, deadline=None)
+@given(structure=hovering_structures, pitches=st.tuples(*[st.floats(0.0, np.pi / 2)] * 2),
+       f_max=st.floats(0.4, 1.2))
+def test_dual_bounds_agree_with_cold_solve(structure, pitches, f_max):
+    a = structure.design_matrix
+    threshold = 1e-6 * structure.mass * 9.81
+    first, second = (geometry.rot_principal("y", pitch) for pitch in pitches)
+    w = actuation.hover_wrench(structure.mass, second)
+    _, cold = actuation.bounded_least_squares(a, w, f_max)
+    evidence = actuation.HoverEvidence()
+    for probe in (None, first):
+        if probe is not None:
+            actuation.static_hover_feasible(structure, probe, f_max, evidence)
+        bound = evidence.dual_bound(a, w, f_max)
+        rounding = evidence.rounding(a, w, f_max)
+        assert bound <= cold + rounding
+        if bound > threshold + rounding:
+            assert cold > threshold
+    assert actuation.static_hover_feasible(structure, second, f_max, evidence) == (
+        cold <= threshold)
+
+
+def placed(entries):
+    """Structure from (kind, angle, cell, yaw) entries: a T module's arm
+    tilt, or an R module's pitch, by `angle`."""
+    return vehicle.assemble_structure([
+        vehicle.ModulePlacement(
+            vehicle.make_t_module(angle) if kind == "T"
+            else vehicle.make_r_module(geometry.rot_principal("y", angle)),
+            cell, geometry.rot_principal("z", yaw))
+        for kind, angle, cell, yaw in entries])
+
+
+EXP4 = fixture_structure("exp4")[1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(structure=hovering_structures, f_max=st.floats(0.4, 1.2),
+       angle_tol=st.sampled_from([1e-4, 1e-7]))
+@example(structure=EXP4, f_max=0.645, angle_tol=1e-4)
+@example(structure=EXP4, f_max=0.912, angle_tol=1e-4)
+@example(structure=EXP4, f_max=0.645, angle_tol=1e-300)
+@example(structure=EXP4, f_max=0.912, angle_tol=1e-300)
+# Near the threshold the cold solve can stop above the minimum. At one
+# probe of each structure below, a residual found another way lands on
+# the other side of the threshold than the cold one: thrusts re-solved on
+# the last feasible probe's free rotors (first), and a solve warm-started
+# from the last infeasible probe's thrusts (second).
+@example(structure=placed([("R", -1e-5, (2, 1, 0), 0.0), ("T", 0.0, (1, 0, 0), 1.0),
+                           ("T", 0.03125, (0, 0, 0), 2.25), ("T", 0.0, (0, 2, 0), 0.0)]),
+         f_max=0.400390625, angle_tol=1e-7)
+@example(structure=placed([("T", 1e-5, (0, 0, 0), 0.0), ("T", 0.5, (0, 1, 0), 1.0),
+                           ("T", 0.0, (1, 0, 0), 0.0), ("T", 0.0, (1, 1, 0), 0.0)]),
+         f_max=1.0, angle_tol=1e-7)
+def test_pitch_limit_equals_cold_bisection_bit_for_bit(structure, f_max, angle_tol):
+    got = actuation.pitch_feasibility_limit(structure, f_max=f_max, angle_tol=angle_tol)
+    assert got.hex() == cold_pitch_limit(structure, f_max, angle_tol).hex()

@@ -74,6 +74,41 @@ def test_analyze_inapplicable_design_exits_3(capsys):
     assert "inapplicable" in err
 
 
+def one_t_module(tmp_path, physical):
+    cfg = tmp_path / "one_t.cfg"
+    cfg.write_text(f"physical:\n  {physical}\n"
+                   "modules:\n  - kind: T\n    eta_rad: 0.7853981633974483\n"
+                   "    cell: [0, 0, 0]\n")
+    return cfg
+
+
+def test_analyze_huge_module_mass_reports_a_finite_residual(tmp_path, capsys):
+    # the weight's square overflows a float; the residual and the solver's
+    # rounding tolerance must not
+    cfg = one_t_module(tmp_path, "module_mass_kg: 1.0e+200")
+    assert cli.main(["analyze", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert "hover residual 9.81e+200 N" in captured.out
+    assert "inapplicable" in captured.err
+    assert cli.main(["analyze", str(cfg), "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["hover_residual_n"] == pytest.approx(9.81e200)
+
+
+@pytest.mark.parametrize("arm, code, message", [
+    # the unit arms do not depend on the arm length, so neither extreme
+    # under- or overflows; at 1e300 m the force rows fall below the rank
+    # tolerance of the torque rows
+    ("1.0e-300", 0, "controllable DOF: 4"),
+    ("1.0e+300", 2, "controllable DOF must be 4, 5 or 6, got 3"),
+])
+def test_analyze_extreme_arm_length_without_warnings(tmp_path, capsys, arm, code, message):
+    cfg = one_t_module(tmp_path, f"arm_m: {arm}")
+    assert cli.main(["analyze", str(cfg)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert "|axis|" not in captured.err
+
+
 def test_simulate_inapplicable_design_exits_3_without_csv(tmp_path, capsys):
     cfg = tmp_path / "fig5d_hover.cfg"
     cfg.write_text((FIXTURES / "fig5d.cfg").read_text() + """

@@ -20,9 +20,9 @@ from .vehicle import DEFAULT_F_MAX, GRAVITY
 
 RANK_TOL = 1e-8
 TIE_TOL = 1e-8
-_KKT_ROUNDING = 1e3 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
 _MAX_PASSES_PER_VARIABLE = 20
-_SQUARES_SAFE = (2.0 ** -500, 2.0 ** 500)
+_SQUARES_SAFE = (2.0 ** -1000, 2.0 ** 1000)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +144,13 @@ def design_in_f_frame(a, f_frame_rotation):
 def _norm(v):
     """Euclidean norm of an array's entries: the square root of their dot
     product, bit for bit as np.linalg.norm computes it, or math.hypot's
-    where the squares would overflow or underflow."""
+    where the squares overflow or underflow. (vdot gives dot's sum, but
+    an overflow in it raises no numpy warning.)"""
     entries = v.ravel(order="K")
-    safe = math.hypot(*entries.tolist())
-    if _SQUARES_SAFE[0] < safe < _SQUARES_SAFE[1]:
-        return math.sqrt(entries.dot(entries))
-    return safe
+    squares = float(np.vdot(entries, entries))
+    if _SQUARES_SAFE[0] < squares < _SQUARES_SAFE[1]:
+        return math.sqrt(squares)
+    return math.hypot(*entries.tolist())
 
 
 def _check_thrust_limit(upper):
@@ -157,38 +158,34 @@ def _check_thrust_limit(upper):
         raise InvalidParams(f"thrust limit {upper!r} must be finite and positive")
 
 
-def bounded_least_squares(a, b, upper, start=None):
+def bounded_least_squares(a, b, upper):
     """min ||A u - b|| subject to 0 <= u <= upper (a scalar), solved exactly
     by the active-set bounded-variable least squares of Stark & Parker
     (Computational Statistics, 1995). Returns (u, residual_norm).
 
-    Without `start`, it starts from the minimum-norm solution clipped to
-    the box; when nothing was clipped, that is the answer. A `start` (any
-    point, clipped into the box) is the warm alternative. From there the
-    free variables (those strictly inside the box) move toward their
-    least-squares solution with the others held, stopping at the first
-    bound one of them meets (it is held from then on). Once they sit at
-    that solution, the held variable whose gradient points furthest into
-    the box is freed; when none points in by more than rounding, u is the
-    box-constrained minimum. Each freed variable lowers the objective, so
-    no free set repeats and the loop ends. Raises InvalidParams unless
+    Starts from the minimum-norm solution clipped to the box; when nothing
+    was clipped, that is the answer. Otherwise the free variables move
+    toward their least-squares solution with the others held, stopping at
+    the first bound one of them meets (it is held from then on). Once they
+    sit at that solution, the held variable whose gradient points furthest
+    into the box is freed; when none points in by more than rounding, u is
+    the box-constrained minimum. Each freed variable lowers the objective,
+    so no free set repeats and the loop ends. Raises InvalidParams unless
     `upper` is finite and positive.
     """
     _check_thrust_limit(upper)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = a.shape[1]
-    if start is None:
-        least_norm = np.linalg.lstsq(a, b, rcond=None)[0]
-        u = np.clip(least_norm, 0.0, upper)
-        if np.array_equal(u, least_norm):
-            return u, _norm(a @ u - b)
-    else:
-        u = np.clip(np.asarray(start, dtype=float), 0.0, upper)
+    m, n = a.shape
+    least_norm = np.linalg.lstsq(a, b, rcond=None)[0]
+    u = np.clip(least_norm, 0.0, upper)
+    if np.array_equal(u, least_norm):
+        return u, _norm(a @ u - b)
     free = (u > 0.0) & (u < upper)
     norm_a = _norm(a)
-    # gradient entries below this are rounding in A^T (b - A u)
-    tol = _KKT_ROUNDING * norm_a * (_norm(b) + norm_a * upper * math.sqrt(n))
+    # bound on the rounding in the gradient A^T (b - A u): each entry sums
+    # m products with entries of b - A u, which each sum n + 1 terms
+    tol = 2 * (m + n + 1) * _EPS * norm_a * (_norm(b) + norm_a * upper * math.sqrt(n))
     refused = np.zeros(n, dtype=bool)  # freed, but its step pointed out of the box
     entering, inward = None, 0.0
     passes = _MAX_PASSES_PER_VARIABLE * (n + 1)
@@ -288,76 +285,57 @@ def hover_wrench(mass, attitude):
 
 
 class HoverEvidence:
-    """The last infeasible hover probe of one structure at one thrust
-    limit, which lets later probes skip most cold solves.
+    """What earlier hover probes found, for later probes to skip most cold
+    solves: the unit residual direction d of the last infeasible one.
 
-    For any unit vector d, thrusts in the box leave a residual of at least
-    d.w - h(d) at a wrench w, where h(d) = f_max sum max(0, A^T d) is the
-    support function of the attainable set (Durham, JGCD 1993). A probe is
-    infeasible when that bound clears the threshold by more than rounding,
-    with d the residual direction of the last infeasible probe, or of zero
+    For any unit vector d and any structure, thrusts in the box leave a
+    residual of at least d.w - h(d) at a wrench w, where h(d) = f_max sum
+    max(0, A^T d) is the support function of the attainable set (Durham,
+    JGCD 1993). A probe is infeasible when that bound clears the threshold
+    by more than rounding, with d the stored direction, or that of zero
     thrust (w itself) before there is one; otherwise the cold solve
     decides. The cold residual is never below the minimum, so each answer
     is the cold solve's. Feasible answers need the cold solve itself: near
-    the threshold it can stop above the minimum.
+    the threshold, thrusts found another way can land on the other side of
+    it by rounding.
     """
 
-    __slots__ = ("infeasible", "_bound", "_rounding")
+    __slots__ = ("direction",)
 
     def __init__(self):
-        self.infeasible = None  # (wrench, thrusts) of the last infeasible probe
-        self._bound = None  # (d, h(d)) of self.infeasible, once a probe needs it
-        self._rounding = None
-
-    def rounding(self, a, w, f_max):
-        """Bound on the rounding of a residual or dual bound at wrench w:
-        each entry of A u or A^T d sums at most n products, with |A u| at
-        most f_max sum |a_ij| in the box, and ||w|| is the weight at every
-        attitude."""
-        if self._rounding is None:
-            scale = _norm(w) + f_max * float(np.abs(a).sum())
-            self._rounding = _KKT_ROUNDING * a.shape[1] * scale
-        return self._rounding
+        self.direction = None
 
     def dual_bound(self, a, w, f_max):
-        """Lower bound d.w - h(d) on the residual at w, with d the unit
-        residual direction of the last infeasible probe, or before there is
-        one, that of zero thrust: w itself."""
-        if self.infeasible is None:
-            d, support = _direction_and_support(a, w, f_max)
-        else:
-            if self._bound is None:
-                wrench, thrusts = self.infeasible
-                self._bound = _direction_and_support(a, wrench - a @ thrusts, f_max)
-            d, support = self._bound
-        return float(d @ w) - support
+        """Lower bound d.w - h(d) on the residual at w, and a bound on its
+        rounding with a wide margin: each entry of A^T d sums at most n
+        products, and |d.w| <= ||w||."""
+        norm_w = _norm(w)
+        d = w / norm_w if self.direction is None else self.direction
+        bound = float(d @ w) - f_max * float(np.maximum(a.T @ d, 0.0).sum())
+        scale = norm_w + f_max * float(np.abs(a).sum())
+        return bound, 1e3 * _EPS * a.shape[1] * scale
 
     def decide(self, a, w, f_max, threshold):
         """Whether the residual at w is at most `threshold`, as a cold
-        bounded_least_squares answers; an infeasible solve becomes the
-        evidence."""
+        bounded_least_squares answers; an infeasible solve leaves its
+        residual direction."""
         _check_thrust_limit(f_max)
-        if self.dual_bound(a, w, f_max) > threshold + self.rounding(a, w, f_max):
+        bound, rounding = self.dual_bound(a, w, f_max)
+        if bound > threshold + rounding:
             return False
         u, residual = bounded_least_squares(a, w, f_max)
         if residual <= threshold:
             return True
-        self.infeasible, self._bound = (w, u), None
+        self.direction = (w - a @ u) / residual
         return False
-
-
-def _direction_and_support(a, residual, f_max):
-    """Unit direction d of a residual, and h(d)."""
-    d = residual / _norm(residual)
-    return d, f_max * float(np.maximum(a.T @ d, 0.0).sum())
 
 
 def static_hover_feasible(structure, attitude, f_max=DEFAULT_F_MAX, evidence=None):
     """Whether bounded thrusts can hold the structure static at `attitude`:
     the exact bounded least-squares residual is below 1e-6 of the weight.
 
-    `evidence`, a HoverEvidence that earlier calls on the same structure
-    and thrust limit filled in, gives the same answer, without a solve
+    `evidence`, a HoverEvidence that earlier calls filled in (on any
+    structure and thrust limit), gives the same answer, without a solve
     when its dual bound proves the hover infeasible."""
     a = structure.design_matrix
     w = hover_wrench(structure.mass, attitude)

@@ -1,8 +1,8 @@
 """Command-line interface: analyze, simulate, and metrics subcommands.
 
 Exit codes: 0 success, 2 config/schema error, 3 inapplicable design,
-4 diverged simulation. Set MODQUAD_LOG=DEBUG (or INFO, WARNING, ...) for
-logging verbosity.
+4 diverged simulation. Set MODQUAD_LOG to DEBUG, INFO, WARNING, ERROR or
+CRITICAL for logging verbosity; any other value exits 2.
 """
 
 import argparse
@@ -31,13 +31,21 @@ EXIT_SCHEMA = 2
 EXIT_INAPPLICABLE = 3
 EXIT_DIVERGED = 4
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
 log = logging.getLogger("modquad")
 
 
 def _configure_logging():
-    level = os.environ.get("MODQUAD_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    """Log to stderr at the level MODQUAD_LOG names (any case; default
+    WARNING). Returns False, after one message, for any other value."""
+    level = os.environ.get("MODQUAD_LOG", "WARNING")
+    if level.upper() not in LOG_LEVELS:
+        print(f"MODQUAD_LOG={level!r} is not a log level: use "
+              f"{', '.join(LOG_LEVELS[:-1])} or {LOG_LEVELS[-1]}", file=sys.stderr)
+        return False
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+    return True
 
 
 def _report(path, exc):
@@ -326,7 +334,8 @@ def build_parser():
 
 
 def main(argv=None):
-    _configure_logging()
+    if not _configure_logging():
+        return EXIT_SCHEMA
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

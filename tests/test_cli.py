@@ -592,3 +592,23 @@ def test_analyze_extreme_physical_values_exit_2(tmp_path, capsys, physical):
     assert captured.out == ""
     assert captured.err == (f"{cfg}: structure weight, inertia and its inverse "
                             "must be finite\n")
+
+
+@pytest.mark.parametrize("value", ["basic_format", "verbose", "", "5"])
+def test_unknown_log_level_exits_2_before_any_work(tmp_path, capsys, monkeypatch, value):
+    # BASIC_FORMAT is a string in `logging`, which once ended in a traceback,
+    # and an unknown name silently meant WARNING
+    monkeypatch.setenv("MODQUAD_LOG", value)
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", str(FIXTURES / "exp1.cfg"), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"MODQUAD_LOG={value!r} is not a log level: use "
+                            "DEBUG, INFO, WARNING, ERROR or CRITICAL\n")
+
+
+@pytest.mark.parametrize("value", ["debug", "INFO", "Warning", "ERROR", "critical"])
+def test_log_level_names_accepted_in_any_case(capsys, monkeypatch, value):
+    monkeypatch.setenv("MODQUAD_LOG", value)
+    assert cli.main(["analyze", str(FIXTURES / "exp1.cfg")]) == 0
+    assert "MODQUAD_LOG" not in capsys.readouterr().err

@@ -17,7 +17,6 @@ import numpy as np
 from . import geometry
 from .actuation import design_in_f_frame
 from .errors import DegenerateThrust, GimbalDegenerate, InvalidParams
-from .geometry import vee
 from .vehicle import GRAVITY
 
 _EPS = 1e-6
@@ -142,23 +141,31 @@ def desired_attitude(dof, target, accel):
 
 
 def attitude_error(desired, attitude_f, omega, omega_desired):
-    """Rotation and rate errors of the thrust frame, as two 3-lists.
+    """Rotation and rate errors of the thrust frame, as two 3-lists: half
+    the vee of m - m^T, and omega - m^T omega_desired, with m = desired^T
+    attitude_f.
 
     `attitude_f` is the thrust frame's attitude in the world: the structure
     attitude times the fixed structure-to-thrust-frame rotation.
     """
-    # m = desired^T attitude_f, so m^T = attitude_f^T desired
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = geometry.matmul3(
-        zip(*desired), attitude_f)
-    rx, ry, rz = vee([[m00 - m00, m01 - m10, m02 - m20],
-                      [m10 - m01, m11 - m11, m12 - m21],
-                      [m20 - m02, m21 - m12, m22 - m22]])
+    (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = desired
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = attitude_f
+    # m written out entry by entry, each summed as `geometry.matmul3` sums it
+    m00 = d00 * a00 + d10 * a10 + d20 * a20
+    m01 = d00 * a01 + d10 * a11 + d20 * a21
+    m02 = d00 * a02 + d10 * a12 + d20 * a22
+    m10 = d01 * a00 + d11 * a10 + d21 * a20
+    m11 = d01 * a01 + d11 * a11 + d21 * a21
+    m12 = d01 * a02 + d11 * a12 + d21 * a22
+    m20 = d02 * a00 + d12 * a10 + d22 * a20
+    m21 = d02 * a01 + d12 * a11 + d22 * a21
+    m22 = d02 * a02 + d12 * a12 + d22 * a22
     ox, oy, oz = omega
     wx, wy, wz = omega_desired
     e_omega = [ox - (m00 * wx + m10 * wy + m20 * wz),
                oy - (m01 * wx + m11 * wy + m21 * wz),
                oz - (m02 * wx + m12 * wy + m22 * wz)]
-    return [0.5 * rx, 0.5 * ry, 0.5 * rz], e_omega
+    return [0.5 * (m21 - m12), 0.5 * (m02 - m20), 0.5 * (m10 - m01)], e_omega
 
 
 def attitude_accel(e_rot, e_omega, gains):
@@ -174,12 +181,24 @@ def wrench(accel, ang_accel, attitude_f, omega, mass, inertia):
 
     Force is the commanded acceleration rotated into the thrust frame and
     scaled by the mass; torque is the rigid-body torque tracking the
-    angular acceleration with the gyroscopic term restored.
+    angular acceleration with the gyroscopic term restored:
+    [m R^T a; J alpha + omega x (J omega)], each product summed as
+    `geometry.matvec3` sums it.
     """
-    fx, fy, fz = geometry.matvec3(zip(*attitude_f), accel)
-    tx, ty, tz = geometry.matvec3(inertia, ang_accel)
-    gx, gy, gz = geometry.cross3(omega, geometry.matvec3(inertia, omega))
-    return np.array([mass * fx, mass * fy, mass * fz, tx + gx, ty + gy, tz + gz])
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = attitude_f
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = inertia
+    ax, ay, az = accel
+    bx, by, bz = ang_accel
+    wx, wy, wz = omega
+    hx = j00 * wx + j01 * wy + j02 * wz
+    hy = j10 * wx + j11 * wy + j12 * wz
+    hz = j20 * wx + j21 * wy + j22 * wz
+    return np.array([mass * (r00 * ax + r10 * ay + r20 * az),
+                     mass * (r01 * ax + r11 * ay + r21 * az),
+                     mass * (r02 * ax + r12 * ay + r22 * az),
+                     (j00 * bx + j01 * by + j02 * bz) + (wy * hz - wz * hy),
+                     (j10 * bx + j11 * by + j12 * bz) + (wz * hx - wx * hz),
+                     (j20 * bx + j21 * by + j22 * bz) + (wx * hy - wy * hx)])
 
 
 class Controller:
@@ -210,8 +229,10 @@ class Controller:
 
     def step(self, state, setpoint, dt=None):
         """One control tick: rotor thrust commands before motor limits."""
-        e_pos = geometry.difference3(setpoint.position, state.position)
-        e_vel = geometry.difference3(setpoint.velocity, state.velocity)
+        (x, y, z), (vx, vy, vz) = state.position, state.velocity
+        (x_d, y_d, z_d), (vx_d, vy_d, vz_d) = setpoint.position, setpoint.velocity
+        e_pos = [x_d - x, y_d - y, z_d - z]
+        e_vel = [vx_d - vx, vy_d - vy, vz_d - vz]
         if dt is not None and self._integrating:
             limit = self.gains.integral_limit
             self._integral = [min(max(i + e * dt, -limit), limit)

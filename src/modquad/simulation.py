@@ -84,20 +84,35 @@ def accelerations(attitude, omega, force_body, torque_body, structure, gravity):
     frame) of the rigid structure under a body-frame wrench.
 
     Takes 3-vectors and the 3x3 attitude as any nested sequences and
-    returns two lists of floats.
+    returns two 3-tuples of floats.
     """
-    (fx, fy, fz), mass = geometry.matvec3(attitude, force_body), structure.mass
-    return ([fx / mass, fy / mass, fz / mass - gravity],
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = attitude
+    fx, fy, fz = force_body
+    mass = structure.mass
+    # R f / m - g e3, with R f summed as `geometry.matvec3` sums it
+    return (((r00 * fx + r01 * fy + r02 * fz) / mass,
+             (r10 * fx + r11 * fy + r12 * fz) / mass,
+             (r20 * fx + r21 * fy + r22 * fz) / mass - gravity),
             angular_acceleration(omega, torque_body, structure))
 
 
 def angular_acceleration(omega, torque_body, structure):
-    """The angular part of `accelerations`, which needs no attitude."""
-    inertia, inertia_inverse = structure.inertia_floats
-    gx, gy, gz = geometry.cross3(omega, geometry.matvec3(inertia, omega))
+    """The angular part of `accelerations`, which needs no attitude:
+    J^-1 (tau - omega x (J omega)), as a 3-tuple of floats."""
+    ((j00, j01, j02), (j10, j11, j12), (j20, j21, j22)), \
+        ((k00, k01, k02), (k10, k11, k12), (k20, k21, k22)) = structure.inertia_floats
+    wx, wy, wz = omega
+    hx = j00 * wx + j01 * wy + j02 * wz
+    hy = j10 * wx + j11 * wy + j12 * wz
+    hz = j20 * wx + j21 * wy + j22 * wz
     tx, ty, tz = torque_body
     # torque minus the gyroscopic term omega x (J omega)
-    return geometry.matvec3(inertia_inverse, (tx - gx, ty - gy, tz - gz))
+    ux = tx - (wy * hz - wz * hy)
+    uy = ty - (wz * hx - wx * hz)
+    uz = tz - (wx * hy - wy * hx)
+    return (k00 * ux + k01 * uy + k02 * uz,
+            k10 * ux + k11 * uy + k12 * uz,
+            k20 * ux + k21 * uy + k22 * uz)
 
 
 def step(state, wrench_body, structure, dt, gravity=GRAVITY):
@@ -122,14 +137,14 @@ def step(state, wrench_body, structure, dt, gravity=GRAVITY):
     h = dt / 2
     (a1x, a1y, a1z), (b1x, b1y, b1z) = accelerations(r0, w0, force, torque, structure, gravity)
     v2x, v2y, v2z = vx + h * a1x, vy + h * a1y, vz + h * a1z
-    w2 = [wx + h * b1x, wy + h * b1y, wz + h * b1z]
+    w2 = (wx + h * b1x, wy + h * b1y, wz + h * b1z)
     (a2x, a2y, a2z), (b2x, b2y, b2z) = accelerations(r_half, w2, force, torque, structure,
                                                      gravity)
     v3x, v3y, v3z = vx + h * a2x, vy + h * a2y, vz + h * a2z
-    w3 = [wx + h * b2x, wy + h * b2y, wz + h * b2z]
+    w3 = (wx + h * b2x, wy + h * b2y, wz + h * b2z)
     b3x, b3y, b3z = angular_acceleration(w3, torque, structure)
     v4x, v4y, v4z = vx + dt * a2x, vy + dt * a2y, vz + dt * a2z
-    w4 = [wx + dt * b3x, wy + dt * b3y, wz + dt * b3z]
+    w4 = (wx + dt * b3x, wy + dt * b3y, wz + dt * b3z)
     (a4x, a4y, a4z), (b4x, b4y, b4z) = accelerations(r_full, w4, force, torque, structure,
                                                      gravity)
 
@@ -142,7 +157,7 @@ def step(state, wrench_body, structure, dt, gravity=GRAVITY):
     ox, oy, oz = (wx + dt * ((b1x + 2 * b2x + 2 * b3x + b4x) / 6.0),
                   wy + dt * ((b1y + 2 * b2y + 2 * b3y + b4y) / 6.0),
                   wz + dt * ((b1z + 2 * b2z + 2 * b3z + b4z) / 6.0))
-    omega_mid = [0.5 * (wx + ox), 0.5 * (wy + oy), 0.5 * (wz + oz)]
+    omega_mid = (0.5 * (wx + ox), 0.5 * (wy + oy), 0.5 * (wz + oz))
     attitude = geometry.matmul3(r0, geometry.so3_exp(omega_mid, dt))
     if geometry.orthonormality_drift(attitude) > _ORTHO_DRIFT_TOL:
         attitude = geometry.orthonormalize(attitude)

@@ -14,6 +14,7 @@ columns it reads and builds its attitude errors block by block.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -25,41 +26,48 @@ from .errors import MalformedTelemetry
 _BLOCK_ROWS = 1024
 
 
-def _logged(name):
-    """A field of a Telemetry log: its rows appended so far."""
-    return property(lambda log: log._records[name][:log._length])
+def _logged(first, shape=()):
+    """A float field of a Telemetry log, from column `first` of its float
+    block on: a view of its rows appended so far."""
+    stop = first + math.prod(shape)
+    return property(lambda log: log._floats[:log._length, first:stop].reshape(-1, *shape))
 
 
 class Telemetry:
     """Per-control-tick log of a closed-loop run (uniform time step),
-    preallocated for `n_rows` ticks. Each field reads as the rows appended
-    so far: a diverged run's log holds exactly the ticks it reached."""
+    preallocated for `n_rows` ticks: one float block holding the fields
+    from `t` to `attitude_d` in `append`'s order, one row per tick, and the
+    thrust and saturation arrays. Each field reads as a view of the rows
+    appended so far: a diverged run's log holds exactly the ticks it
+    reached."""
 
-    t = _logged("t")
-    position = _logged("position")
-    velocity = _logged("velocity")
-    attitude = _logged("attitude")
-    angular_velocity = _logged("angular_velocity")
-    position_d = _logged("position_d")
-    attitude_d = _logged("attitude_d")
-    u_actual = _logged("u_actual")
-    saturated = _logged("saturated")
+    t = _logged(0)
+    position = _logged(1, (3,))
+    velocity = _logged(4, (3,))
+    attitude = _logged(7, (3, 3))
+    angular_velocity = _logged(16, (3,))
+    position_d = _logged(19, (3,))
+    attitude_d = _logged(22, (3, 3))
+    u_actual = property(lambda log: log._u_actual[:log._length])
+    saturated = property(lambda log: log._saturated[:log._length])
 
     def __init__(self, n_rotors, n_rows):
         self.n_rotors = n_rotors
         self.diverged = False
         self._length = 0
-        self._records = np.empty(n_rows, dtype=[
-            ("t", float), ("position", float, 3), ("velocity", float, 3),
-            ("attitude", float, (3, 3)), ("angular_velocity", float, 3),
-            ("position_d", float, 3), ("attitude_d", float, (3, 3)),
-            ("u_actual", float, n_rotors), ("saturated", bool, n_rotors)])
+        self._floats = np.empty((n_rows, 31))
+        self._u_actual = np.empty((n_rows, n_rotors))
+        self._saturated = np.empty((n_rows, n_rotors), dtype=bool)
 
     def append(self, t, state, setpoint, u_actual, saturated):
-        self._records[self._length] = (
-            t, state.position, state.velocity, state.attitude, state.angular_velocity,
-            setpoint.position, setpoint.attitude, u_actual, saturated)
-        self._length += 1
+        """Log one tick: its 31 floats go in as one flat tuple."""
+        (r0, r1, r2), (d0, d1, d2) = state.attitude, setpoint.attitude
+        row = self._length
+        self._floats[row] = (t, *state.position, *state.velocity, *r0, *r1, *r2,
+                             *state.angular_velocity, *setpoint.position, *d0, *d1, *d2)
+        self._u_actual[row] = u_actual
+        self._saturated[row] = saturated
+        self._length = row + 1
 
     def __len__(self):
         return self._length

@@ -32,28 +32,29 @@ def _yaw_pitch_attitude(yaw, pitch):
             [-sin_p, 0.0, cos_p]]
 
 
-def _rest_to_rest(origin, delta, t, duration):
-    """Value, rate and acceleration at t (lists of floats) of the move from `origin` by
-    `delta` along the minimum-jerk quintic 10 tau^3 - 15 tau^4 + 6 tau^5, tau = t / duration."""
+def _rest_to_rest(t, duration):
+    """Progress s in [0, 1] at t along the minimum-jerk quintic 10 tau^3 - 15 tau^4 + 6 tau^5,
+    tau = t / duration, with its rate and acceleration: a move from o by d is o + s d."""
     tau = min(max(t / duration, 0.0), 1.0)
-    s = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
-    ds = (30 * tau**2 - 60 * tau**3 + 30 * tau**4) / duration
-    dds = (60 * tau - 180 * tau**2 + 120 * tau**3) / duration**2
-    return ([o + s * d for o, d in zip(origin, delta)], [ds * d for d in delta],
-            [dds * d for d in delta])
+    return (10 * tau**3 - 15 * tau**4 + 6 * tau**5,
+            (30 * tau**2 - 60 * tau**3 + 30 * tau**4) / duration,
+            (60 * tau - 180 * tau**2 + 120 * tau**3) / duration**2)
 
 
 def _body_rate(phi, phi_rate):
     """Body rate of exp(phi) for the rate `phi_rate` of the axis-angle vector phi:
     the right Jacobian J(phi) phi_rate = phi_rate - a phi x phi_rate + b phi x (phi x phi_rate)."""
-    angle = math.hypot(*phi)
-    c = geometry.cross3(phi, phi_rate)
+    px, py, pz = phi
+    rx, ry, rz = phi_rate
+    cx, cy, cz = py * rz - pz * ry, pz * rx - px * rz, px * ry - py * rx  # phi x phi_rate
+    angle = math.hypot(px, py, pz)
     if angle < 1e-8:
-        return [r - 0.5 * x for r, x in zip(phi_rate, c)]
+        return [rx - 0.5 * cx, ry - 0.5 * cy, rz - 0.5 * cz]
     a = (1.0 - math.cos(angle)) / angle**2
     b = (angle - math.sin(angle)) / angle**3
-    cc = geometry.cross3(phi, c)
-    return [r - a * x + b * y for r, x, y in zip(phi_rate, c, cc)]
+    return [rx - a * cx + b * (py * cz - pz * cy),
+            ry - a * cy + b * (pz * cx - px * cz),
+            rz - a * cz + b * (px * cy - py * cx)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +147,12 @@ class RectangleDef(_Kind):
         edge_time = self.lap_time / 4.0
         s = math.fmod(t, self.lap_time)
         edge = min(int(s // edge_time), 3)
-        start = corners[edge]
-        pos, vel, acc = _rest_to_rest(start, geometry.difference3(corners[(edge + 1) % 4], start),
-                                      s - edge * edge_time, edge_time)
-        return Setpoint(pos, vel, acc, _yaw_pitch_attitude(self.yaw_hold, self.pitch_hold))
+        (x, y, z), (x_next, y_next, z_next) = corners[edge], corners[(edge + 1) % 4]
+        dx, dy, dz = x_next - x, y_next - y, z_next - z
+        p, dp, ddp = _rest_to_rest(s - edge * edge_time, edge_time)
+        return Setpoint([x + p * dx, y + p * dy, z + p * dz], [dp * dx, dp * dy, dp * dz],
+                        [ddp * dx, ddp * dy, ddp * dz],
+                        _yaw_pitch_attitude(self.yaw_hold, self.pitch_hold))
 
 
 @dataclass(frozen=True)
@@ -224,12 +227,12 @@ class QuinticChainDef(_Kind):
     def __call__(self, t):
         t = min(max(t, 0.0), self._starts[-1])
         index = min(bisect.bisect_right(self._starts, t) - 1, len(self._segments) - 1)
-        duration, origin, delta = self._segments[index]
-        values, rates, accelerations = _rest_to_rest(
-            origin, delta, t - self._starts[index], duration)
-        rotvec = values[3:]
-        return Setpoint(values[:3], rates[:3], accelerations[:3],
-                        geometry.so3_exp(rotvec, 1.0), _body_rate(rotvec, rates[3:]))
+        duration, (x, y, z, ax, ay, az), (dx, dy, dz, dax, day, daz) = self._segments[index]
+        s, ds, dds = _rest_to_rest(t - self._starts[index], duration)
+        rotvec = (ax + s * dax, ay + s * day, az + s * daz)
+        return Setpoint([x + s * dx, y + s * dy, z + s * dz], [ds * dx, ds * dy, ds * dz],
+                        [dds * dx, dds * dy, dds * dz], geometry.so3_exp(rotvec, 1.0),
+                        _body_rate(rotvec, (ds * dax, ds * day, ds * daz)))
 
 
 @dataclass(frozen=True)

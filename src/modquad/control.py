@@ -150,7 +150,7 @@ def attitude_error(desired, attitude_f, omega, omega_desired):
     """
     (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = desired
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = attitude_f
-    # m written out entry by entry, each summed as `geometry.matmul3` sums it
+    # m written out entry by entry, each summed left to right as in `geometry.matmul3`
     m00 = d00 * a00 + d10 * a10 + d20 * a20
     m01 = d00 * a01 + d10 * a11 + d20 * a21
     m02 = d00 * a02 + d10 * a12 + d20 * a22
@@ -182,8 +182,8 @@ def wrench(accel, ang_accel, attitude_f, omega, mass, inertia):
     Force is the commanded acceleration rotated into the thrust frame and
     scaled by the mass; torque is the rigid-body torque tracking the
     angular acceleration with the gyroscopic term restored:
-    [m R^T a; J alpha + omega x (J omega)], each product summed as
-    `geometry.matvec3` sums it.
+    [m R^T a; J alpha + omega x (J omega)], each product summed left to
+    right.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = attitude_f
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = inertia

@@ -5,11 +5,11 @@ One rule holds across the package: the records of the closed-loop tick
 arrays, telemetry, analysis results) are numpy arrays. The helpers accept
 any 3-vector or 3x3 nested sequence and do their arithmetic on Python
 floats: for a single small vector or matrix that is several times cheaper
-than numpy's per-call overhead. The tick's helpers (`difference3`, `cross3`,
-`matvec3`, `matmul3`, `vee`, `so3_exp`, `orthonormalize`) return floats,
-matrices as row-major nested lists; `hat`, `rodrigues`, `rot_principal` and
-`yaw_pitch` return numpy arrays. `yaw_pitch` and `is_rotation` also take an
-(n, 3, 3) stack. Helpers never mutate their inputs.
+than numpy's per-call overhead. The tick's helpers (`cross3`, `matmul3`,
+`vee`, `so3_exp`, `orthonormalize`) return floats, matrices as row-major
+nested lists; `hat`, `rodrigues`, `rot_principal` and `yaw_pitch` return
+numpy arrays. `yaw_pitch` and `is_rotation` also take an (n, 3, 3) stack.
+Helpers never mutate their inputs.
 """
 
 import math
@@ -37,27 +37,11 @@ def hat(v):
     ])
 
 
-def difference3(a, b):
-    """a - b for two 3-vectors, as a list of floats."""
-    ax, ay, az = a
-    bx, by, bz = b
-    return [ax - bx, ay - by, az - bz]
-
-
 def cross3(a, b):
     """Cross product of two 3-vectors, as a list of floats."""
     ax, ay, az = a
     bx, by, bz = b
     return [ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]
-
-
-def matvec3(a, v):
-    """Product a @ v of a 3x3 matrix and a 3-vector, as a list of floats."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    x, y, z = v
-    return [a00 * x + a01 * y + a02 * z,
-            a10 * x + a11 * y + a12 * z,
-            a20 * x + a21 * y + a22 * z]
 
 
 def matmul3(a, b):

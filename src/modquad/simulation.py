@@ -89,7 +89,7 @@ def accelerations(attitude, omega, force_body, torque_body, structure, gravity):
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = attitude
     fx, fy, fz = force_body
     mass = structure.mass
-    # R f / m - g e3, with R f summed as `geometry.matvec3` sums it
+    # R f / m - g e3; every product below sums its terms left to right
     return (((r00 * fx + r01 * fy + r02 * fz) / mass,
              (r10 * fx + r11 * fy + r12 * fz) / mass,
              (r20 * fx + r21 * fy + r22 * fz) / mass - gravity),

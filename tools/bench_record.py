@@ -1,6 +1,6 @@
 """Record the benchmark's end-to-end medians in one BENCH_<n>.json file.
 
-    python3 tools/bench_record.py --out BENCH_21.json --runs 5
+    python3 tools/bench_record.py --out BENCH_<n>.json --runs 5
 
 Run from anywhere; it measures the checkout it belongs to. It runs
 `perfbench/run.py --trace 0` at BENCHMARK.json's run length `--runs` times

@@ -150,7 +150,7 @@ def attitude_error(desired, attitude_f, omega, omega_desired):
     """
     (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = desired
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = attitude_f
-    # m written out entry by entry, each summed left to right as in `geometry.matmul3`
+    # m = desired^T attitude_f, each entry summed left to right
     m00 = d00 * a00 + d10 * a10 + d20 * a20
     m01 = d00 * a01 + d10 * a11 + d20 * a21
     m02 = d00 * a02 + d10 * a12 + d20 * a22
@@ -190,6 +190,8 @@ def wrench(accel, ang_accel, attitude_f, omega, mass, inertia):
     ax, ay, az = accel
     bx, by, bz = ang_accel
     wx, wy, wz = omega
+    # J omega and omega x (J omega) as in `simulation.angular_acceleration`;
+    # the two copies keep the same operand order
     hx = j00 * wx + j01 * wy + j02 * wz
     hy = j10 * wx + j11 * wy + j12 * wz
     hz = j20 * wx + j21 * wy + j22 * wz

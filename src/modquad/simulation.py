@@ -106,7 +106,8 @@ def angular_acceleration(omega, torque_body, structure):
     hy = j10 * wx + j11 * wy + j12 * wz
     hz = j20 * wx + j21 * wy + j22 * wz
     tx, ty, tz = torque_body
-    # torque minus the gyroscopic term omega x (J omega)
+    # torque minus the gyroscopic term omega x (J omega); `control.wrench`
+    # computes J omega and the term with this same operand order
     ux = tx - (wy * hz - wz * hy)
     uy = ty - (wz * hx - wx * hz)
     uz = tz - (wx * hy - wy * hx)

@@ -3,7 +3,7 @@
 The manifest (`fixtures/outputs.sha256`) holds the sha256 of each scenario
 fixture's `simulate` CSV and of each fixture's `analyze --format json`
 output with its exit code. A change that alters an output on purpose
-rewrites it with `python3 tools/output_digests.py --write`.
+rewrites it with `python3 tools/output_digests.py`.
 """
 
 import sys

@@ -1,10 +1,10 @@
 """Record the benchmark's end-to-end medians in one BENCH_<n>.json file.
 
-    python3 tools/bench_record.py --out BENCH_<n>.json --runs 5
+    python3 tools/bench_record.py --out BENCH_<n>.json
 
 Run from anywhere; it measures the checkout it belongs to. It runs
-`perfbench/run.py --trace 0` at BENCHMARK.json's run length `--runs` times
-for every workload, one run at a time and cycling through the workloads,
+`perfbench/run.py --seed 0 --trace 0` at BENCHMARK.json's run length five
+times for every workload, one run at a time and cycling through the workloads,
 so that each sees the same drift of the machine. It writes the median of
 each end-to-end metric with its unit, every run's value, the failed
 operations, the CPU count, and the Python and numpy versions. A speed
@@ -24,33 +24,35 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+RUNS = 5
+SEED = 0
 
 
-def run_once(workload, seed, seconds):
+def run_once(workload, seconds):
     """The last JSON line of one untraced benchmark run."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def record(runs, seed, seconds):
-    """{workload: {metric: {"median", "unit", "values"}, "failed": n}} over `runs` runs."""
+def record(seconds):
+    """{workload: {metric: {"median", "unit", "values"}, "failed": n}} over RUNS runs."""
     units = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
     workloads = [w["name"] for w in SPEC["workloads"]]
     values = {w: {name: [] for name in units} for w in workloads}
     failed = dict.fromkeys(workloads, 0)
-    for run in range(runs):
+    for run in range(RUNS):
         for workload in workloads:
-            result = run_once(workload, seed, seconds)
+            result = run_once(workload, seconds)
             failed[workload] += result["failed"]
             for name, metric in result["metrics"].items():
                 values[workload][name].append(metric["value"])
-            print(f"run {run + 1}/{runs} {workload}: " + ", ".join(
+            print(f"run {run + 1}/{RUNS} {workload}: " + ", ".join(
                 f"{name} {metric['value']:.4g}" for name, metric in result["metrics"].items()),
                 flush=True)
-    return {w: {**{name: {"median": statistics.median(v) if v else None, "unit": units[name],
+    return {w: {**{name: {"median": statistics.median(v), "unit": units[name],
                           "values": v}
                    for name, v in values[w].items()},
                 "failed": failed[w]}
@@ -60,17 +62,13 @@ def record(runs, seed, seconds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     seconds = SPEC["run_seconds"]
-    workloads = record(args.runs, args.seed, seconds)
+    workloads = record(seconds)
     payload = {
-        "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
+        "command": f"python3 perfbench/run.py --workload <w> --seed {SEED} "
                    f"--seconds {seconds:g} --trace 0",
-        "runs": args.runs,
+        "runs": RUNS,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -1,18 +1,17 @@
-"""sha256 digests of modquad's outputs on the bundled fixtures.
+"""Write the sha256 digests of modquad's outputs on the bundled fixtures.
 
-    python3 tools/output_digests.py            # compare with fixtures/outputs.sha256
-    python3 tools/output_digests.py --write    # rewrite fixtures/outputs.sha256
+    python3 tools/output_digests.py    # rewrite fixtures/outputs.sha256
 
 Run from the root of a source checkout. The digests cover the CSV that
 `modquad simulate` writes for every fixture with a scenario block, and the
 standard output and exit code of `modquad analyze --format json` for every
 fixture. The manifest also records the Python and numpy versions it was
-made with, because the last bits of a float can differ between them. A
-change that alters an output on purpose rewrites the manifest in the same
-diff.
+made with, because the last bits of a float can differ between them.
+`tests/test_output_digests.py` recomputes the digests and compares them
+with the manifest; a change that alters an output on purpose runs this
+script and commits the rewritten manifest in the same diff.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -62,7 +61,7 @@ def compute(workdir):
 
 def render(digests, made_with):
     lines = ["# sha256 of modquad outputs on the bundled fixtures "
-             "(tools/output_digests.py --write)"]
+             "(tools/output_digests.py)"]
     lines += [f"# {name} {version}" for name, version in made_with.items()]
     lines += [f"{value}  {entry}" for entry, value in digests.items()]
     return "\n".join(lines) + "\n"
@@ -95,22 +94,12 @@ def version_note(made_with):
     return "; ".join(differ) if differ else "same Python and numpy versions as the manifest"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help="rewrite the manifest")
-    args = parser.parse_args(argv)
+def main():
     with tempfile.TemporaryDirectory() as workdir:
         digests = compute(workdir)
-    if args.write:
-        MANIFEST.write_text(render(digests, versions()), encoding="utf-8")
-        print(f"wrote {len(digests)} digests to {MANIFEST.relative_to(ROOT)}")
-        return 0
-    expected, made_with = parse(MANIFEST.read_text(encoding="utf-8"))
-    problems = mismatches(expected, digests)
-    for line in problems:
-        print(line)
-    print(f"{len(problems)} of {len(expected)} entries differ ({version_note(made_with)})")
-    return 1 if problems else 0
+    MANIFEST.write_text(render(digests, versions()), encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {MANIFEST.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -249,14 +249,22 @@ def analyze_structure(structure, f_max=DEFAULT_F_MAX):
     """Full actuation analysis of an assembled structure. A singular value
     counts toward rank above RANK_TOL times the largest one; torque rows of
     rank below 3, which no valid module arrangement has, raise
-    DegenerateStructure."""
+    DegenerateStructure, and a design matrix of rank below 4 raises
+    InvalidDOF with the force and torque rows' scales."""
     a = structure.design_matrix
     force_axes, force_sigma, _ = np.linalg.svd(a[:3])
     rank_total = _numeric_rank(np.linalg.svd(a, compute_uv=False))
     rank_force = _numeric_rank(force_sigma)
-    rank_torque = _numeric_rank(np.linalg.svd(a[3:], compute_uv=False))
+    torque_sigma = np.linalg.svd(a[3:], compute_uv=False)
+    rank_torque = _numeric_rank(torque_sigma)
     if rank_torque < 3:
         raise DegenerateStructure(f"torque rows have rank {rank_torque} < 3")
+    if rank_total < 4:
+        raise InvalidDOF(
+            f"controllable DOF must be 4, 5 or 6, got {rank_total}: the force rows add "
+            f"no singular value above {RANK_TOL:g} times the largest; theirs is "
+            f"{force_sigma[0]:.3g} N per N, the torque rows' {torque_sigma[0]:.3g} N m per N "
+            f"(arm_m, body_size_m and drag_to_thrust_m set the torque scale)")
     rows = wrench_rows(rank_total)
     rotation, tie = _f_frame_with_ties(force_axes, force_sigma, structure)
     applicable = applicability(structure, rotation, f_max)

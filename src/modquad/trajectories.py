@@ -212,7 +212,8 @@ class QuinticChainDef(_Kind):
         super().__post_init__()
         if len(self.waypoints) < 2:
             raise InvalidParams("waypoints must list at least two entries")
-        if len(self.durations) != len(self.waypoints) - 1 or min(self.durations) <= 0.0:
+        if (len(self.durations) != len(self.waypoints) - 1
+                or not all(d > 0.0 for d in self.durations)):
             raise InvalidParams("durations_s must hold one positive number per segment")
         # start times; per segment: duration, origin and delta of (position, rotvec)
         starts, segments = [0.0], []

@@ -1,11 +1,14 @@
 """Acceptance suite: one test per criterion, printing one PASS/FAIL line each.
 
-Closed-loop scenarios run the bundled fixture configs through the CSV
-pipeline exactly as the CLI does, and check the tracking-error bounds the
-noise-free simulator must stay within.
+The closed-loop criteria read the CSVs that `modquad simulate` wrote for
+the bundled scenario fixtures in the session's one run of them
+(`fixture_outputs` in conftest.py), and check the tracking-error bounds
+the noise-free simulator must stay within.
 """
 
-import dataclasses
+import contextlib
+import io
+import re
 import time
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 
 from modquad import (
     actuation,
+    cli,
     config,
     control,
     geometry,
@@ -40,27 +44,13 @@ def build_fixture(name):
     return cfg, structure, analysis
 
 
-def run_fixture(name, tmp_path, pitch_hold=None):
-    cfg, structure, analysis = build_fixture(name)
-    scenario = cfg.scenario
-    trajectory_def = scenario.trajectory
-    if pitch_hold is not None:
-        trajectory_def = dataclasses.replace(trajectory_def, pitch_hold=pitch_hold)
-    trajectory = make_trajectory(trajectory_def, analysis.controllable_dof)
-    start = time.time()
-    log = simulation.run_scenario(
-        structure, analysis, cfg.gains, trajectory,
-        duration=scenario.duration_s, dt_ctrl=scenario.dt_ctrl_s,
-        dt_sim=scenario.dt_sim_s,
-        motor=simulation.MotorModel(f_max=cfg.physical.f_max_n),
-    )
-    wall = time.time() - start
-    path = tmp_path / f"{name}.csv"
-    telemetry.write_csv(log, path)
-    table = telemetry.read_csv(path)
-    metrics = telemetry.compute_metrics(table, skip_s=scenario.skip_s,
-                                        frame_rotation=analysis.f_frame)
-    return metrics, wall
+def csv_metrics(name, csv_dir):
+    """Metrics of a flight of fixture `name` from `csv_dir/<name>.csv`, over
+    the fixture's window and in its thrust frame."""
+    cfg, _, analysis = build_fixture(name)
+    table = telemetry.read_csv(csv_dir / f"{name}.csv")
+    return telemetry.compute_metrics(table, skip_s=cfg.scenario.skip_s,
+                                     frame_rotation=analysis.f_frame)
 
 
 def test_criterion_1_torque_balance_random_modules():
@@ -186,8 +176,9 @@ def test_criterion_5_integrator():
            f"after 1e5 steps, spin-up error {spin_err:.1e} rad/s")
 
 
-def test_criterion_6a_helix_tracking(tmp_path):
-    metrics, wall = run_fixture("exp1", tmp_path)
+def test_criterion_6a_helix_tracking(fixture_outputs):
+    metrics = csv_metrics("exp1", fixture_outputs.csv_dir)
+    wall = fixture_outputs.wall_s
     pos = metrics.max_position_error
     yaw = metrics.max_attitude_error_deg[2]
     ok = bool(np.all(pos < 0.05) and yaw < 2.0 and wall < 60.0)
@@ -197,9 +188,22 @@ def test_criterion_6a_helix_tracking(tmp_path):
 
 
 @pytest.mark.parametrize("pitch_deg", [-5.0, 0.0])
-def test_criterion_6b_rectangle_with_pitch(tmp_path, pitch_deg):
-    metrics, wall = run_fixture("exp2", tmp_path,
-                                pitch_hold=np.radians(pitch_deg))
+def test_criterion_6b_rectangle_with_pitch(fixture_outputs, tmp_path, pitch_deg):
+    pitch_hold = float(np.radians(pitch_deg))
+    if pitch_hold == build_fixture("exp2")[0].scenario.trajectory.pitch_hold:
+        csv_dir, wall = fixture_outputs.csv_dir, fixture_outputs.wall_s
+    else:
+        text, edits = re.subn(r"pitch_hold_rad: \S+", f"pitch_hold_rad: {pitch_hold!r}",
+                              (FIXTURES / "exp2.cfg").read_text())
+        assert edits == 1
+        cfg = tmp_path / "exp2.cfg"
+        cfg.write_text(text)
+        csv_dir = tmp_path
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", str(cfg), "-o", str(tmp_path / "exp2.csv")]) == 0
+        wall = time.perf_counter() - start
+    metrics = csv_metrics("exp2", csv_dir)
     pos = metrics.max_position_error
     pitch_err = metrics.max_attitude_error_deg[1]
     # y is the attitude-coupled direction of this 5-DOF design, so it
@@ -214,8 +218,9 @@ def test_criterion_6b_rectangle_with_pitch(tmp_path, pitch_deg):
 
 
 @pytest.mark.parametrize("name", ["exp3", "exp6"])
-def test_criterion_6c_rectangle_untilted(tmp_path, name):
-    metrics, wall = run_fixture(name, tmp_path)
+def test_criterion_6c_rectangle_untilted(fixture_outputs, name):
+    metrics = csv_metrics(name, fixture_outputs.csv_dir)
+    wall = fixture_outputs.wall_s
     pos = metrics.max_position_error
     roll, pitch = metrics.max_attitude_error_deg[:2]
     ok = bool(np.all(pos < 0.05) and roll < 2.0 and pitch < 2.0 and wall < 60.0)
@@ -224,8 +229,9 @@ def test_criterion_6c_rectangle_untilted(tmp_path, name):
            f"{roll:.3f}/{pitch:.3f} deg (<2), wall {wall:.1f} s")
 
 
-def test_criterion_6d_sinusoidal_pitch(tmp_path):
-    metrics, wall = run_fixture("exp4", tmp_path)
+def test_criterion_6d_sinusoidal_pitch(fixture_outputs):
+    metrics = csv_metrics("exp4", fixture_outputs.csv_dir)
+    wall = fixture_outputs.wall_s
     pos = metrics.max_position_error
     rot = metrics.max_attitude_error_deg
     ok = bool(np.all(rot < 3.0) and np.all(pos < 0.2) and wall < 60.0)
@@ -235,8 +241,9 @@ def test_criterion_6d_sinusoidal_pitch(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["sim1", "sim2", "sim3"])
-def test_criterion_6e_quintic_scalability(tmp_path, name):
-    metrics, wall = run_fixture(name, tmp_path)
+def test_criterion_6e_quintic_scalability(fixture_outputs, name):
+    metrics = csv_metrics(name, fixture_outputs.csv_dir)
+    wall = fixture_outputs.wall_s
     pos = metrics.max_position_error
     roll, pitch, yaw = metrics.max_attitude_error_deg
     ok = bool(np.all(pos < 0.02) and roll < 5.0 and pitch < 5.0 and yaw < 1.0
@@ -279,7 +286,7 @@ def test_criterion_7_static_pitch_boundary():
            f"feasibility monotone: {monotone}")
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(fixture_outputs, tmp_path):
     cfg, structure, analysis = build_fixture("exp6")
     trajectory = make_trajectory(cfg.scenario.trajectory,
                                  analysis.controllable_dof)
@@ -294,5 +301,10 @@ def test_criterion_8_determinism(tmp_path):
         telemetry.write_csv(log, path)
         paths.append(path)
     identical = paths[0].read_bytes() == paths[1].read_bytes()
-    report("criterion 8 (determinism)", identical,
-           "two runs produced byte-identical telemetry")
+    # the CLI's pool worker flew the whole scenario: its first 3 s, the
+    # header plus 1,501 rows, must be the same bytes
+    cli_head = (fixture_outputs.csv_dir / "exp6.csv").read_bytes().splitlines(keepends=True)
+    same_as_cli = paths[0].read_bytes() == b"".join(cli_head[:1 + 1501])
+    report("criterion 8 (determinism)", identical and same_as_cli,
+           f"two runs produced byte-identical telemetry: {identical}, equal to "
+           f"the first 3 s of the CLI's flight: {same_as_cli}")

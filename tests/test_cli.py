@@ -107,6 +107,8 @@ def test_analyze_extreme_arm_length_without_warnings(tmp_path, capsys, arm, code
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
     assert "|axis|" not in captured.err
+    if code == 2:
+        assert "arm_m" in captured.err
 
 
 def test_simulate_inapplicable_design_exits_3_without_csv(tmp_path, capsys):
@@ -330,11 +332,8 @@ def test_metrics_non_finite_cell_is_diverged_and_null(tmp_path, capsys):
     assert max(payload["max_position_error_m"]) < 1e-6
 
 
-def test_metrics_with_frame_config(tmp_path, capsys):
-    csv = tmp_path / "run.csv"
-    code = cli.main(["simulate", str(FIXTURES / "exp1.cfg"), "-o", str(csv)])
-    assert code == 0
-    capsys.readouterr()
+def test_metrics_with_frame_config(fixture_outputs, capsys):
+    csv = fixture_outputs.csv_dir / "exp1.csv"
     code = cli.main(["metrics", str(csv), "--config", str(FIXTURES / "exp1.cfg"),
                      "--format", "json"])
     assert code == 0

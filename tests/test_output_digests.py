@@ -3,23 +3,18 @@
 The manifest (`fixtures/outputs.sha256`) holds the sha256 of each scenario
 fixture's `simulate` CSV and of each fixture's `analyze --format json`
 output with its exit code. A change that alters an output on purpose
-rewrites it with `python3 tools/output_digests.py`.
+rewrites it with `python3 tools/output_digests.py`. The outputs come from
+the session's one run of the fixtures (`fixture_outputs` in conftest.py).
 """
 
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
-
-import output_digests  # noqa: E402
+import output_digests
 
 
-def test_outputs_match_committed_digests(tmp_path):
+def test_outputs_match_committed_digests(fixture_outputs):
     expected, made_with = output_digests.parse(
         output_digests.MANIFEST.read_text(encoding="utf-8"))
     assert set(made_with) == {"python", "numpy"}
-    problems = output_digests.mismatches(expected, output_digests.compute(tmp_path))
+    problems = output_digests.mismatches(expected, fixture_outputs.digests)
     assert not problems, "\n".join(
         ["outputs differ from fixtures/outputs.sha256:", *problems,
          output_digests.version_note(made_with)])

@@ -165,7 +165,7 @@ def test_quintic_chain_equal_waypoints_hold_still():
 
 
 def test_chain_requires_matching_durations():
-    for durations in [(1.0, 2.0), (0.0,), (-1.0,)]:
+    for durations in [(1.0, 2.0), (0.0,), (-1.0,), (math.nan,)]:
         with pytest.raises(InvalidParams):
             QuinticChainDef(waypoints=(Waypoint((0, 0, 0)), Waypoint((1, 0, 0))),
                             durations=durations)

@@ -27,13 +27,10 @@ _SQUARES_SAFE = (2.0 ** -1000, 2.0 ** 1000)
 
 @dataclass(frozen=True, eq=False)
 class ActuationAnalysis:
-    """Ranks, DOF, thrust frame, kept wrench rows and hover answer of a structure."""
+    """Force-row rank, DOF, thrust frame, kept wrench rows and hover answer of a structure."""
 
-    rank_total: int
     rank_force: int
-    rank_torque: int
-    dependent_force_rows: int
-    controllable_dof: int
+    controllable_dof: int  # rank(A); the torque rows always have rank 3
     force_axes: np.ndarray  # U of the force rows: actuation ellipsoid directions
     force_sigma: np.ndarray  # singular values of the force rows: semi-axes (N)
     f_frame: np.ndarray
@@ -271,10 +268,7 @@ def analyze_structure(structure, f_max=DEFAULT_F_MAX):
     target = structure.mass * GRAVITY * rotation[:, 2]
     _, hover_residual = bounded_least_squares(a[:3], target, f_max)
     return ActuationAnalysis(
-        rank_total=rank_total,
         rank_force=rank_force,
-        rank_torque=rank_torque,
-        dependent_force_rows=rank_force + 3 - rank_total,
         controllable_dof=rank_total,
         force_axes=force_axes,
         force_sigma=force_sigma,

@@ -77,10 +77,10 @@ def _analysis_payload(cfg, structure, analysis):
         "mass_kg": structure.mass,
         "n_modules": structure.n_modules,
         "torque_balance": balance,
-        "rank_design": analysis.rank_total,
+        "rank_design": analysis.controllable_dof,
         "rank_force_rows": analysis.rank_force,
-        "rank_torque_rows": analysis.rank_torque,
-        "dependent_force_rows": analysis.dependent_force_rows,
+        "rank_torque_rows": 3,  # a lower torque rank raises DegenerateStructure
+        "dependent_force_rows": analysis.rank_force + 3 - analysis.controllable_dof,
         "controllable_dof": analysis.controllable_dof,
         "singular_values_normalized": [float(s) for s in analysis.singular_values],
         "ellipsoid": [
@@ -205,9 +205,6 @@ def _output_paths(configs, output):
 
 
 def cmd_simulate(args):
-    if args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_SCHEMA
     # parse every config once, up front, so schema errors exit 2 before any flight
     configs = [_load(config_path) for config_path in args.configs]
     for config_path, cfg in zip(args.configs, configs):
@@ -215,8 +212,9 @@ def cmd_simulate(args):
             print(f"{config_path}: config has no scenario block", file=sys.stderr)
             return EXIT_SCHEMA
     jobs = list(zip(args.configs, configs, _output_paths(args.configs, args.output)))
-    # under fork a process pool starts all its workers at once
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    # one worker per config up to one per CPU; under fork a process pool
+    # starts all its workers at once
+    workers = min(len(jobs), os.cpu_count() or 1)
     status = EXIT_OK
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -317,8 +315,6 @@ def build_parser():
     p_sim.add_argument("configs", nargs="+")
     p_sim.add_argument("-o", "--output", required=True,
                        help="output CSV (or directory for several configs)")
-    p_sim.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for several configs")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_metrics = sub.add_parser("metrics", help="tracking metrics from telemetry")

@@ -12,7 +12,8 @@ one vehicle is several times cheaper than small numpy arrays. Tick records
 log) are numpy arrays; `run_scenario` reads the caller's state in once.
 
 State feedback is perfect: no sensors, no estimator, no noise. Each control
-tick appends one row to a preallocated `telemetry.Telemetry` log.
+tick appends one float row, the state, the setpoint and the clamped thrusts,
+to a preallocated `telemetry.Telemetry` log.
 """
 
 import itertools
@@ -69,14 +70,11 @@ class MotorModel:
 
 
 def motor_apply(commands, model):
-    """Thrusts the motors actually produce for the commanded ones.
-
-    Commands clamp to [0, f_max]. Returns (thrusts, saturated_mask) where
-    the mask flags every rotor whose command was cut by the limits.
-    """
-    commands = np.asarray(commands, dtype=float)
-    return (np.minimum(np.maximum(commands, 0.0), model.f_max),
-            (commands < 0.0) | (commands > model.f_max))
+    """Thrusts the motors actually produce for the commanded ones: each
+    command clamped to [0, f_max], as one float array. A clamped rotor sits
+    exactly at 0.0 or f_max, which is what the telemetry's `sat` count
+    reads."""
+    return np.minimum(np.maximum(commands, 0.0), model.f_max)
 
 
 def accelerations(attitude, omega, force_body, torque_body, structure, gravity):
@@ -210,12 +208,12 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
     # the caller's state may hold arrays; the loop runs on fresh float lists
     state = VehicleState(*(np.asarray(getattr(initial_state, f.name), dtype=float).tolist()
                            for f in fields(VehicleState)))
-    telemetry = Telemetry(structure.n_rotors, n_ticks + 1)
+    telemetry = Telemetry(structure.n_rotors, n_ticks + 1, motor.f_max)
     for tick in range(n_ticks + 1):
         t = tick * dt_ctrl
         sp = trajectory(t)
-        u_actual, saturated = motor_apply(controller.step(state, sp, dt=dt_ctrl), motor)
-        telemetry.append(t, state, sp, u_actual, saturated)
+        u_actual = motor_apply(controller.step(state, sp, dt=dt_ctrl), motor)
+        telemetry.append(t, state, sp, u_actual)
         if tick == n_ticks:
             break
         wrench_body = (structure.design_matrix @ u_actual).tolist()

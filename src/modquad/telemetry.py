@@ -3,9 +3,10 @@
 One CSV row per control tick, in the columns that the fields of
 `TelemetryTable` declare. The structure attitude is stored as a unit
 quaternion (w, x, y, z) and the setpoint's target attitude by its yaw and
-pitch; `sat` counts the rotors whose command hit a motor limit that tick,
-an integer from 0 to the rotor count, which `read_csv` checks. Floats are
-written with repr precision so identical runs produce byte-identical files.
+pitch; `sat` counts the rotors whose thrust sits at 0 or `f_max` that
+tick, an integer from 0 to the rotor count, which `read_csv` checks.
+Floats are written with repr precision so identical runs produce
+byte-identical files.
 
 No pass over the rows copies the whole table: `write_csv` encodes
 `_BLOCK_ROWS` rows at a time, `read_csv` streams the file's lines into one
@@ -35,11 +36,12 @@ def _logged(first, shape=()):
 
 class Telemetry:
     """Per-control-tick log of a closed-loop run (uniform time step),
-    preallocated for `n_rows` ticks: one float block holding the fields
-    from `t` to `attitude_d` in `append`'s order, one row per tick, and the
-    thrust and saturation arrays. Each field reads as a view of the rows
-    appended so far: a diverged run's log holds exactly the ticks it
-    reached."""
+    preallocated for `n_rows` ticks: one float block of 31 + n_rotors
+    columns, the fields from `t` to `attitude_d` in `append`'s order and
+    then the thrusts, one row per tick. Each field reads as a view of the
+    rows appended so far: a diverged run's log holds exactly the ticks it
+    reached. `saturated` is derived, not stored: the rotors whose thrust
+    sits at 0 or `f_max`."""
 
     t = _logged(0)
     position = _logged(1, (3,))
@@ -48,29 +50,33 @@ class Telemetry:
     angular_velocity = _logged(16, (3,))
     position_d = _logged(19, (3,))
     attitude_d = _logged(22, (3, 3))
-    u_actual = property(lambda log: log._u_actual[:log._length])
-    saturated = property(lambda log: log._saturated[:log._length])
+    u_actual = property(lambda log: log._floats[:log._length, 31:])
+    saturated = property(lambda log: _at_bound(log.u_actual, log.f_max))
 
-    def __init__(self, n_rotors, n_rows):
+    def __init__(self, n_rotors, n_rows, f_max):
         self.n_rotors = n_rotors
+        self.f_max = f_max
         self.diverged = False
         self._length = 0
-        self._floats = np.empty((n_rows, 31))
-        self._u_actual = np.empty((n_rows, n_rotors))
-        self._saturated = np.empty((n_rows, n_rotors), dtype=bool)
+        self._floats = np.empty((n_rows, 31 + n_rotors))
 
-    def append(self, t, state, setpoint, u_actual, saturated):
-        """Log one tick: its 31 floats go in as one flat tuple."""
+    def append(self, t, state, setpoint, thrusts):
+        """Log one tick: its 31 state and setpoint floats go in as one flat
+        tuple, then the thrusts."""
         (r0, r1, r2), (d0, d1, d2) = state.attitude, setpoint.attitude
         row = self._length
-        self._floats[row] = (t, *state.position, *state.velocity, *r0, *r1, *r2,
-                             *state.angular_velocity, *setpoint.position, *d0, *d1, *d2)
-        self._u_actual[row] = u_actual
-        self._saturated[row] = saturated
+        self._floats[row, :31] = (t, *state.position, *state.velocity, *r0, *r1, *r2,
+                                  *state.angular_velocity, *setpoint.position, *d0, *d1, *d2)
+        self._floats[row, 31:] = thrusts
         self._length = row + 1
 
     def __len__(self):
         return self._length
+
+
+def _at_bound(thrusts, f_max):
+    """Which thrusts sit at a motor limit: exactly 0.0 (of either sign) or f_max."""
+    return (thrusts == 0.0) | (thrusts == f_max)
 
 
 def rotation_to_quaternion(r):
@@ -166,9 +172,9 @@ def _blocks(n_rows):
 
 def write_csv(telemetry, path):
     """Write one CSV row per control tick of a telemetry log: its float
-    columns in TelemetryTable field order, then the saturation count. The
-    `yaw_d` and `pitch_d` columns are those of the target attitudes. Rows
-    are encoded one block at a time."""
+    columns in TelemetryTable field order, then `sat`, the count of its
+    thrusts at a motor limit. The `yaw_d` and `pitch_d` columns are those
+    of the target attitudes. Rows are encoded one block at a time."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(csv_header(telemetry.n_rotors)) + "\r\n")
         for rows in _blocks(len(telemetry)):
@@ -178,13 +184,14 @@ def write_csv(telemetry, path):
 def _csv_lines(log, rows):
     """The CSV lines of one block of log rows; its cells are freed once the
     lines have been consumed."""
+    thrusts = log.u_actual[rows]
     floats = np.column_stack([
         log.t[rows], log.position[rows], log.velocity[rows],
         rotation_to_quaternion(log.attitude[rows]), log.angular_velocity[rows],
         log.position_d[rows], *geometry.yaw_pitch(log.attitude_d[rows]),
-        log.u_actual[rows]]).tolist()
-    return (f"{','.join(map(repr, row))},{count}\r\n"
-            for row, count in zip(floats, log.saturated[rows].sum(axis=1).tolist()))
+        thrusts]).tolist()
+    counts = _at_bound(thrusts, log.f_max).sum(axis=1).tolist()
+    return (f"{','.join(map(repr, row))},{count}\r\n" for row, count in zip(floats, counts))
 
 
 def read_csv(path):

@@ -10,7 +10,7 @@ changed strategy.
     HYPOTHESIS_PROFILE=explore python -m pytest tests -q
 
 `fixture_outputs` runs `tools/output_digests.compute` once per session:
-one `modquad simulate --jobs 2` over every scenario fixture and one
+one `modquad simulate` over every scenario fixture and one
 `modquad analyze --format json` per fixture. The digest check, the
 acceptance criteria and the CLI's `metrics` test all read its CSVs, so each
 bundled scenario is flown once per session.

@@ -191,16 +191,15 @@ def test_simulate_multiple_configs_with_jobs(tmp_path):
     write_hover_config(cfg1, duration=0.2)
     write_hover_config(cfg2, duration=0.2)
     outdir = tmp_path / "runs"
-    code = cli.main(["simulate", str(cfg1), str(cfg2), "-o", str(outdir),
-                     "--jobs", "2"])
+    code = cli.main(["simulate", str(cfg1), str(cfg2), "-o", str(outdir)])
     assert code == 0
     assert (outdir / "one.csv").exists()
     assert (outdir / "two.csv").exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("cpus", [1, 2])
 def test_simulate_divergence_exits_4_with_partial_telemetry(tmp_path, capsys, monkeypatch,
-                                                            jobs):
+                                                            cpus):
     # exp4's structure at its 0.912 N rotor limit, pitching 57 degrees every
     # 2 s, far past its 35.26-degree static boundary: it falls out of the
     # 100 m radius after about 5.5 simulated seconds
@@ -218,9 +217,10 @@ def test_simulate_divergence_exits_4_with_partial_telemetry(tmp_path, capsys, mo
         return report(future, *job)
 
     monkeypatch.setattr(cli, "_report_sim_result", recording_report)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    # one CPU flies both configs in this process, two fly them in a pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     outdir = tmp_path / "runs"
-    code = cli.main(["simulate", *map(str, configs), "-o", str(outdir), "--jobs", jobs])
+    code = cli.main(["simulate", *map(str, configs), "-o", str(outdir)])
     assert code == 4
     err = capsys.readouterr().err
     for path in configs:
@@ -230,8 +230,12 @@ def test_simulate_divergence_exits_4_with_partial_telemetry(tmp_path, capsys, mo
         table = telemetry.read_csv(outdir / f"{path.stem}.csv")
         assert len(table.t) == round(t_end / 0.002)
         assert table.t[-1] == pytest.approx(t_end - 0.002)
+        # sat counts the rotors at a limit, and the flight does saturate
+        at_bound = (table.thrusts == 0.0) | (table.thrusts == 0.912)
+        assert np.array_equal(table.saturated_count, at_bound.sum(axis=1))
+        assert table.saturated_count.max() > 0
     # a pool worker sends the parent the message, not the preallocated log
-    assert len(received) == (2 if jobs == "2" else 0)
+    assert len(received) == (2 if cpus == 2 else 0)
     for exc in received:
         assert isinstance(exc, NonFiniteState) and exc.telemetry is None
         assert len(pickle.dumps(exc)) < 10_000
@@ -506,16 +510,6 @@ def test_simulate_rejects_missing_scenario_before_flying(tmp_path, capsys,
     assert "no scenario block" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_simulate_rejects_jobs_below_one(tmp_path, capsys, jobs):
-    cfg = tmp_path / "hover.cfg"
-    write_hover_config(cfg)
-    out = tmp_path / "run.csv"
-    assert cli.main(["simulate", str(cfg), "-o", str(out), "--jobs", jobs]) == 2
-    assert "--jobs" in capsys.readouterr().err
-    assert not out.exists()
-
-
 class RecordingPool:
     """Runs each job in this process and records the requested pool size."""
 
@@ -545,11 +539,31 @@ def test_simulate_caps_workers(tmp_path, monkeypatch, cpus, expected):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    code = cli.main(["simulate", *map(str, configs), "-o", str(tmp_path / "runs"),
-                     "--jobs", "64"])
+    code = cli.main(["simulate", *map(str, configs), "-o", str(tmp_path / "runs")])
     assert code == 0
     assert RecordingPool.sizes == [expected]
     assert len(list((tmp_path / "runs").glob("*.csv"))) == 3
+
+
+# one config on many CPUs, or a CPU count the platform cannot tell
+@pytest.mark.parametrize("n_configs, cpus", [(1, 8), (3, None)])
+def test_simulate_one_worker_flies_without_pool(tmp_path, monkeypatch, n_configs, cpus):
+    configs = []
+    for i in range(n_configs):
+        configs.append(tmp_path / f"c{i}.cfg")
+        write_hover_config(configs[-1], duration=0.01)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    # a single config writes the file `-o` names, several write into that directory
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / "c0.csv" if n_configs == 1 else runs
+    code = cli.main(["simulate", *map(str, configs), "-o", str(out)])
+    assert code == 0
+    assert RecordingPool.sizes == []
+    assert sorted(p.name for p in runs.glob("*.csv")) == [
+        f"c{i}.csv" for i in range(n_configs)]
 
 
 def test_analysis_result_logged_at_info(caplog):

@@ -23,12 +23,15 @@ def hover_setpoint(pos):
     return Setpoint(pos, np.zeros(3), np.zeros(3), np.eye(3))
 
 
+F_MAX = 0.645
+
+
 def synthetic_log(n_rows, offset=(0.0, 0.0, 0.0), dt=0.5):
-    log = Telemetry(n_rotors=4, n_rows=n_rows)
+    log = Telemetry(n_rotors=4, n_rows=n_rows, f_max=F_MAX)
     for i in range(n_rows):
         pos = np.array([0.1, -0.2, 0.5])
         log.append(i * dt, make_state(pos + np.asarray(offset)),
-                   hover_setpoint(pos), np.full(4, 0.3), np.zeros(4, dtype=bool))
+                   hover_setpoint(pos), np.full(4, 0.3))
     return log
 
 
@@ -239,12 +242,11 @@ def test_metrics_constant_offset(tmp_path):
 
 def test_metrics_attitude_error_with_frame_rotation(tmp_path):
     frame = geometry.rot_principal("y", np.pi / 18)
-    log = Telemetry(n_rotors=4, n_rows=20)
+    log = Telemetry(n_rotors=4, n_rows=20, f_max=F_MAX)
     # structure flying at frame^T keeps the thrust frame at identity
     for i in range(20):
         log.append(i * 0.5, make_state(np.zeros(3), frame.T),
-                   hover_setpoint(np.zeros(3)), np.full(4, 0.3),
-                   np.zeros(4, dtype=bool))
+                   hover_setpoint(np.zeros(3)), np.full(4, 0.3))
     path = tmp_path / "run.csv"
     telemetry.write_csv(log, path)
     table = telemetry.read_csv(path)
@@ -258,15 +260,13 @@ def test_metrics_attitude_error_with_frame_rotation(tmp_path):
 def test_metrics_window_skips_transient(tmp_path):
     path = tmp_path / "run.csv"
     # offset rows before t = 5 s, clean rows after
-    combined = Telemetry(n_rotors=4, n_rows=20)
+    combined = Telemetry(n_rotors=4, n_rows=20, f_max=F_MAX)
     pos = np.array([0.1, -0.2, 0.5])
     for i in range(10):
         combined.append(i * 0.5, make_state(pos + [0.5, 0, 0]),
-                        hover_setpoint(pos), np.full(4, 0.3),
-                        np.zeros(4, dtype=bool))
+                        hover_setpoint(pos), np.full(4, 0.3))
     for i in range(10, 20):
-        combined.append(i * 0.5, make_state(pos), hover_setpoint(pos),
-                        np.full(4, 0.3), np.zeros(4, dtype=bool))
+        combined.append(i * 0.5, make_state(pos), hover_setpoint(pos), np.full(4, 0.3))
     telemetry.write_csv(combined, path)
     report = telemetry.compute_metrics(telemetry.read_csv(path), skip_s=5.0)
     assert report.max_position_error[0] == 0.0
@@ -288,12 +288,12 @@ def test_metrics_stable_under_duplication(tmp_path):
 
 
 def test_saturation_fraction(tmp_path):
-    log = Telemetry(n_rotors=4, n_rows=10)
+    log = Telemetry(n_rotors=4, n_rows=10, f_max=F_MAX)
     pos = np.zeros(3)
     for i in range(10):
-        sat = np.array([i % 2 == 0, False, False, False])
-        log.append(float(i), make_state(pos), hover_setpoint(pos),
-                   np.full(4, 0.3), sat)
+        # rotor 1 at its limit on every other row
+        thrusts = [F_MAX if i % 2 == 0 else 0.3, 0.3, 0.3, 0.3]
+        log.append(float(i), make_state(pos), hover_setpoint(pos), np.array(thrusts))
     path = tmp_path / "run.csv"
     telemetry.write_csv(log, path)
     report = telemetry.compute_metrics(telemetry.read_csv(path), skip_s=0.0)
@@ -353,7 +353,7 @@ def reference_write_csv(log, path):
             row.extend(log.position_d[i])
             row.extend(geometry.yaw_pitch(log.attitude_d[i]))
             row.extend(log.u_actual[i])
-            row.append(int(np.sum(log.saturated[i])))
+            row.append(sum(u == 0.0 or u == log.f_max for u in log.u_actual[i].tolist()))
             writer.writerow([repr(float(value)) if not isinstance(value, int)
                              else str(value) for value in row])
 
@@ -369,40 +369,43 @@ cells = st.one_of(
 def random_logs(draw):
     n_rotors = draw(st.sampled_from([4, 8, 64]))
     n_rows = draw(st.integers(1, 50))
-    floats = draw(arrays(np.float64, (n_rows, 13 + n_rotors), elements=cells))
-    saturated = draw(arrays(np.bool_, (n_rows, n_rotors)))
+    f_max = draw(st.one_of(st.just(0.912), st.floats(5e-324, 1e308)))
+    floats = draw(arrays(np.float64, (n_rows, 13), elements=cells))
+    # thrust cells at either limit, 0.0 of both signs, or anywhere
+    thrusts = draw(arrays(np.float64, (n_rows, n_rotors), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, f_max]), cells)))
     # the flown attitude and the target attitude of each row
     quaternions = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
         size=(n_rows, 2, 4))
-    return log_of_rows(floats, saturated, quaternions)
+    return log_of_rows(np.hstack([floats, thrusts]), quaternions, f_max)
 
 
-def log_of_rows(floats, saturated, quaternions):
+def log_of_rows(floats, quaternions, f_max):
     """Telemetry log of n rows: per row 13 + n_rotors floats (t, position,
-    velocity, angular velocity, target position, thrusts), the saturated
-    rotors, and two quaternions (flown and target attitude) that need not
-    be normalized."""
-    n_rows, n_rotors = saturated.shape
-    log = Telemetry(n_rotors, n_rows)
-    for row, sat, q in zip(floats, saturated, quaternions):
+    velocity, angular velocity, target position, thrusts) and two
+    quaternions (flown and target attitude) that need not be normalized."""
+    n_rows, n_rotors = floats.shape[0], floats.shape[1] - 13
+    log = Telemetry(n_rotors, n_rows, f_max)
+    for row, q in zip(floats, quaternions):
         attitude, target = telemetry.quaternion_to_rotation(
             q / np.linalg.norm(q, axis=1, keepdims=True))
         state = VehicleState(row[1:4], row[4:7], attitude, row[7:10])
         setpoint = Setpoint(row[10:13], np.zeros(3), np.zeros(3), target)
-        log.append(row[0], state, setpoint, row[13:], sat)
+        log.append(row[0], state, setpoint, row[13:])
     return log
 
 
 def long_log(n_rows, n_rotors=8, seed=83):
-    """A log of mixed values: normal floats, -0.0 cells, and every 97th row
-    NaN throughout, its attitudes included."""
+    """A log of mixed values: normal floats, -0.0 cells, thrusts at f_max,
+    and every 97th row NaN throughout, its attitudes included."""
     rng = np.random.default_rng(seed)
     floats = rng.normal(scale=10.0, size=(n_rows, 13 + n_rotors))
     floats[rng.random(floats.shape) < 0.05] = -0.0
+    floats[:, 13:][rng.random((n_rows, n_rotors)) < 0.2] = F_MAX
     quaternions = rng.normal(size=(n_rows, 2, 4))
     floats[::97] = np.nan
     quaternions[::97] = np.nan
-    return log_of_rows(floats, rng.random((n_rows, n_rotors)) < 0.3, quaternions)
+    return log_of_rows(floats, quaternions, F_MAX)
 
 
 def same_bits(a, b):

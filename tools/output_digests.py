@@ -29,7 +29,6 @@ from modquad import cli, config  # noqa: E402
 
 FIXTURES = ROOT / "fixtures"
 MANIFEST = FIXTURES / "outputs.sha256"
-SIMULATE_JOBS = 2
 
 
 def versions():
@@ -43,8 +42,7 @@ def compute(workdir):
     scenarios = [p for p in paths if config.load_config(p).scenario is not None]
     workdir = Path(workdir)
     with contextlib.redirect_stdout(io.StringIO()):
-        status = cli.main(["simulate", *map(str, scenarios), "-o", str(workdir),
-                           "--jobs", str(SIMULATE_JOBS)])
+        status = cli.main(["simulate", *map(str, scenarios), "-o", str(workdir)])
     if status != cli.EXIT_OK:
         raise RuntimeError(f"simulate exited {status}")
     digests = {f"simulate/{p.stem}.csv":

@@ -7,6 +7,7 @@ CRITICAL for logging verbosity; any other value exits 2.
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import logging
 import math
@@ -127,20 +128,21 @@ def _print_analysis_text(payload):
           f"at f_max {payload['f_max_n']} N)")
 
 
-def _build_and_analyze(path, cfg):
-    try:
-        structure = config_mod.build_structure(cfg)
-        analysis = actuation.analyze_structure(structure, f_max=cfg.physical.f_max_n)
-    except ModquadError as exc:
-        _report(path, exc)
-        raise SystemExit(EXIT_SCHEMA) from exc
-    _log_analysis(path, analysis)
+def _analyze(path, cfg):
+    """Structure and actuation analysis of a parsed config, logged at INFO."""
+    structure = config_mod.build_structure(cfg)
+    analysis = actuation.analyze_structure(structure, f_max=cfg.physical.f_max_n)
+    log.info("%s: %d-DOF, applicable %s, hover residual %.3g N", path,
+             analysis.controllable_dof, analysis.applicable, analysis.hover_residual)
     return structure, analysis
 
 
-def _log_analysis(path, analysis):
-    log.info("%s: %d-DOF, applicable %s, hover residual %.3g N", path,
-             analysis.controllable_dof, analysis.applicable, analysis.hover_residual)
+def _build_and_analyze(path, cfg):
+    try:
+        return _analyze(path, cfg)
+    except ModquadError as exc:
+        _report(path, exc)
+        raise SystemExit(EXIT_SCHEMA) from exc
 
 
 def cmd_analyze(args):
@@ -159,25 +161,27 @@ def cmd_analyze(args):
 
 
 def _simulate_one(config_path, cfg, output_path):
-    """Fly one parsed config and write its telemetry; returns the row count."""
-    structure = config_mod.build_structure(cfg)
-    analysis = actuation.analyze_structure(structure, f_max=cfg.physical.f_max_n)
-    _log_analysis(config_path, analysis)
-    trajectory = config_mod.build_trajectory(cfg, analysis.controllable_dof)
-    motor = simulation.MotorModel(f_max=cfg.physical.f_max_n)
+    """Fly one parsed config and write its CSV, the partial one when the flight
+    diverges. Returns (exit code, message lines) instead of raising: 0 with the
+    row count, 2 for a bad config or output, 3 for an inapplicable design, 4 for
+    a diverged flight, so a pool worker sends its parent only these two values."""
     try:
-        log_data = simulation.run_scenario(
-            structure, analysis, cfg.gains, trajectory,
-            duration=cfg.scenario.duration_s,
-            dt_ctrl=cfg.scenario.dt_ctrl_s, dt_sim=cfg.scenario.dt_sim_s,
-            motor=motor,
-        )
-    except NonFiniteState as exc:
-        telemetry.write_csv(exc.telemetry, output_path)
-        exc.telemetry = None  # a pool worker would pickle the whole log to the parent
-        raise
-    telemetry.write_csv(log_data, output_path)
-    return len(log_data)
+        structure, analysis = _analyze(config_path, cfg)
+        trajectory = config_mod.build_trajectory(cfg, analysis.controllable_dof)
+        try:
+            log_data = simulation.run_scenario(
+                structure, analysis, cfg.gains, trajectory, duration=cfg.scenario.duration_s,
+                dt_ctrl=cfg.scenario.dt_ctrl_s, dt_sim=cfg.scenario.dt_sim_s,
+                motor=simulation.MotorModel(f_max=cfg.physical.f_max_n))
+        except NonFiniteState as exc:
+            telemetry.write_csv(exc.telemetry, output_path)
+            return EXIT_DIVERGED, [f"{config_path}: {exc} (partial telemetry in {output_path})"]
+        telemetry.write_csv(log_data, output_path)
+    except InapplicableDesign as exc:
+        return EXIT_INAPPLICABLE, [f"{config_path}: {exc}"]
+    except (ModquadError, OSError) as exc:
+        return EXIT_SCHEMA, [f"{config_path}: {p}" for p in getattr(exc, "problems", [exc])]
+    return EXIT_OK, [f"{config_path}: {len(log_data)} rows -> {output_path}"]
 
 
 def _output_paths(configs, output):
@@ -205,43 +209,26 @@ def _output_paths(configs, output):
 
 
 def cmd_simulate(args):
+    """Fly each config with one worker per config up to one per CPU (one worker
+    flies them in turn in this process, more in a process pool). Prints each
+    config's lines in the order given, on stdout for a completed flight and on
+    stderr otherwise, and returns the largest exit code."""
     # parse every config once, up front, so schema errors exit 2 before any flight
     configs = [_load(config_path) for config_path in args.configs]
     for config_path, cfg in zip(args.configs, configs):
         if cfg.scenario is None:
             print(f"{config_path}: config has no scenario block", file=sys.stderr)
             return EXIT_SCHEMA
-    jobs = list(zip(args.configs, configs, _output_paths(args.configs, args.output)))
-    # one worker per config up to one per CPU; under fork a process pool
-    # starts all its workers at once
-    workers = min(len(jobs), os.cpu_count() or 1)
+    jobs = (args.configs, configs, _output_paths(args.configs, args.output))
+    # under fork a process pool starts all its workers at once
+    workers = min(len(configs), os.cpu_count() or 1)
     status = EXIT_OK
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_simulate_one, *job): job for job in jobs}
-            for future in concurrent.futures.as_completed(futures):
-                status = max(status, _report_sim_result(future, *futures[future]))
-    else:
-        for job in jobs:
-            status = max(status, _report_sim_result(None, *job))
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for code, lines in (pool.map if pool else map)(_simulate_one, *jobs):
+            print(*lines, sep="\n", file=sys.stderr if code else sys.stdout)
+            status = max(status, code)
     return status
-
-
-def _report_sim_result(future, cfg_path, cfg, out):
-    try:
-        rows = (future.result() if future is not None
-                else _simulate_one(cfg_path, cfg, out))
-    except NonFiniteState as exc:
-        print(f"{cfg_path}: {exc} (partial telemetry in {out})", file=sys.stderr)
-        return EXIT_DIVERGED
-    except InapplicableDesign as exc:
-        print(f"{cfg_path}: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except (ModquadError, OSError) as exc:
-        _report(cfg_path, exc)
-        return EXIT_SCHEMA
-    print(f"{cfg_path}: {rows} rows -> {out}")
-    return EXIT_OK
 
 
 def _finite_float(text):

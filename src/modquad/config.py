@@ -23,7 +23,7 @@ from typing import get_args, get_origin
 import numpy as np
 import yaml
 
-from . import geometry, trajectories, vehicle
+from . import geometry, simulation, trajectories, vehicle
 from .control import ControllerGains
 from .errors import InvalidParams, ParseError, SchemaError
 
@@ -207,8 +207,8 @@ class PhysicalParams:
 class ScenarioParams:
     trajectory: trajectories.Trajectory
     duration_s: float = 30.0
-    dt_ctrl_s: float = field(default=0.002, metadata=_POSITIVE)
-    dt_sim_s: float = field(default=0.001, metadata=_POSITIVE)
+    dt_ctrl_s: float = field(default=simulation.DEFAULT_DT_CTRL, metadata=_POSITIVE)
+    dt_sim_s: float = field(default=simulation.DEFAULT_DT_SIM, metadata=_POSITIVE)
     skip_s: float = 5.0
 
     def __post_init__(self):

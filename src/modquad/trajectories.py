@@ -5,7 +5,9 @@ Each kind is one frozen dataclass whose fields are the config schema;
 `Trajectory` is their union. Called at time t, a definition returns a
 Setpoint of fresh Python floats: velocity and acceleration are exact
 derivatives of the position, and the attitude is a full target rotation
-of the thrust frame. `make_trajectory` checks once what the target asks
+of the thrust frame. A kind is checked when built: a time scale or
+rotation whose per-tick arithmetic would overflow or divide by zero raises
+InvalidParams. `make_trajectory` checks once what the target asks
 of the structure's DOF (each kind's `full_attitude` and `pitch`).
 """
 
@@ -57,6 +59,17 @@ def _body_rate(phi, phi_rate):
             rz - a * cz + b * (px * cy - py * cx)]
 
 
+def _check_finite(key, condition, evaluate, *args):
+    """Raise InvalidParams naming the config key `key` unless `evaluate(*args)`,
+    arithmetic that a trajectory repeats at every tick, gives finite floats."""
+    try:
+        finite = all(map(math.isfinite, evaluate(*args)))
+    except (ArithmeticError, ValueError):  # OverflowError, ZeroDivisionError, math domain
+        finite = False
+    if not finite:
+        raise InvalidParams(f"{key} is out of range: {condition}")
+
+
 # ---------------------------------------------------------------------------
 # trajectory kinds (parsed from scenario configs)
 # Field metadata is the config schema (see `config`): key unit and positivity;
@@ -93,6 +106,12 @@ class HelixDef(_Kind):
 
     kind = "helix"
     label = "a helix trajectory"
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("xy_period", "z_period"):
+            _check_finite(f"{name}_s", f"(2 pi / {name}_s)**2 must be finite",
+                          lambda period: [(TWO_PI / period)**2], getattr(self, name))
 
     def __call__(self, t):
         w_xy = TWO_PI / self.xy_period
@@ -139,6 +158,11 @@ class RectangleDef(_Kind):
     kind = "rectangle"
     label = "a rectangle trajectory"
     pitch = property(lambda self: self.pitch_hold)
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_finite("lap_time_s", "(lap_time_s / 4)**2 must be finite and non-zero",
+                      _rest_to_rest, 0.0, self.lap_time / 4.0)
 
     def __call__(self, t):
         half_l, half_w, z = self.length / 2.0, self.width / 2.0, self.height
@@ -190,6 +214,10 @@ class Waypoint:
     # axis-angle vector of the target attitude in the world
     rotation: tuple = field(default=(0.0, 0.0, 0.0), metadata={"unit": "rad"})
 
+    def __post_init__(self):
+        _check_finite("rotation_rad", "its angle cubed must be finite",
+                      _body_rate, self.rotation, (0.0, 0.0, 0.0))
+
 
 @dataclass(frozen=True)
 class QuinticChainDef(_Kind):
@@ -215,6 +243,9 @@ class QuinticChainDef(_Kind):
         if (len(self.durations) != len(self.waypoints) - 1
                 or not all(d > 0.0 for d in self.durations)):
             raise InvalidParams("durations_s must hold one positive number per segment")
+        for i, duration in enumerate(self.durations):
+            _check_finite(f"durations_s[{i}]", "its square must be finite and non-zero",
+                          _rest_to_rest, 0.0, duration)
         # start times; per segment: duration, origin and delta of (position, rotvec)
         starts, segments = [0.0], []
         for a, b, duration in zip(self.waypoints, self.waypoints[1:], self.durations):

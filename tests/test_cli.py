@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from modquad import cli, telemetry
-from modquad.errors import NonFiniteState
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -208,15 +207,6 @@ def test_simulate_divergence_exits_4_with_partial_telemetry(tmp_path, capsys, mo
         write_hover_config(path, duration=10.0, physical="physical:\n  f_max_n: 0.912",
                            trajectory="{kind: attitude_sine, axis: y, amplitude_rad: 1.0, "
                                       "period_s: 2.0, hover_point_m: [0.0, 0.0, 0.5]}")
-    received = []
-    report = cli._report_sim_result
-
-    def recording_report(future, *job):
-        if future is not None:
-            received.append(future.exception())
-        return report(future, *job)
-
-    monkeypatch.setattr(cli, "_report_sim_result", recording_report)
     # one CPU flies both configs in this process, two fly them in a pool
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     outdir = tmp_path / "runs"
@@ -234,11 +224,14 @@ def test_simulate_divergence_exits_4_with_partial_telemetry(tmp_path, capsys, mo
         at_bound = (table.thrusts == 0.0) | (table.thrusts == 0.912)
         assert np.array_equal(table.saturated_count, at_bound.sum(axis=1))
         assert table.saturated_count.max() > 0
-    # a pool worker sends the parent the message, not the preallocated log
-    assert len(received) == (2 if cpus == 2 else 0)
-    for exc in received:
-        assert isinstance(exc, NonFiniteState) and exc.telemetry is None
-        assert len(pickle.dumps(exc)) < 10_000
+    # a pool worker sends the parent its exit code and message, not the
+    # preallocated log
+    out = tmp_path / "again.csv"
+    outcome = cli._simulate_one(str(configs[0]), cli._load(configs[0]), out)
+    printed = err.splitlines()[0]
+    assert outcome == (4, [printed.replace(str(outdir / "one.csv"), str(out))])
+    assert out.read_bytes() == (outdir / "one.csv").read_bytes()
+    assert len(pickle.dumps(outcome)) < 10_000
 
 
 def test_simulate_parses_each_config_once(tmp_path, monkeypatch):
@@ -524,10 +517,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("cpus, expected", [(2, 2), (8, 3)])
@@ -564,6 +555,51 @@ def test_simulate_one_worker_flies_without_pool(tmp_path, monkeypatch, n_configs
     assert RecordingPool.sizes == []
     assert sorted(p.name for p in runs.glob("*.csv")) == [
         f"c{i}.csv" for i in range(n_configs)]
+
+
+def test_simulate_prints_outcomes_in_config_order(tmp_path, monkeypatch, capsys):
+    # the long flight is given first; two workers finish the short one first
+    slow, fast = tmp_path / "slow.cfg", tmp_path / "fast.cfg"
+    write_hover_config(slow, duration=3.0)
+    write_hover_config(fast, duration=0.01)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    outdir = tmp_path / "runs"
+    assert cli.main(["simulate", str(slow), str(fast), "-o", str(outdir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"{slow}: 1501 rows -> {outdir / 'slow.csv'}",
+                                         f"{fast}: 6 rows -> {outdir / 'fast.csv'}"]
+    assert captured.err == ""
+
+
+CHAIN = ("{kind: quintic_chain, waypoints: [{position_m: [0, 0, 0.5]}, "
+         "{position_m: [0, 0, 0.6]}, {position_m: [0, 0, 0.7], rotation_rad: %s}], "
+         "durations_s: %s}")
+
+
+@pytest.mark.parametrize("trajectory, key", [
+    ("{kind: helix, xy_period_s: 1.0e-300}", "xy_period_s"),
+    ("{kind: helix, z_period_s: 1.0e-160}", "z_period_s"),
+    ("{kind: rectangle, lap_time_s: 1.0e-300}", "lap_time_s"),
+    (CHAIN % ("[0, 0, 0]", "[0.05, 1.0e-200]"), "durations_s[1]"),
+    (CHAIN % ("[1.0e+200, 0, 0]", "[1.0, 1.0]"), "rotation_rad"),
+], ids=["helix_xy", "helix_z", "rectangle", "chain_duration", "chain_rotation"])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_trajectory_time_scale_out_of_range_exits_2(tmp_path, capsys, command, trajectory,
+                                                   key):
+    # each of these used to end `simulate` in a traceback with exit 1, and
+    # `analyze` exited 0; write_hover_config's structure is exp4's, so it is
+    # 6-DOF and accepts every trajectory kind
+    cfg = tmp_path / "bad.cfg"
+    write_hover_config(cfg, 0.2, trajectory=trajectory)
+    out = tmp_path / "x.csv"
+    argv = [command, str(cfg)] + (["-o", str(out)] if command == "simulate" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "Traceback" not in captured.err
+    # the trajectory block starts on line 22
+    assert f"(line 22): {key} is out of range" in err[0]
 
 
 def test_analysis_result_logged_at_info(caplog):

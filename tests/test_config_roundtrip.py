@@ -36,14 +36,24 @@ def vector(size, default=None, positive=False):
     return values.filter(lambda v: v != default)
 
 
+# time scales and rotations that the trajectories' arithmetic keeps finite:
+# a helix's (2 pi / period)**2, a rest-to-rest move's duration**2 and a
+# waypoint's angle**3 (README "Configs")
+def time_scale(default):
+    return st.floats(1e-150, 1e150).filter(lambda x: x != default)
+
+
+rotation = st.tuples(*[st.floats(-1e100, 1e100)] * 3).filter(any)  # not the default 0
+
+
 helix = st.builds(
     HelixDef,
     center=vector(2, HelixDef.center),
     radius=number(HelixDef.radius, positive=True),
     z_min=number(HelixDef.z_min),
     z_max=number(HelixDef.z_max),
-    z_period=number(HelixDef.z_period, positive=True),
-    xy_period=number(HelixDef.xy_period, positive=True),
+    z_period=time_scale(HelixDef.z_period),
+    xy_period=time_scale(HelixDef.xy_period),
     yaw_period=number(HelixDef.yaw_period, positive=True),
 )
 rectangle = st.builds(
@@ -51,7 +61,7 @@ rectangle = st.builds(
     length=number(RectangleDef.length, positive=True),
     width=number(RectangleDef.width, positive=True),
     height=number(RectangleDef.height),
-    lap_time=number(RectangleDef.lap_time, positive=True),
+    lap_time=time_scale(RectangleDef.lap_time),
     pitch_hold=number(RectangleDef.pitch_hold),
     yaw_hold=number(RectangleDef.yaw_hold),
 )
@@ -72,8 +82,8 @@ quintic_chain = st.integers(min_value=2, max_value=4).flatmap(
     lambda n: st.builds(
         QuinticChainDef,
         waypoints=st.tuples(*[st.builds(Waypoint, position=vector(3),
-                                        rotation=vector(3, (0.0, 0.0, 0.0)))] * n),
-        durations=st.tuples(*[number(None, positive=True)] * (n - 1)),
+                                        rotation=rotation)] * n),
+        durations=st.tuples(*[time_scale(None)] * (n - 1)),
     )
 )
 physical = st.builds(

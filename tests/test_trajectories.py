@@ -350,7 +350,9 @@ def test_positive_fields_checked_when_built(kind, name, value):
     with pytest.raises(InvalidParams) as excinfo:
         kind(**{name: value})
     assert str(excinfo.value) == f"{name} must be positive"
-    kind(**{name: 1e-300})
+    # a tiny period passes the positivity check; 1e-300 would fail the range
+    # check of a helix period or a rectangle lap (test_time_scales_out_of_range)
+    kind(**{name: 1e-150})
 
 
 def test_chain_segments_are_not_fields():
@@ -359,3 +361,35 @@ def test_chain_segments_are_not_fields():
     assert a == b and hash(a) == hash(b) and a is not b
     assert [f.name for f in dataclasses.fields(a)] == ["waypoints", "durations"]
     assert "segments" not in repr(a) and "starts" not in repr(a)
+
+
+CHAIN_POINTS = (Waypoint((0, 0, 0)), Waypoint((0, 0, 1)), Waypoint((0, 0, 2)))
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: HelixDef(xy_period=1e-300), "xy_period_s"),  # (2 pi / period)**2 overflows
+    (lambda: HelixDef(z_period=1e-160), "z_period_s"),
+    (lambda: HelixDef(xy_period=1e-310), "xy_period_s"),  # 2 pi / period is inf
+    (lambda: RectangleDef(lap_time=1e-300), "lap_time_s"),  # (lap / 4)**2 underflows to 0
+    (lambda: RectangleDef(lap_time=1e200), "lap_time_s"),  # ... or overflows
+    (lambda: QuinticChainDef(CHAIN_POINTS, (0.05, 1e-200)), "durations_s[1]"),
+    (lambda: Waypoint((0, 0, 0), (1e103, 0, 0)), "rotation_rad"),  # angle**3 overflows
+    (lambda: Waypoint((0, 0, 0), (1e308, 1e308, 0)), "rotation_rad"),  # angle is inf
+], ids=["helix_xy", "helix_z", "helix_xy_inf", "rectangle_short", "rectangle_long",
+        "chain_duration", "waypoint_rotation", "waypoint_rotation_inf"])
+def test_time_scales_out_of_range(build, key):
+    # each of these once ended a flight in an OverflowError, ZeroDivisionError
+    # or ValueError from the arithmetic `__call__` repeats at every tick
+    with pytest.raises(InvalidParams) as excinfo:
+        build()
+    assert str(excinfo.value).startswith(f"{key} is out of range: ")
+
+
+def test_time_scales_in_range_kept():
+    # just inside each bound, the setpoints stay finite
+    for defn in [HelixDef(xy_period=5e-154, z_period=5e-154),
+                 RectangleDef(lap_time=1e-161), RectangleDef(lap_time=1e154),
+                 QuinticChainDef((Waypoint((0, 0, 0)), Waypoint((0, 0, 1), (5e102, 0, 0))),
+                                 (1e154,))]:
+        sp = defn(0.0)
+        assert all(map(math.isfinite, [*sp.position, *sp.velocity, *sp.acceleration]))

@@ -220,7 +220,9 @@ def cmd_simulate(args):
             print(f"{config_path}: config has no scenario block", file=sys.stderr)
             return EXIT_SCHEMA
     jobs = (args.configs, configs, _output_paths(args.configs, args.output))
-    # under fork a process pool starts all its workers at once
+    # a fork pool starts all its workers at its first submit, before its manager
+    # thread (CPython's fix for gh-90622, which 3.11.7 has), so it gets no more
+    # workers than configs
     workers = min(len(configs), os.cpu_count() or 1)
     status = EXIT_OK
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1

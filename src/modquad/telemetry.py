@@ -11,11 +11,19 @@ byte-identical files.
 No pass over the rows copies the whole table: `write_csv` encodes
 `_BLOCK_ROWS` rows at a time, `read_csv` streams the file's lines into one
 `np.loadtxt` call, and `compute_metrics` copies the window of only the
-columns it reads and builds its attitude errors block by block.
+columns it reads and builds its attitude errors block by block. Almost all
+of the write is `repr` of each float, so a log of more than one block is
+encoded in a process pool of one worker per block, up to one per CPU, and
+its blocks are written in order; the bytes do not depend on the pool. The
+pool is forked only on Linux before Python 3.12, and never from a process
+that `multiprocessing` started, such as a `simulate` config worker.
 """
 
+import collections
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -174,11 +182,70 @@ def write_csv(telemetry, path):
     """Write one CSV row per control tick of a telemetry log: its float
     columns in TelemetryTable field order, then `sat`, the count of its
     thrusts at a motor limit. The `yaw_d` and `pitch_d` columns are those
-    of the target attitudes. Rows are encoded one block at a time."""
+    of the target attitudes. Rows are encoded one block at a time: in a
+    process pool of one worker per block, up to one per CPU, for a log of
+    more than one block where `_may_fork_encoders` allows it, else in this
+    process. Every worker has been joined when it returns."""
+    blocks = _blocks(len(telemetry))
+    workers = min(math.ceil(len(telemetry) / _BLOCK_ROWS), os.cpu_count() or 1)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(csv_header(telemetry.n_rotors)) + "\r\n")
-        for rows in _blocks(len(telemetry)):
-            handle.writelines(_csv_lines(telemetry, rows))
+        if workers > 1 and _may_fork_encoders():
+            _write_pooled(handle, telemetry, blocks, workers)
+        else:
+            for rows in blocks:
+                handle.writelines(_csv_lines(telemetry, rows))
+
+
+def _may_fork_encoders():
+    """Whether this process may fork a pool of block encoders: only on Linux
+    before Python 3.12, and not in a process that `multiprocessing` started.
+    From 3.12 on, `os.fork` in a process with threads (numpy's BLAS pool is
+    one) warns that the child may deadlock, and on macOS fork is unsafe. A
+    process that `multiprocessing` started, such as one of `simulate`'s
+    config workers, shares the CPUs with the rest of its pool, so encoders
+    forked there would multiply with that pool."""
+    if sys.platform != "linux" or sys.version_info >= (3, 12):
+        return False
+    import multiprocessing
+    return multiprocessing.parent_process() is None
+
+
+def _write_pooled(handle, log, blocks, workers):
+    """Write the CSV lines of `blocks` of `log` in order, each block encoded
+    by one of `workers` forked processes. The workers inherit the log, so a
+    task sends only its row slice and returns one string, and at most one
+    block per worker is submitted ahead of the one being written."""
+    # imported on first use: importing `concurrent.futures.process` takes
+    # about 19 ms, and only a log of more than one block needs it
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_inherit_log, initargs=(log,)) as pool:
+        pending = collections.deque(pool.submit(_encode_block, rows)
+                                    for rows in itertools.islice(blocks, workers))
+        while pending:
+            text = pending.popleft().result()
+            rows = next(blocks, None)
+            if rows is not None:
+                pending.append(pool.submit(_encode_block, rows))
+            handle.write(text)
+
+
+# the log a forked encoder process inherits; set only in those processes
+_encoder_log = None
+
+
+def _inherit_log(log):
+    global _encoder_log
+    _encoder_log = log
+
+
+def _encode_block(rows):
+    """The CSV text of one block of the inherited log's rows."""
+    return "".join(_csv_lines(_encoder_log, rows))
 
 
 def _csv_lines(log, rows):

@@ -215,6 +215,8 @@ class Waypoint:
     rotation: tuple = field(default=(0.0, 0.0, 0.0), metadata={"unit": "rad"})
 
     def __post_init__(self):
+        if len(self.rotation) != 3:
+            raise InvalidParams(f"rotation_rad must hold 3 angles, not {len(self.rotation)}")
         _check_finite("rotation_rad", "its angle cubed must be finite",
                       _body_rate, self.rotation, (0.0, 0.0, 0.0))
 

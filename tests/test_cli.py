@@ -1,6 +1,8 @@
 import concurrent.futures
 import json
 import logging
+import multiprocessing
+import os
 import pickle
 import re
 from pathlib import Path
@@ -555,6 +557,35 @@ def test_simulate_one_worker_flies_without_pool(tmp_path, monkeypatch, n_configs
     assert RecordingPool.sizes == []
     assert sorted(p.name for p in runs.glob("*.csv")) == [
         f"c{i}.csv" for i in range(n_configs)]
+
+
+def test_simulate_forks_encoders_only_outside_its_pool(tmp_path, monkeypatch):
+    write_pooled = telemetry._write_pooled
+
+    def recording_write_pooled(*args):
+        (tmp_path / f"pooled-{os.getpid()}").touch()
+        return write_pooled(*args)
+
+    def pooled():
+        return sorted(p.name for p in tmp_path.glob("pooled-*"))
+
+    monkeypatch.setattr(telemetry, "_write_pooled", recording_write_pooled)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    configs = [tmp_path / "c0.cfg", tmp_path / "c1.cfg"]
+    for config in configs:
+        write_hover_config(config, duration=3.0)  # 1501 rows, two blocks
+    # one config flies in this process, which forks an encoder per block
+    alone = tmp_path / "alone.csv"
+    assert cli.main(["simulate", str(configs[0]), "-o", str(alone)]) == 0
+    assert pooled() == [f"pooled-{os.getpid()}"]
+    assert multiprocessing.active_children() == []
+    # two config workers on two CPUs encode their own CSVs, forking nothing
+    (tmp_path / f"pooled-{os.getpid()}").unlink()
+    runs = tmp_path / "runs"
+    assert cli.main(["simulate", *map(str, configs), "-o", str(runs)]) == 0
+    assert pooled() == []
+    assert multiprocessing.active_children() == []
+    assert (runs / "c0.csv").read_bytes() == alone.read_bytes()
 
 
 def test_simulate_prints_outcomes_in_config_order(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import csv
 import math
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import fields
 
@@ -444,9 +446,15 @@ def test_csv_columns_roundtrip_bit_equal_and_match_row_writer(tmp_path_factory, 
     assert_csv_matches_log(log, tmp_path_factory.mktemp("csv"))
 
 
-def test_csv_longer_than_one_block(tmp_path):
+def test_csv_longer_than_one_block(tmp_path, monkeypatch):
     n_rows = 5 * telemetry._BLOCK_ROWS // 2
-    path = assert_csv_matches_log(long_log(n_rows), tmp_path)
+    log = long_log(n_rows)
+    # one CPU encodes in this process, two in a pool of two workers
+    for cpus in (1, 2):
+        monkeypatch.setattr(telemetry.os, "cpu_count", lambda n=cpus: n)
+        (tmp_path / str(cpus)).mkdir()
+        path = assert_csv_matches_log(log, tmp_path / str(cpus))
+        assert multiprocessing.active_children() == []
     lines = path.read_text().splitlines()
     last_block = 2 * telemetry._BLOCK_ROWS  # row index; row i is on line i + 2
     short, blank = last_block + 100, last_block + 300
@@ -458,6 +466,23 @@ def test_csv_longer_than_one_block(tmp_path):
     path.write_text("\n".join(lines[:blank + 1] + [""] + lines[blank + 1:]) + "\n")
     with pytest.raises(MalformedTelemetry, match=f"line {blank + 2} "):
         telemetry.read_csv(path)
+
+
+def test_csv_pool_joins_its_workers_when_a_block_fails(tmp_path, monkeypatch):
+    encode = telemetry._csv_lines
+
+    def failing_second_block(log, rows):
+        if rows.start == telemetry._BLOCK_ROWS:
+            raise RuntimeError(f"block encoded in process {os.getpid()}")
+        return encode(log, rows)
+
+    monkeypatch.setattr(telemetry, "_csv_lines", failing_second_block)
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="block encoded in process") as excinfo:
+        telemetry.write_csv(long_log(3 * telemetry._BLOCK_ROWS), tmp_path / "run.csv")
+    # the block failed in a worker, and the error reached the caller
+    assert str(excinfo.value) != f"block encoded in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
 
 
 def traced_peak(function, *args):

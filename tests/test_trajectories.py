@@ -385,6 +385,19 @@ def test_time_scales_out_of_range(build, key):
     assert str(excinfo.value).startswith(f"{key} is out of range: ")
 
 
+@pytest.mark.parametrize("rotation, message", [
+    ((1.0, 2.0), "rotation_rad must hold 3 angles, not 2"),
+    ((0.0, 0.0, 0.0, 1.0), "rotation_rad must hold 3 angles, not 4"),
+    ((math.inf, 0.0, 0.0), "rotation_rad is out of range: its angle cubed must be finite"),
+], ids=["two_angles", "four_angles", "infinite_angle"])
+def test_waypoint_rotation_length_named_apart_from_range(rotation, message):
+    # the range check reads the math domain error of an infinite angle as
+    # out of range, so a wrong length is checked before it, as its own error
+    with pytest.raises(InvalidParams) as excinfo:
+        Waypoint((0, 0, 0), rotation)
+    assert str(excinfo.value) == message
+
+
 def test_time_scales_in_range_kept():
     # just inside each bound, the setpoints stay finite
     for defn in [HelixDef(xy_period=5e-154, z_period=5e-154),

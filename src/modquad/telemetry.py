@@ -9,17 +9,23 @@ Floats are written with repr precision so identical runs produce
 byte-identical files.
 
 No pass over the rows copies the whole table: `write_csv` encodes
-`_BLOCK_ROWS` rows at a time, `read_csv` streams the file's lines into one
-`np.loadtxt` call, and `compute_metrics` copies the window of only the
-columns it reads and builds its attitude errors block by block. Almost all
-of the write is `repr` of each float, so a log of more than one block is
-encoded in a process pool of one worker per block, up to one per CPU, and
-its blocks are written in order; the bytes do not depend on the pool. The
-pool is forked only on Linux before Python 3.12, and never from a process
-that `multiprocessing` started, such as a `simulate` config worker.
+`_BLOCK_ROWS` rows at a time, `read_csv` streams the file's lines into
+`np.loadtxt`, and `compute_metrics` copies the window of only the columns
+it reads and builds its attitude errors block by block. Almost all of the
+write is `repr` of each float, and of the read `np.loadtxt`'s parse, so
+both run in one ordered map over a fork pool, `_forked_map`: a log of
+more than one block is encoded one block per task and its blocks are
+written in order, and a file of more than one `_SPAN_BYTES` span is
+parsed one span per task into one preallocated table. The pool has one
+worker per task, up to one per CPU; neither the bytes nor the table
+depend on it. It is forked only on Linux before Python 3.12, and never
+from a process that `multiprocessing` started, such as a `simulate`
+config worker.
 """
 
 import collections
+import contextlib
+import io
 import itertools
 import math
 import os
@@ -33,6 +39,10 @@ from .errors import MalformedTelemetry
 
 # rows per block of the passes over a log or a table
 _BLOCK_ROWS = 1024
+# bytes per span of a CSV that `read_csv` parses in a pool, and per read
+# of the pass that counts its lines
+_SPAN_BYTES = 1 << 20
+_READ_BYTES = 1 << 16
 
 
 def _logged(first, shape=()):
@@ -191,61 +201,68 @@ def write_csv(telemetry, path):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(csv_header(telemetry.n_rotors)) + "\r\n")
         if workers > 1 and _may_fork_encoders():
-            _write_pooled(handle, telemetry, blocks, workers)
+            # the workers inherit the log, so a task sends only its row slice
+            # and returns one string
+            texts = _forked_map(lambda rows: "".join(_csv_lines(telemetry, rows)),
+                                blocks, workers)
+            with contextlib.closing(texts):
+                handle.writelines(texts)
         else:
             for rows in blocks:
                 handle.writelines(_csv_lines(telemetry, rows))
 
 
 def _may_fork_encoders():
-    """Whether this process may fork a pool of block encoders: only on Linux
-    before Python 3.12, and not in a process that `multiprocessing` started.
-    From 3.12 on, `os.fork` in a process with threads (numpy's BLAS pool is
-    one) warns that the child may deadlock, and on macOS fork is unsafe. A
-    process that `multiprocessing` started, such as one of `simulate`'s
-    config workers, shares the CPUs with the rest of its pool, so encoders
-    forked there would multiply with that pool."""
+    """Whether this process may fork a pool of block encoders or span
+    parsers: only on Linux before Python 3.12, and not in a process that
+    `multiprocessing` started. From 3.12 on, `os.fork` in a process with
+    threads (numpy's BLAS pool is one) warns that the child may deadlock,
+    and on macOS fork is unsafe. A process that `multiprocessing` started,
+    such as one of `simulate`'s config workers, shares the CPUs with the
+    rest of its pool, so workers forked there would multiply with that
+    pool."""
     if sys.platform != "linux" or sys.version_info >= (3, 12):
         return False
     import multiprocessing
     return multiprocessing.parent_process() is None
 
 
-def _write_pooled(handle, log, blocks, workers):
-    """Write the CSV lines of `blocks` of `log` in order, each block encoded
-    by one of `workers` forked processes. The workers inherit the log, so a
-    task sends only its row slice and returns one string, and at most one
-    block per worker is submitted ahead of the one being written."""
+def _forked_map(function, tasks, workers):
+    """Yield `function(task)` for each of the iterator `tasks`, in order,
+    each call made in one of `workers` forked processes, which inherit
+    `function` with this process's memory, so only the tasks and the
+    results are pickled. At most one task per worker is submitted ahead of
+    the result being yielded. Every worker has been joined once the
+    generator is exhausted, closed or has raised a worker's exception."""
     # imported on first use: importing `concurrent.futures.process` takes
-    # about 19 ms, and only a log of more than one block needs it
+    # about 19 ms, and only a pooled write or read needs it
     import concurrent.futures
     import multiprocessing
 
     with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_inherit_log, initargs=(log,)) as pool:
-        pending = collections.deque(pool.submit(_encode_block, rows)
-                                    for rows in itertools.islice(blocks, workers))
+            initializer=_inherit, initargs=(function,)) as pool:
+        pending = collections.deque(pool.submit(_call_inherited, task)
+                                    for task in itertools.islice(tasks, workers))
         while pending:
-            text = pending.popleft().result()
-            rows = next(blocks, None)
-            if rows is not None:
-                pending.append(pool.submit(_encode_block, rows))
-            handle.write(text)
+            result = pending.popleft().result()
+            task = next(tasks, None)
+            if task is not None:
+                pending.append(pool.submit(_call_inherited, task))
+            yield result
 
 
-# the log a forked encoder process inherits; set only in those processes
-_encoder_log = None
+# the function a forked pool worker calls on each task; set only in those processes
+_inherited_function = None
 
 
-def _inherit_log(log):
-    global _encoder_log
-    _encoder_log = log
+def _inherit(function):
+    global _inherited_function
+    _inherited_function = function
 
 
-def _encode_block(rows):
-    """The CSV text of one block of the inherited log's rows."""
-    return "".join(_csv_lines(_encoder_log, rows))
+def _call_inherited(task):
+    return _inherited_function(task)
 
 
 def _csv_lines(log, rows):
@@ -264,8 +281,15 @@ def _csv_lines(log, rows):
 def read_csv(path):
     """Load a telemetry CSV; raises MalformedTelemetry on schema problems.
 
-    The body lines stream through one np.loadtxt call; the file is read a
-    second time only to name the line at fault."""
+    The body lines stream through np.loadtxt. A file of more than one
+    `_SPAN_BYTES` span is parsed span by span in a process pool of one
+    worker per span, up to one per CPU, where `_may_fork_encoders` allows
+    it: each worker parses the lines that start inside its span, and their
+    rows are copied into one preallocated table in span order. A span that
+    does not parse to the rows counted in it, a bare "\\r" line end
+    included, sends the read back to one np.loadtxt call in this process
+    over all the lines. The file is read once more only to name the line
+    at fault. Every worker has been joined when it returns."""
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline()
         if not header:
@@ -280,20 +304,25 @@ def read_csv(path):
         first = handle.readline()
         if not first:
             raise MalformedTelemetry("file has a header but no rows")
-        n_lines = 0
+        size = os.fstat(handle.fileno()).st_size
+        workers = min(math.ceil(size / _SPAN_BYTES), os.cpu_count() or 1)
+        # the span workers split lines at "\n" only, and np.loadtxt rejects a
+        # body line with a bare "\r" in it; the header must end in "\n" too
+        data = (_read_pooled(path, size, len(header), workers)
+                if workers > 1 and handle.newlines in ("\n", "\r\n", ("\n", "\r\n"))
+                and _may_fork_encoders() else None)
+        if data is None:
+            n_lines = 0
 
-        def body():
-            nonlocal n_lines
-            for n_lines, line in enumerate(itertools.chain([first], handle), 1):
-                yield line
+            def body():
+                nonlocal n_lines
+                for n_lines, line in enumerate(itertools.chain([first], handle), 1):
+                    yield line
 
-        try:  # a blank line 2 is at fault, and an all-blank body makes loadtxt warn
-            data = (np.loadtxt(body(), delimiter=",", comments=None, ndmin=2)
-                    if first.strip() else None)
-        except ValueError:  # UnicodeDecodeError included
-            data = None
-    # loadtxt skips blank lines; the shape check catches them
-    if data is None or data.shape != (n_lines, len(header)):
+            data = _parse_lines(body())
+            if data is not None and data.shape != (n_lines, len(header)):
+                data = None  # loadtxt skips blank lines
+    if data is None:
         raise MalformedTelemetry(
             f"line {_first_bad_line(path, len(header))} is not {len(header)} "
             "comma-separated numbers")
@@ -306,6 +335,67 @@ def read_csv(path):
     widths = [len(f.metadata["columns"]) or n_rotors for f in fields(TelemetryTable)]
     blocks = np.split(data, np.cumsum(widths)[:-1], axis=1)
     return TelemetryTable(*(b[:, 0] if b.shape[1] == 1 else b for b in blocks))
+
+
+def _parse_lines(lines):
+    """The CSV lines of the iterator `lines` as one 2-D float array, by one
+    np.loadtxt call, or None where a line is not numbers. A blank first line
+    is at fault: loadtxt skips blank lines, and warns on an all-blank
+    input."""
+    try:
+        first = next(lines, "")
+        if not first.strip():
+            return None
+        return np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                          comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+
+
+def _read_pooled(path, size, width, workers):
+    """The body rows of a `size`-byte CSV of `width` columns, parsed by
+    `workers` forked processes span by span into one table, or None if a
+    span does not parse to exactly its rows of `width` numbers. A body line
+    belongs to the span its first byte is in."""
+    starts = range(0, size, _SPAN_BYTES)
+    # the body lines that start before byte b are as many as the "\n"s
+    # before b - 1, the header's included; b = size counts them all
+    firsts = _newlines_before(path, [max(start - 1, 0) for start in starts] + [size - 1])
+    table = np.empty((firsts[-1], width))
+    spans = [(start, first, stop) for start, first, stop
+             in zip(starts, firsts, firsts[1:]) if stop > first]
+    rows = _forked_map(lambda span: _parse_span(path, *span), iter(spans), workers)
+    with contextlib.closing(rows):
+        for (_, first, stop), block in zip(spans, rows):
+            if block is None or block.shape != (stop - first, width):
+                return None
+            table[first:stop] = block
+    return table
+
+
+def _newlines_before(path, offsets):
+    """The count of "\\n" bytes in the file before each of the ascending
+    byte `offsets`, read in small pieces."""
+    counts, newlines = [], 0
+    with open(path, "rb") as raw:
+        for offset in offsets:
+            for piece in iter(lambda: raw.read(min(_READ_BYTES, offset - raw.tell())), b""):
+                newlines += np.count_nonzero(np.frombuffer(piece, np.uint8) == ord("\n"))
+            counts.append(newlines)
+    return counts
+
+
+def _parse_span(path, start, first, stop):
+    """The rows of the `stop - first` body lines that start in the span
+    from byte `start` on, parsed by `_parse_lines`. The line read from byte
+    start - 1 on is the header or ends before the span. The lines are split
+    at "\\n" only; where a text-mode read would split one at a bare "\\r",
+    np.loadtxt rejects the line ("unquoted embedded newline") as it does
+    any "\\r" inside an element, and reads "\\r\\n" as "\\n"."""
+    with open(path, "rb") as raw:
+        raw.seek(max(start - 1, 0))
+        lines = itertools.islice(raw, 1, 1 + stop - first)
+        return _parse_lines(line.decode("utf-8") for line in lines)
 
 
 def _first_bad_line(path, width):

@@ -43,6 +43,22 @@ def _rest_to_rest(t, duration):
             (60 * tau - 180 * tau**2 + 120 * tau**3) / duration**2)
 
 
+def _check_rate(key, period):
+    """Raise InvalidParams naming `key` unless (2 pi / period)**2 is finite,
+    so that the angular rate of the period times any flight time is too."""
+    _check_finite(key, f"(2 pi / {key})**2 must be finite",
+                  lambda: [(TWO_PI / period)**2])
+
+
+def _check_rest_to_rest(key, duration):
+    """Raise InvalidParams naming `key` unless the rest-to-rest quintic over
+    `duration` has a finite rate and acceleration at its largest
+    acceleration, at tau = 1/2 - sqrt(3)/6; at tau = 0 it is 0 for any
+    duration."""
+    _check_finite(key, "the acceleration of its quintic must be finite",
+                  _rest_to_rest, duration * (0.5 - math.sqrt(3.0) / 6.0), duration)
+
+
 def _body_rate(phi, phi_rate):
     """Body rate of exp(phi) for the rate `phi_rate` of the axis-angle vector phi:
     the right Jacobian J(phi) phi_rate = phi_rate - a phi x phi_rate + b phi x (phi x phi_rate)."""
@@ -109,9 +125,8 @@ class HelixDef(_Kind):
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("xy_period", "z_period"):
-            _check_finite(f"{name}_s", f"(2 pi / {name}_s)**2 must be finite",
-                          lambda period: [(TWO_PI / period)**2], getattr(self, name))
+        for name in ("xy_period", "z_period", "yaw_period"):
+            _check_rate(f"{name}_s", getattr(self, name))
 
     def __call__(self, t):
         w_xy = TWO_PI / self.xy_period
@@ -161,8 +176,7 @@ class RectangleDef(_Kind):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_finite("lap_time_s", "(lap_time_s / 4)**2 must be finite and non-zero",
-                      _rest_to_rest, 0.0, self.lap_time / 4.0)
+        _check_rest_to_rest("lap_time_s", self.lap_time / 4.0)
 
     def __call__(self, t):
         half_l, half_w, z = self.length / 2.0, self.width / 2.0, self.height
@@ -196,6 +210,7 @@ class AttitudeSineDef(_Kind):
         super().__post_init__()
         if self.axis not in ("x", "y", "z"):
             raise InvalidParams(f"axis must be x, y or z, got {self.axis!r}")
+        _check_rate("period_s", self.period)
 
     def __call__(self, t):
         rate = TWO_PI / self.period
@@ -246,8 +261,7 @@ class QuinticChainDef(_Kind):
                 or not all(d > 0.0 for d in self.durations)):
             raise InvalidParams("durations_s must hold one positive number per segment")
         for i, duration in enumerate(self.durations):
-            _check_finite(f"durations_s[{i}]", "its square must be finite and non-zero",
-                          _rest_to_rest, 0.0, duration)
+            _check_rest_to_rest(f"durations_s[{i}]", duration)
         # start times; per segment: duration, origin and delta of (position, rotvec)
         starts, segments = [0.0], []
         for a, b, duration in zip(self.waypoints, self.waypoints[1:], self.durations):

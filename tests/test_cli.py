@@ -560,16 +560,16 @@ def test_simulate_one_worker_flies_without_pool(tmp_path, monkeypatch, n_configs
 
 
 def test_simulate_forks_encoders_only_outside_its_pool(tmp_path, monkeypatch):
-    write_pooled = telemetry._write_pooled
+    forked_map = telemetry._forked_map
 
-    def recording_write_pooled(*args):
+    def recording_forked_map(*args):
         (tmp_path / f"pooled-{os.getpid()}").touch()
-        return write_pooled(*args)
+        return forked_map(*args)
 
     def pooled():
         return sorted(p.name for p in tmp_path.glob("pooled-*"))
 
-    monkeypatch.setattr(telemetry, "_write_pooled", recording_write_pooled)
+    monkeypatch.setattr(telemetry, "_forked_map", recording_forked_map)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     configs = [tmp_path / "c0.cfg", tmp_path / "c1.cfg"]
     for config in configs:
@@ -613,7 +613,11 @@ CHAIN = ("{kind: quintic_chain, waypoints: [{position_m: [0, 0, 0.5]}, "
     ("{kind: rectangle, lap_time_s: 1.0e-300}", "lap_time_s"),
     (CHAIN % ("[0, 0, 0]", "[0.05, 1.0e-200]"), "durations_s[1]"),
     (CHAIN % ("[1.0e+200, 0, 0]", "[1.0, 1.0]"), "rotation_rad"),
-], ids=["helix_xy", "helix_z", "rectangle", "chain_duration", "chain_rotation"])
+    ("{kind: attitude_sine, period_s: 1.0e-310}", "period_s"),
+    ("{kind: helix, yaw_period_s: 1.0e-310}", "yaw_period_s"),
+    ("{kind: rectangle, lap_time_s: 1.0e-160}", "lap_time_s"),
+], ids=["helix_xy", "helix_z", "rectangle", "chain_duration", "chain_rotation",
+        "attitude_sine", "helix_yaw", "rectangle_subnormal"])
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_trajectory_time_scale_out_of_range_exits_2(tmp_path, capsys, command, trajectory,
                                                    key):

@@ -37,8 +37,9 @@ def vector(size, default=None, positive=False):
 
 
 # time scales and rotations that the trajectories' arithmetic keeps finite:
-# a helix's (2 pi / period)**2, a rest-to-rest move's duration**2 and a
-# waypoint's angle**3 (README "Configs")
+# a helix's or attitude sine's (2 pi / period)**2, a rest-to-rest move's
+# duration**2 and largest acceleration, and a waypoint's angle**3 (README
+# "Configs")
 def time_scale(default):
     return st.floats(1e-150, 1e150).filter(lambda x: x != default)
 
@@ -54,7 +55,7 @@ helix = st.builds(
     z_max=number(HelixDef.z_max),
     z_period=time_scale(HelixDef.z_period),
     xy_period=time_scale(HelixDef.xy_period),
-    yaw_period=number(HelixDef.yaw_period, positive=True),
+    yaw_period=time_scale(HelixDef.yaw_period),
 )
 rectangle = st.builds(
     RectangleDef,
@@ -69,7 +70,7 @@ attitude_sine = st.builds(
     AttitudeSineDef,
     axis=st.sampled_from(("x", "z")),
     amplitude=number(AttitudeSineDef.amplitude),
-    period=number(AttitudeSineDef.period, positive=True),
+    period=time_scale(AttitudeSineDef.period),
     hover_point=vector(3, AttitudeSineDef.hover_point),
 )
 hover = st.builds(

@@ -13,7 +13,7 @@ import output_digests
 def test_outputs_match_committed_digests(fixture_outputs):
     expected, made_with = output_digests.parse(
         output_digests.MANIFEST.read_text(encoding="utf-8"))
-    assert set(made_with) == {"python", "numpy"}
+    assert set(made_with) == {"python", "numpy", "openblas", "glibc", "fma3", "avx512_skx"}
     problems = output_digests.mismatches(expected, fixture_outputs.digests)
     assert not problems, "\n".join(
         ["outputs differ from fixtures/outputs.sha256:", *problems,
@@ -28,3 +28,8 @@ def test_manifest_names_the_fixture_that_differs():
     text = output_digests.render(expected, {"python": "0.0.1", "numpy": "9.9"})
     assert output_digests.parse(text) == (expected, {"python": "0.0.1", "numpy": "9.9"})
     assert "python 0.0.1 in the manifest" in output_digests.version_note({"python": "0.0.1"})
+    # every recorded machine fact that differs is named, and only those
+    here = output_digests.machine()
+    note = output_digests.version_note(dict(here, openblas="NoSuchCore", fma3="maybe"))
+    assert note == (f"openblas NoSuchCore in the manifest, {here['openblas']} here; "
+                    f"fma3 maybe in the manifest, {here['fma3']} here")

@@ -485,6 +485,160 @@ def test_csv_pool_joins_its_workers_when_a_block_fails(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def pooled_reads(monkeypatch, span_bytes):
+    """Parse CSVs in spans of `span_bytes`; returns the list that each call
+    of the fork pool appends its process id to."""
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", span_bytes)
+    forked_map, calls = telemetry._forked_map, []
+
+    def recording_forked_map(*args):
+        calls.append(os.getpid())
+        return forked_map(*args)
+
+    monkeypatch.setattr(telemetry, "_forked_map", recording_forked_map)
+    return calls
+
+
+def table_bytes(table):
+    return [getattr(table, f.name).tobytes() for f in fields(table)]
+
+
+def read_with_cpus(monkeypatch, path, cpus):
+    """`read_csv` on `cpus` CPUs: the table, or the message of its error."""
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: cpus)
+    try:
+        return telemetry.read_csv(path)
+    except MalformedTelemetry as error:
+        return str(error)
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+# 64 KiB spans put a 600-row log of 8 rotors in 5 spans; 300-byte spans are
+# shorter than a line, so most spans hold no line start
+@pytest.mark.parametrize("span_bytes", [1 << 16, 300])
+def test_csv_read_in_spans_bit_equal_to_one_parse(tmp_path, monkeypatch, span_bytes):
+    calls = pooled_reads(monkeypatch, span_bytes)
+    log = long_log(600 if span_bytes > 300 else 40)
+    tables = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(telemetry.os, "cpu_count", lambda n=cpus: n)
+        (tmp_path / str(cpus)).mkdir()
+        path = assert_csv_matches_log(log, tmp_path / str(cpus))
+        assert multiprocessing.active_children() == []
+        tables[cpus] = table_bytes(telemetry.read_csv(path))
+    assert path.stat().st_size >= 3 * span_bytes
+    # a one-block log is written in this process; only the read with two CPUs forks
+    assert calls == [os.getpid()] * 2
+    assert tables[1] == tables[2]
+
+
+def test_csv_read_in_spans_with_a_line_at_a_span_start(tmp_path, monkeypatch):
+    # the line that starts at a span's first byte is that span's, not the one before's
+    path = tmp_path / "run.csv"
+    telemetry.write_csv(long_log(100), path)
+    text = path.read_bytes()
+    tenth = [i + 1 for i, byte in enumerate(text) if byte == ord("\n")][10]
+    calls = pooled_reads(monkeypatch, tenth)
+    expected = table_bytes(read_with_cpus(monkeypatch, path, 1))
+    assert table_bytes(read_with_cpus(monkeypatch, path, 2)) == expected
+    assert calls == [os.getpid()]
+
+
+def malformed_last_span(lines):
+    """Edits of the CSV lines (without line ends) near the end of the file,
+    and the message each one gives: a short row, a blank line, a byte that
+    is not UTF-8 and a `sat` above the rotor count."""
+    n = len(lines)
+    return [
+        (lines[:n - 3] + [lines[n - 3].rsplit(",", 1)[0]] + lines[n - 2:],
+         f"line {n - 2} is not "),
+        (lines[:n - 2] + [""] + lines[n - 2:], f"line {n - 1} is not "),
+        (lines[:n - 3] + [lines[n - 3].replace(",", ",\xff", 1)] + lines[n - 2:],
+         f"line {n - 2} is not "),
+        (lines[:n - 2] + [lines[n - 2].rsplit(",", 1)[0] + ",9"] + lines[n - 1:],
+         f"line {n - 1} has sat 9.0"),
+    ]
+
+
+def test_csv_read_in_spans_names_the_same_line(tmp_path, monkeypatch):
+    calls = pooled_reads(monkeypatch, 1 << 16)
+    path = tmp_path / "run.csv"
+    telemetry.write_csv(long_log(600), path)
+    lines = path.read_bytes().decode("latin-1").split("\r\n")[:-1]
+    for edited, message in malformed_last_span(lines):
+        path.write_bytes("\r\n".join(edited + [""]).encode("latin-1"))
+        assert path.stat().st_size >= 3 * telemetry._SPAN_BYTES
+        in_process = read_with_cpus(monkeypatch, path, 1)
+        assert in_process.startswith(message)
+        assert read_with_cpus(monkeypatch, path, 2) == in_process
+    assert len(calls) == 4
+
+
+def test_csv_read_in_spans_raises_a_workers_error(tmp_path, monkeypatch):
+    pooled_reads(monkeypatch, 1 << 16)
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
+    path = tmp_path / "run.csv"
+    telemetry.write_csv(long_log(600), path)
+    parse = telemetry._parse_span
+
+    def failing_third_span(path, start, *rows):
+        if start == 2 * telemetry._SPAN_BYTES:
+            raise RuntimeError(f"span parsed in process {os.getpid()}")
+        return parse(path, start, *rows)
+
+    monkeypatch.setattr(telemetry, "_parse_span", failing_third_span)
+    with pytest.raises(RuntimeError, match="span parsed in process") as excinfo:
+        telemetry.read_csv(path)
+    # the span failed in a worker, and the error reached the caller
+    assert str(excinfo.value) != f"span parsed in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("line_end", ["bare_cr", "mixed"])
+def test_csv_read_in_spans_takes_every_line_end(tmp_path, monkeypatch, line_end):
+    # text mode splits lines at "\r", "\n" and "\r\n"; the span workers split
+    # at "\n" only, so a bare "\r" sends the read back to one parse
+    calls = pooled_reads(monkeypatch, 1 << 16)
+    path = tmp_path / "run.csv"
+    telemetry.write_csv(long_log(600), path)
+    expected = table_bytes(read_with_cpus(monkeypatch, path, 1))
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    if line_end == "bare_cr":
+        path.write_bytes(b"".join(line + b"\r" for line in lines))
+    else:
+        path.write_bytes(b"".join(line + (b"\n", b"\r\n")[i % 2] for i, line in enumerate(lines)))
+    for cpus in (1, 2):
+        assert table_bytes(read_with_cpus(monkeypatch, path, cpus)) == expected
+    # a header that ends in a bare "\r" is parsed in this process from the start
+    assert len(calls) == (0 if line_end == "bare_cr" else 1)
+    # a bare "\r" in the body reaches the span workers
+    path.write_bytes(b"".join(line + (b"\r" if i == len(lines) - 5 else b"\r\n")
+                              for i, line in enumerate(lines)))
+    for cpus in (1, 2):
+        assert table_bytes(read_with_cpus(monkeypatch, path, cpus)) == expected
+    assert len(calls) == (1 if line_end == "bare_cr" else 2)
+
+
+def test_csv_read_in_a_multiprocessing_child_parses_in_process(tmp_path, monkeypatch):
+    calls = pooled_reads(monkeypatch, 1 << 16)
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
+    path = tmp_path / "run.csv"
+    telemetry.write_csv(long_log(600), path)
+    expected = table_bytes(telemetry.read_csv(path))
+    assert calls == [os.getpid()]
+
+    def read_in_child():
+        table = telemetry.read_csv(path)
+        # the child's calls land in its own copy of `calls`
+        os._exit(0 if calls == [os.getppid()] and table_bytes(table) == expected else 1)
+
+    child = multiprocessing.get_context("fork").Process(target=read_in_child)
+    child.start()
+    child.join(timeout=60)
+    assert not child.is_alive() and child.exitcode == 0
+
+
 def traced_peak(function, *args):
     """Peak bytes that tracemalloc, numpy buffers included, sees while
     `function(*args)` runs, and its result."""

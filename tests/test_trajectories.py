@@ -375,8 +375,14 @@ CHAIN_POINTS = (Waypoint((0, 0, 0)), Waypoint((0, 0, 1)), Waypoint((0, 0, 2)))
     (lambda: QuinticChainDef(CHAIN_POINTS, (0.05, 1e-200)), "durations_s[1]"),
     (lambda: Waypoint((0, 0, 0), (1e103, 0, 0)), "rotation_rad"),  # angle**3 overflows
     (lambda: Waypoint((0, 0, 0), (1e308, 1e308, 0)), "rotation_rad"),  # angle is inf
+    (lambda: AttitudeSineDef(period=1e-310), "period_s"),  # its sine's argument is inf
+    (lambda: HelixDef(yaw_period=1e-310), "yaw_period_s"),  # the yaw rate is inf
+    # (lap / 4)**2 is subnormal: the acceleration is 0 at the start of an edge, inf after
+    (lambda: RectangleDef(lap_time=1e-160), "lap_time_s"),
+    (lambda: QuinticChainDef(CHAIN_POINTS, (0.05, 1e-160)), "durations_s[1]"),
 ], ids=["helix_xy", "helix_z", "helix_xy_inf", "rectangle_short", "rectangle_long",
-        "chain_duration", "waypoint_rotation", "waypoint_rotation_inf"])
+        "chain_duration", "waypoint_rotation", "waypoint_rotation_inf", "attitude_sine",
+        "helix_yaw", "rectangle_subnormal", "chain_duration_subnormal"])
 def test_time_scales_out_of_range(build, key):
     # each of these once ended a flight in an OverflowError, ZeroDivisionError
     # or ValueError from the arithmetic `__call__` repeats at every tick
@@ -399,10 +405,13 @@ def test_waypoint_rotation_length_named_apart_from_range(rotation, message):
 
 
 def test_time_scales_in_range_kept():
-    # just inside each bound, the setpoints stay finite
-    for defn in [HelixDef(xy_period=5e-154, z_period=5e-154),
-                 RectangleDef(lap_time=1e-161), RectangleDef(lap_time=1e154),
+    # just inside each bound, the setpoints stay finite, also inside a lap or segment
+    for defn in [HelixDef(xy_period=5e-154, z_period=5e-154, yaw_period=5e-154),
+                 RectangleDef(lap_time=1e-153), RectangleDef(lap_time=1e154),
+                 AttitudeSineDef(period=5e-154),
                  QuinticChainDef((Waypoint((0, 0, 0)), Waypoint((0, 0, 1), (5e102, 0, 0))),
                                  (1e154,))]:
-        sp = defn(0.0)
-        assert all(map(math.isfinite, [*sp.position, *sp.velocity, *sp.acceleration]))
+        for t in (0.0, 0.002, 1.0):
+            sp = defn(t)
+            assert all(map(math.isfinite, [*sp.position, *sp.velocity, *sp.acceleration,
+                                           *sp.angular_velocity]))

@@ -5,14 +5,19 @@
 Run from the root of a source checkout. The digests cover the CSV that
 `modquad simulate` writes for every fixture with a scenario block, and the
 standard output and exit code of `modquad analyze --format json` for every
-fixture. The manifest also records the Python and numpy versions it was
-made with, because the last bits of a float can differ between them.
+fixture. The manifest also records the machine facts that decide the
+last bits of a float: the Python and numpy versions, the core that
+OpenBLAS picked (its BLAS kernels), the glibc version (its `sin`, `cos`
+and `atan2`) and numpy's FMA3 and AVX512_SKX dispatch flags. When the
+digests differ, the test names each fact that differs from the machine
+that wrote the manifest.
 `tests/test_output_digests.py` recomputes the digests and compares them
 with the manifest; a change that alters an output on purpose runs this
 script and commits the rewritten manifest in the same diff.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import platform
@@ -31,8 +36,28 @@ FIXTURES = ROOT / "fixtures"
 MANIFEST = FIXTURES / "outputs.sha256"
 
 
-def versions():
-    return {"python": platform.python_version(), "numpy": np.__version__}
+def machine():
+    """{fact: value without spaces} of the machine facts the manifest records."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "openblas": openblas_core(), "glibc": platform.libc_ver()[1] or "unknown",
+            "fma3": str(__cpu_features__["FMA3"]),
+            "avx512_skx": str(__cpu_features__["AVX512_SKX"])}
+
+
+def openblas_core():
+    """The core name that numpy's bundled OpenBLAS picked for this CPU, or
+    "unknown" where numpy bundles no `libscipy_openblas64_` that tells it."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*"))
+    corename = libs and getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_corename64_", None)
+    if not corename:
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode("ascii")
 
 
 def compute(workdir):
@@ -86,16 +111,16 @@ def mismatches(expected, got):
 
 
 def version_note(made_with):
-    now = versions()
-    differ = [f"{name} {made_with.get(name)} in the manifest, {version} here"
-              for name, version in now.items() if made_with.get(name) != version]
-    return "; ".join(differ) if differ else "same Python and numpy versions as the manifest"
+    """The recorded machine facts that differ from this machine's, or that none do."""
+    differ = [f"{name} {made_with.get(name)} in the manifest, {value} here"
+              for name, value in machine().items() if made_with.get(name) != value]
+    return "; ".join(differ) if differ else "same machine facts as the manifest"
 
 
 def main():
     with tempfile.TemporaryDirectory() as workdir:
         digests = compute(workdir)
-    MANIFEST.write_text(render(digests, versions()), encoding="utf-8")
+    MANIFEST.write_text(render(digests, machine()), encoding="utf-8")
     print(f"wrote {len(digests)} digests to {MANIFEST.relative_to(ROOT)}")
     return 0
 

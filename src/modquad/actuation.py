@@ -182,7 +182,7 @@ def bounded_least_squares(a, b, upper):
     norm_a = _norm(a)
     # bound on the rounding in the gradient A^T (b - A u): each entry sums
     # m products with entries of b - A u, which each sum n + 1 terms
-    tol = 2 * (m + n + 1) * _EPS * norm_a * (_norm(b) + norm_a * upper * math.sqrt(n))
+    tol_per_norm = 2 * (m + n + 1) * _EPS * norm_a
     refused = np.zeros(n, dtype=bool)  # freed, but its step pointed out of the box
     entering, inward = None, 0.0
     passes = _MAX_PASSES_PER_VARIABLE * (n + 1)
@@ -218,7 +218,9 @@ def bounded_least_squares(a, b, upper):
         push = np.where(u == 0.0, gradient, -gradient)
         push[free | refused] = -np.inf
         entering = int(np.argmax(push))
-        if push[entering] <= tol:
+        # scaled by the iterate's own norm: the box's, upper * sqrt(n), stops
+        # the loop short of the minimum when `upper` is large
+        if push[entering] <= tol_per_norm * (_norm(b) + norm_a * _norm(u)):
             return u, _norm(a @ u - b)
         free[entering] = True
         inward = 1.0 if u[entering] == 0.0 else -1.0

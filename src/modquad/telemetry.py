@@ -13,14 +13,11 @@ No pass over the rows copies the whole table: `write_csv` encodes
 `np.loadtxt`, and `compute_metrics` copies the window of only the columns
 it reads and builds its attitude errors block by block. Almost all of the
 write is `repr` of each float, and of the read `np.loadtxt`'s parse, so
-both run in one ordered map over a fork pool, `_forked_map`: a log of
-more than one block is encoded one block per task and its blocks are
-written in order, and a file of more than one `_SPAN_BYTES` span is
-parsed one span per task into one preallocated table. The pool has one
-worker per task, up to one per CPU; neither the bytes nor the table
-depend on it. It is forked only on Linux before Python 3.12, and never
-from a process that `multiprocessing` started, such as a `simulate`
-config worker.
+both go through `_ordered_map`, the one place that decides where they
+run: a log's blocks are encoded one per task and written in order, and a
+file of more than one `_SPAN_BYTES` span is parsed one span per task
+into one preallocated table. Neither the bytes nor the table depend on
+where the tasks ran.
 """
 
 import collections
@@ -185,60 +182,51 @@ def csv_header(n_rotors):
 
 def _blocks(n_rows):
     """Slices of at most _BLOCK_ROWS consecutive rows covering n_rows."""
-    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n_rows, _BLOCK_ROWS))
+    return [slice(start, start + _BLOCK_ROWS) for start in range(0, n_rows, _BLOCK_ROWS)]
 
 
 def write_csv(telemetry, path):
     """Write one CSV row per control tick of a telemetry log: its float
     columns in TelemetryTable field order, then `sat`, the count of its
     thrusts at a motor limit. The `yaw_d` and `pitch_d` columns are those
-    of the target attitudes. Rows are encoded one block at a time: in a
-    process pool of one worker per block, up to one per CPU, for a log of
-    more than one block where `_may_fork_encoders` allows it, else in this
-    process. Every worker has been joined when it returns."""
-    blocks = _blocks(len(telemetry))
-    workers = min(math.ceil(len(telemetry) / _BLOCK_ROWS), os.cpu_count() or 1)
+    of the target attitudes. Rows are encoded one block at a time, as one
+    string per block, where `_ordered_map` decides. Every worker has been
+    joined when it returns."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(csv_header(telemetry.n_rotors)) + "\r\n")
-        if workers > 1 and _may_fork_encoders():
-            # the workers inherit the log, so a task sends only its row slice
-            # and returns one string
-            texts = _forked_map(lambda rows: "".join(_csv_lines(telemetry, rows)),
-                                blocks, workers)
-            with contextlib.closing(texts):
-                handle.writelines(texts)
-        else:
-            for rows in blocks:
-                handle.writelines(_csv_lines(telemetry, rows))
+        # a pool's workers inherit the log, so a task sends only its row
+        # slice and returns one string
+        texts = _ordered_map(lambda rows: "".join(_csv_lines(telemetry, rows)),
+                             _blocks(len(telemetry)))
+        with contextlib.closing(texts):
+            handle.writelines(texts)
 
 
-def _may_fork_encoders():
-    """Whether this process may fork a pool of block encoders or span
-    parsers: only on Linux before Python 3.12, and not in a process that
-    `multiprocessing` started. From 3.12 on, `os.fork` in a process with
-    threads (numpy's BLAS pool is one) warns that the child may deadlock,
-    and on macOS fork is unsafe. A process that `multiprocessing` started,
-    such as one of `simulate`'s config workers, shares the CPUs with the
-    rest of its pool, so workers forked there would multiply with that
-    pool."""
-    if sys.platform != "linux" or sys.version_info >= (3, 12):
-        return False
-    import multiprocessing
-    return multiprocessing.parent_process() is None
-
-
-def _forked_map(function, tasks, workers):
-    """Yield `function(task)` for each of the iterator `tasks`, in order,
-    each call made in one of `workers` forked processes, which inherit
-    `function` with this process's memory, so only the tasks and the
-    results are pickled. At most one task per worker is submitted ahead of
-    the result being yielded. Every worker has been joined once the
-    generator is exhausted, closed or has raised a worker's exception."""
-    # imported on first use: importing `concurrent.futures.process` takes
-    # about 19 ms, and only a pooled write or read needs it
+def _ordered_map(function, tasks):
+    """Yield `function(task)` for each of the sequence `tasks`, in order:
+    in a pool of `min(len(tasks), os.cpu_count())` forked workers where
+    that is 2 or more, on Linux before Python 3.12 (later, forking a
+    process with threads, such as numpy's BLAS pool, warns that the child
+    may deadlock; on macOS fork is unsafe) and outside a process that
+    `multiprocessing` started (a `simulate` config worker's pool already
+    shares the CPUs); else in this process. The workers inherit `function`
+    with this process's memory, so only tasks and results are pickled, and
+    at most one task per worker is submitted ahead of the result yielded.
+    Every worker has been joined once the generator is exhausted, closed
+    or has raised a worker's exception."""
+    workers = min(len(tasks), os.cpu_count() or 1)
+    forks = workers > 1 and sys.platform == "linux" and sys.version_info < (3, 12)
+    if forks:
+        # imported past the cheap checks: importing `concurrent.futures.process`
+        # takes about 19 ms, and only a pool needs it
+        import multiprocessing
+        forks = multiprocessing.parent_process() is None
+    if not forks:
+        yield from map(function, tasks)
+        return
     import concurrent.futures
-    import multiprocessing
 
+    tasks = iter(tasks)
     with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_inherit, initargs=(function,)) as pool:
@@ -282,9 +270,8 @@ def read_csv(path):
     """Load a telemetry CSV; raises MalformedTelemetry on schema problems.
 
     The body lines stream through np.loadtxt. A file of more than one
-    `_SPAN_BYTES` span is parsed span by span in a process pool of one
-    worker per span, up to one per CPU, where `_may_fork_encoders` allows
-    it: each worker parses the lines that start inside its span, and their
+    `_SPAN_BYTES` span is parsed span by span, where `_ordered_map`
+    decides: each span's lines are those that start inside it, and their
     rows are copied into one preallocated table in span order. A span that
     does not parse to the rows counted in it, a bare "\\r" line end
     included, sends the read back to one np.loadtxt call in this process
@@ -305,22 +292,16 @@ def read_csv(path):
         if not first:
             raise MalformedTelemetry("file has a header but no rows")
         size = os.fstat(handle.fileno()).st_size
-        workers = min(math.ceil(size / _SPAN_BYTES), os.cpu_count() or 1)
-        # the span workers split lines at "\n" only, and np.loadtxt rejects a
-        # body line with a bare "\r" in it; the header must end in "\n" too
-        data = (_read_pooled(path, size, len(header), workers)
-                if workers > 1 and handle.newlines in ("\n", "\r\n", ("\n", "\r\n"))
-                and _may_fork_encoders() else None)
+        # spans split lines at "\n" only, and np.loadtxt rejects a body line
+        # with a bare "\r" in it; the header must end in "\n" too
+        data = (_read_spans(path, size, len(header))
+                if size > _SPAN_BYTES and handle.newlines in ("\n", "\r\n", ("\n", "\r\n"))
+                else None)
         if data is None:
-            n_lines = 0
-
-            def body():
-                nonlocal n_lines
-                for n_lines, line in enumerate(itertools.chain([first], handle), 1):
-                    yield line
-
-            data = _parse_lines(body())
-            if data is not None and data.shape != (n_lines, len(header)):
+            # `read` counts the lines taken: its next number is their count
+            read = itertools.count()
+            data = _parse_lines(line for line, _ in zip(itertools.chain([first], handle), read))
+            if data is not None and data.shape != (next(read), len(header)):
                 data = None  # loadtxt skips blank lines
     if data is None:
         raise MalformedTelemetry(
@@ -352,11 +333,11 @@ def _parse_lines(lines):
         return None
 
 
-def _read_pooled(path, size, width, workers):
-    """The body rows of a `size`-byte CSV of `width` columns, parsed by
-    `workers` forked processes span by span into one table, or None if a
-    span does not parse to exactly its rows of `width` numbers. A body line
-    belongs to the span its first byte is in."""
+def _read_spans(path, size, width):
+    """The body rows of a `size`-byte CSV of `width` columns, parsed span
+    by span through `_ordered_map` into one table, or None if a span does
+    not parse to exactly its rows of `width` numbers. A body line belongs
+    to the span its first byte is in."""
     starts = range(0, size, _SPAN_BYTES)
     # the body lines that start before byte b are as many as the "\n"s
     # before b - 1, the header's included; b = size counts them all
@@ -364,7 +345,7 @@ def _read_pooled(path, size, width, workers):
     table = np.empty((firsts[-1], width))
     spans = [(start, first, stop) for start, first, stop
              in zip(starts, firsts, firsts[1:]) if stop > first]
-    rows = _forked_map(lambda span: _parse_span(path, *span), iter(spans), workers)
+    rows = _ordered_map(lambda span: _parse_span(path, *span), spans)
     with contextlib.closing(rows):
         for (_, first, stop), block in zip(spans, rows):
             if block is None or block.shape != (stop - first, width):
@@ -399,20 +380,15 @@ def _parse_span(path, start, first, stop):
 
 
 def _first_bad_line(path, width):
-    """Number of the first body line that `_is_row` rejects; bytes that are
-    not UTF-8 decode to U+FFFD, which no number holds."""
+    """Number of the first body line that `_parse_lines` does not read as
+    one row of `width` numbers; bytes that are not UTF-8 decode to U+FFFD,
+    which no number holds."""
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         handle.readline()
-        return next(n for n, line in enumerate(handle, 2) if not _is_row(line, width))
-
-
-def _is_row(line, width):
-    """Whether a CSV body line is `width` numbers; a blank line is not."""
-    try:
-        return (line.count(",") == width - 1
-                and np.loadtxt([line], delimiter=",", comments=None).size == width)
-    except ValueError:
-        return False
+        for n, line in enumerate(handle, 2):
+            row = _parse_lines(iter([line]))
+            if row is None or row.shape != (1, width):
+                return n
 
 
 @dataclass

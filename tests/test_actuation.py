@@ -552,6 +552,32 @@ def test_bounded_least_squares_random_problems(shape, seed, scale, upper):
     assert_box_minimum(a, b, upper)
 
 
+def test_bounded_least_squares_reaches_the_minimum_under_a_huge_thrust_limit():
+    # a tolerance scaled by the box stopped this problem at a residual of
+    # 0.0134 under upper=1e12, though its minimum lies inside upper=100
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=(3, 8))
+    b = 3 * rng.normal(size=3)
+    u, residual = actuation.bounded_least_squares(a, b, 100.0)
+    assert residual <= 1e-12 and u.max() < 3.0
+    for upper in (1e12, 1e20):
+        assert actuation.bounded_least_squares(a, b, upper)[1] <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(3, 6), st.integers(1, 16)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.1, 1.0, 10.0, 100.0]), upper=st.floats(0.01, 5.0))
+def test_bounded_least_squares_residual_never_rises_with_the_limit(shape, seed, scale, upper):
+    # a larger box holds the smaller one, so its minimum is no higher: the
+    # limit grows ten-fold at a time, to 1e20 times its start
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape)
+    b = rng.normal(size=shape[0]) * scale
+    residuals = [actuation.bounded_least_squares(a, b, upper * 10.0**k)[1] for k in range(21)]
+    slack = 1e-12 * np.linalg.norm(b)
+    assert all(wider <= narrower + slack for narrower, wider in zip(residuals, residuals[1:]))
+
+
 def test_bounded_least_squares_frees_a_rotor_with_a_small_inward_gradient():
     # force rows of a tilted R module (columns 0-3), an upright T module
     # (4-7) and one tilted by 1e-8 rad (8-11): the upright rotors lift

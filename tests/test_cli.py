@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -559,17 +561,31 @@ def test_simulate_one_worker_flies_without_pool(tmp_path, monkeypatch, n_configs
         f"c{i}.csv" for i in range(n_configs)]
 
 
-def test_simulate_forks_encoders_only_outside_its_pool(tmp_path, monkeypatch):
-    forked_map = telemetry._forked_map
+def test_importing_cli_and_telemetry_loads_no_process_pool():
+    # only a pooled write, read or multi-config simulate imports them
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, modquad.telemetry, modquad.cli; print(sorted("
+            "{'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"
 
-    def recording_forked_map(*args):
-        (tmp_path / f"pooled-{os.getpid()}").touch()
-        return forked_map(*args)
+
+def test_simulate_forks_encoders_only_outside_its_pool(tmp_path, monkeypatch):
+    class EncoderPool(concurrent.futures.ProcessPoolExecutor):
+        """Marks each encoder pool, not the config pool, by the id of the
+        process that starts it."""
+
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("initializer") is telemetry._inherit:
+                (tmp_path / f"pooled-{os.getpid()}").touch()
+            super().__init__(*args, **kwargs)
 
     def pooled():
         return sorted(p.name for p in tmp_path.glob("pooled-*"))
 
-    monkeypatch.setattr(telemetry, "_forked_map", recording_forked_map)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", EncoderPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     configs = [tmp_path / "c0.cfg", tmp_path / "c1.cfg"]
     for config in configs:

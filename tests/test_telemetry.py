@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import math
 import multiprocessing
@@ -486,16 +487,17 @@ def test_csv_pool_joins_its_workers_when_a_block_fails(tmp_path, monkeypatch):
 
 
 def pooled_reads(monkeypatch, span_bytes):
-    """Parse CSVs in spans of `span_bytes`; returns the list that each call
-    of the fork pool appends its process id to."""
+    """Parse CSVs in spans of `span_bytes`; returns the list that each
+    started process pool appends the id of the process starting it to."""
     monkeypatch.setattr(telemetry, "_SPAN_BYTES", span_bytes)
-    forked_map, calls = telemetry._forked_map, []
+    calls = []
 
-    def recording_forked_map(*args):
-        calls.append(os.getpid())
-        return forked_map(*args)
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            calls.append(os.getpid())
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(telemetry, "_forked_map", recording_forked_map)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return calls
 
 
@@ -543,6 +545,27 @@ def test_csv_read_in_spans_with_a_line_at_a_span_start(tmp_path, monkeypatch):
     expected = table_bytes(read_with_cpus(monkeypatch, path, 1))
     assert table_bytes(read_with_cpus(monkeypatch, path, 2)) == expected
     assert calls == [os.getpid()]
+
+
+def test_csv_read_in_spans_on_one_cpu_parses_in_process(tmp_path, monkeypatch):
+    calls = pooled_reads(monkeypatch, 1 << 16)
+    path = tmp_path / "run.csv"
+    telemetry.write_csv(long_log(600), path)
+    parse, parsed_in = telemetry._parse_span, []
+
+    def recording_parse(*span):
+        parsed_in.append(os.getpid())
+        return parse(*span)
+
+    monkeypatch.setattr(telemetry, "_parse_span", recording_parse)
+    expected = table_bytes(read_with_cpus(monkeypatch, path, 1))
+    assert path.stat().st_size >= 3 * telemetry._SPAN_BYTES
+    assert calls == []
+    assert len(parsed_in) >= 3 and set(parsed_in) == {os.getpid()}
+    # on two CPUs a pool's workers parse the spans, each recording in its own copy
+    in_process = list(parsed_in)
+    assert table_bytes(read_with_cpus(monkeypatch, path, 2)) == expected
+    assert calls == [os.getpid()] and parsed_in == in_process
 
 
 def malformed_last_span(lines):

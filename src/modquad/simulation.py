@@ -13,7 +13,10 @@ log) are numpy arrays; `run_scenario` reads the caller's state in once.
 
 State feedback is perfect: no sensors, no estimator, no noise. Each control
 tick appends one float row, the state, the setpoint and the clamped thrusts,
-to a preallocated `telemetry.Telemetry` log.
+to a preallocated `telemetry.Telemetry` log. Where a second CPU is free, the
+log's finished blocks are encoded as CSV text in one forked process while
+the vehicle flies (`Telemetry.encoding`); `run_scenario` joins that process
+before it returns or raises.
 """
 
 import itertools
@@ -36,7 +39,9 @@ DEFAULT_DT_CTRL = 0.002
 MAX_TICK_ROTORS = 4_000_000
 MAX_SUBSTEPS = 100
 
-_DIVERGENCE_RADIUS = 100.0
+# a flight whose position leaves this distance from the origin (m) has
+# diverged; no trajectory may reach past it
+DIVERGENCE_RADIUS = 100.0
 _ORTHO_DRIFT_TOL = 1e-9
 
 log = logging.getLogger(__name__)
@@ -182,7 +187,9 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
     InvalidParams before any work on a step or duration that is not finite,
     or when the run would exceed MAX_TICK_ROTORS (ticks x rotors) or
     MAX_SUBSTEPS, and NonFiniteState (with the partial telemetry attached)
-    when the state leaves a 100 m radius or stops being finite.
+    when the state leaves DIVERGENCE_RADIUS or stops being finite. The
+    log's encoder, if one was forked, has been joined when it returns or
+    raises.
     """
     if not analysis.applicable:
         raise InapplicableDesign("structure cannot hover along its thrust axis")
@@ -209,22 +216,24 @@ def run_scenario(structure, analysis, gains, trajectory, duration,
     state = VehicleState(*(np.asarray(getattr(initial_state, f.name), dtype=float).tolist()
                            for f in fields(VehicleState)))
     telemetry = Telemetry(structure.n_rotors, n_ticks + 1, motor.f_max)
-    for tick in range(n_ticks + 1):
-        t = tick * dt_ctrl
-        sp = trajectory(t)
-        u_actual = motor_apply(controller.step(state, sp, dt=dt_ctrl), motor)
-        telemetry.append(t, state, sp, u_actual)
-        if tick == n_ticks:
-            break
-        wrench_body = (structure.design_matrix @ u_actual).tolist()
-        for _ in range(substeps):
-            state = step(state, wrench_body, structure, dt_sim, gravity)
-        if not state.finite or math.hypot(*state.position) > _DIVERGENCE_RADIUS:
-            telemetry.diverged = True
-            log.warning("diverged at t = %.3f s: %s", t + dt_ctrl,
-                        f"left the {_DIVERGENCE_RADIUS:g} m radius" if state.finite
-                        else "non-finite state")
-            raise NonFiniteState(
-                f"state diverged at t = {t + dt_ctrl:.3f} s", telemetry
-            )
+    with telemetry.encoding() as offer_rows:
+        for tick in range(n_ticks + 1):
+            t = tick * dt_ctrl
+            sp = trajectory(t)
+            u_actual = motor_apply(controller.step(state, sp, dt=dt_ctrl), motor)
+            telemetry.append(t, state, sp, u_actual)
+            if tick == n_ticks:
+                break
+            offer_rows()
+            wrench_body = (structure.design_matrix @ u_actual).tolist()
+            for _ in range(substeps):
+                state = step(state, wrench_body, structure, dt_sim, gravity)
+            if not state.finite or math.hypot(*state.position) > DIVERGENCE_RADIUS:
+                telemetry.diverged = True
+                log.warning("diverged at t = %.3f s: %s", t + dt_ctrl,
+                            f"left the {DIVERGENCE_RADIUS:g} m radius" if state.finite
+                            else "non-finite state")
+                raise NonFiniteState(
+                    f"state diverged at t = {t + dt_ctrl:.3f} s", telemetry
+                )
     return telemetry

@@ -12,21 +12,29 @@ No pass over the rows copies the whole table: `write_csv` encodes
 `_BLOCK_ROWS` rows at a time, `read_csv` streams the file's lines into
 `np.loadtxt`, and `compute_metrics` copies the window of only the columns
 it reads and builds its attitude errors block by block. Almost all of the
-write is `repr` of each float, and of the read `np.loadtxt`'s parse, so
-both go through `_ordered_map`, the one place that decides where they
-run: a log's blocks are encoded one per task and written in order, and a
-file of more than one `_SPAN_BYTES` span is parsed one span per task
-into one preallocated table. Neither the bytes nor the table depend on
-where the tasks ran.
+write is `repr` of each float, and of the read `np.loadtxt`'s parse. So
+while a flight appends rows inside `Telemetry.encoding`, one forked
+encoder turns each finished block into text on a spare CPU, and
+`write_csv` copies that text and encodes only the rest. The rest of the
+write, and the read of a file of more than one `_SPAN_BYTES` span, go
+through `_ordered_map`, which runs one block or span per task, in a fork
+pool where `_may_fork` allows one. Neither the bytes nor the table depend
+on where the work ran.
 """
 
 import collections
 import contextlib
-import io
+import gc
 import itertools
 import math
+import mmap
 import os
+import select
+import shutil
+import struct
 import sys
+import tempfile
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -56,7 +64,11 @@ class Telemetry:
     then the thrusts, one row per tick. Each field reads as a view of the
     rows appended so far: a diverged run's log holds exactly the ticks it
     reached. `saturated` is derived, not stored: the rotors whose thrust
-    sits at 0 or `f_max`."""
+    sits at 0 or `f_max`.
+
+    The float block lives in an anonymous shared mapping, so a process
+    forked from the flight sees the rows appended after the fork; that is
+    how `encoding`'s encoder reads them."""
 
     t = _logged(0)
     position = _logged(1, (3,))
@@ -73,7 +85,12 @@ class Telemetry:
         self.f_max = f_max
         self.diverged = False
         self._length = 0
-        self._floats = np.empty((n_rows, 31 + n_rotors))
+        width = 31 + n_rotors
+        shared = mmap.mmap(-1, max(8 * n_rows * width, 1))  # a mapping holds a byte or more
+        self._floats = np.frombuffer(shared, float, n_rows * width).reshape(n_rows, width)
+        # the rows whose text `encoding`'s encoder left for `write_csv`, and
+        # the file that holds exactly that text
+        self._encoded = (0, None)
 
     def append(self, t, state, setpoint, thrusts):
         """Log one tick: its 31 state and setpoint floats go in as one flat
@@ -87,6 +104,35 @@ class Telemetry:
 
     def __len__(self):
         return self._length
+
+    @contextlib.contextmanager
+    def encoding(self):
+        """Encode this log's finished blocks while the caller appends rows.
+        Yields the function to call after each append: when the rows end a
+        `_BLOCK_ROWS` block, it hands them to the encoder, which the first
+        such block forks where `_may_fork` allows a second process. On exit,
+        on return or raise, the encoder stops after its current block and
+        is joined, and the text it reported is kept for `write_csv`."""
+        encoder = None  # then the _Encoder, or False where none is forked
+
+        def offer_rows():
+            nonlocal encoder
+            if self._length % _BLOCK_ROWS or encoder is False:
+                return
+            if encoder is None:
+                encoder = False
+                if _may_fork(os.cpu_count() or 1):
+                    # without an encoder `write_csv` encodes every block
+                    with contextlib.suppress(OSError):
+                        encoder = _Encoder(self)
+            if encoder:
+                encoder.send(self._length)
+
+        try:
+            yield offer_rows
+        finally:
+            if encoder:
+                self._encoded = encoder.join()
 
 
 def _at_bound(thrusts, f_max):
@@ -180,51 +226,67 @@ def csv_header(n_rotors):
     return [name for f in fields(TelemetryTable) for name in f.metadata["columns"] or rotors]
 
 
-def _blocks(n_rows):
-    """Slices of at most _BLOCK_ROWS consecutive rows covering n_rows."""
-    return [slice(start, start + _BLOCK_ROWS) for start in range(0, n_rows, _BLOCK_ROWS)]
+def _blocks(n_rows, start=0):
+    """Slices of at most _BLOCK_ROWS consecutive rows covering rows `start`
+    to n_rows."""
+    return [slice(first, first + _BLOCK_ROWS) for first in range(start, n_rows, _BLOCK_ROWS)]
 
 
 def write_csv(telemetry, path):
     """Write one CSV row per control tick of a telemetry log: its float
     columns in TelemetryTable field order, then `sat`, the count of its
     thrusts at a motor limit. The `yaw_d` and `pitch_d` columns are those
-    of the target attitudes. Rows are encoded one block at a time, as one
-    string per block, where `_ordered_map` decides. Every worker has been
-    joined when it returns."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(csv_header(telemetry.n_rotors)) + "\r\n")
+    of the target attitudes. The text of the blocks that the flight's
+    encoder reported is copied, so those rows are written as they were
+    appended; the other rows are encoded one block at a time where
+    `_ordered_map` decides. Every worker has been joined when it returns."""
+    encoded_rows, text = telemetry._encoded
+    with open(path, "wb") as handle:
+        handle.write((",".join(csv_header(telemetry.n_rotors)) + "\r\n").encode())
+        if text is not None:
+            text.seek(0)
+            shutil.copyfileobj(text, handle)
         # a pool's workers inherit the log, so a task sends only its row
-        # slice and returns one string
-        texts = _ordered_map(lambda rows: "".join(_csv_lines(telemetry, rows)),
-                             _blocks(len(telemetry)))
+        # slice and returns one block's bytes
+        texts = _ordered_map(lambda rows: _block_text(telemetry, rows),
+                             _blocks(len(telemetry), encoded_rows))
         with contextlib.closing(texts):
             handle.writelines(texts)
+
+
+def _block_text(log, rows):
+    """The CSV text of one block of log rows, as bytes."""
+    return "".join(_csv_lines(log, rows)).encode()
+
+
+def _may_fork(processes):
+    """Whether this process may fork to run `processes` processes at once:
+    2 or more, on Linux before Python 3.12 (later, forking a process with
+    threads, such as numpy's BLAS pool, warns that the child may deadlock;
+    on macOS fork is unsafe) and outside a process that `multiprocessing`
+    started (a `simulate` config worker's pool already shares the CPUs)."""
+    if processes < 2 or sys.platform != "linux" or sys.version_info >= (3, 12):
+        return False
+    # imported past the cheap checks: importing it takes about 5 ms, and
+    # only a pool or an encoder needs it
+    import multiprocessing
+    return multiprocessing.parent_process() is None
 
 
 def _ordered_map(function, tasks):
     """Yield `function(task)` for each of the sequence `tasks`, in order:
     in a pool of `min(len(tasks), os.cpu_count())` forked workers where
-    that is 2 or more, on Linux before Python 3.12 (later, forking a
-    process with threads, such as numpy's BLAS pool, warns that the child
-    may deadlock; on macOS fork is unsafe) and outside a process that
-    `multiprocessing` started (a `simulate` config worker's pool already
-    shares the CPUs); else in this process. The workers inherit `function`
-    with this process's memory, so only tasks and results are pickled, and
-    at most one task per worker is submitted ahead of the result yielded.
-    Every worker has been joined once the generator is exhausted, closed
-    or has raised a worker's exception."""
+    `_may_fork` allows that many, else in this process. The workers inherit
+    `function` with this process's memory, so only tasks and results are
+    pickled, and at most one task per worker is submitted ahead of the
+    result yielded. Every worker has been joined once the generator is
+    exhausted, closed or has raised a worker's exception."""
     workers = min(len(tasks), os.cpu_count() or 1)
-    forks = workers > 1 and sys.platform == "linux" and sys.version_info < (3, 12)
-    if forks:
-        # imported past the cheap checks: importing `concurrent.futures.process`
-        # takes about 19 ms, and only a pool needs it
-        import multiprocessing
-        forks = multiprocessing.parent_process() is None
-    if not forks:
+    if not _may_fork(workers):
         yield from map(function, tasks)
         return
     import concurrent.futures
+    import multiprocessing
 
     tasks = iter(tasks)
     with concurrent.futures.ProcessPoolExecutor(
@@ -251,6 +313,91 @@ def _inherit(function):
 
 def _call_inherited(task):
     return _inherited_function(task)
+
+
+class _Encoder:
+    """One process forked from a flight that encodes the flight's finished
+    blocks, in order, into an unlinked temporary file. The flight sends it
+    each new count of finished rows, 8 bytes on a non-blocking pipe; after
+    each block it writes, it reports the rows and bytes done, 16 bytes on a
+    second one. Closing the first pipe tells it to stop after its current
+    block. A report that does not fit the pipe is dropped, so an earlier,
+    shorter one stands."""
+
+    def __init__(self, log):
+        """Fork the encoder of `log`; raises OSError where it cannot."""
+        self.text = tempfile.TemporaryFile()
+        weakref.finalize(log, self.text.close)
+        fds = []
+        try:
+            fds += os.pipe() + os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            self.text.close()
+            raise
+        rows_in, self.rows, self.reports, reports_out = fds
+        if self.pid == 0:
+            status = 1
+            try:
+                # a cycle of the flight's garbage must not be finalized here too
+                gc.disable()
+                os.close(self.rows)
+                os.close(self.reports)
+                os.set_blocking(reports_out, False)
+                _encode_blocks(log, rows_in, reports_out, self.text)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(rows_in)
+        os.close(reports_out)
+        os.set_blocking(self.rows, False)
+
+    def send(self, rows):
+        """Tell the encoder that `rows` rows are finished; if it has died,
+        or the pipe is full, the message is lost and `write_csv` encodes
+        those rows itself."""
+        with contextlib.suppress(OSError):
+            os.write(self.rows, struct.pack("q", rows))
+
+    def join(self):
+        """Stop the encoder after its current block and wait for it. Returns
+        the rows of its last report and the file cut to that report's
+        bytes, or (0, None)."""
+        os.close(self.rows)
+        with contextlib.suppress(ChildProcessError):  # reaped already, SIGCHLD ignored
+            os.waitpid(self.pid, 0)
+        with open(self.reports, "rb") as reports:
+            last = reports.read()[-16:]
+        if not last:
+            self.text.close()
+            return 0, None
+        rows, size = struct.unpack("2q", last)
+        self.text.truncate(size)
+        return rows, self.text
+
+
+def _encode_blocks(log, rows_in, reports_out, text):
+    """The encoder's loop. The count of finished rows goes into its own copy
+    of `log._length`, which the fork left at the count it was forked at."""
+    done = size = 0
+    news = select.poll()
+    news.register(rows_in, select.POLLIN)
+    while True:
+        # wait for the flight only when every finished block is encoded
+        ready = news.poll(None if done == log._length else 0)
+        if ready and ready[0][1] & select.POLLHUP:
+            return  # the flight is over, whatever counts are still unread
+        if ready:
+            log._length = struct.unpack("q", os.read(rows_in, 8 * 1024)[-8:])[0]
+        if done < log._length:
+            block = _block_text(log, slice(done, done + _BLOCK_ROWS))
+            text.write(block)
+            text.flush()
+            done, size = done + _BLOCK_ROWS, size + len(block)
+            with contextlib.suppress(BlockingIOError):
+                os.write(reports_out, struct.pack("2q", done, size))
 
 
 def _csv_lines(log, rows):

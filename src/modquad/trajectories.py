@@ -6,8 +6,9 @@ Each kind is one frozen dataclass whose fields are the config schema;
 Setpoint of fresh Python floats: velocity and acceleration are exact
 derivatives of the position, and the attitude is a full target rotation
 of the thrust frame. A kind is checked when built: a time scale or
-rotation whose per-tick arithmetic would overflow or divide by zero raises
-InvalidParams. `make_trajectory` checks once what the target asks
+rotation whose per-tick arithmetic would overflow or divide by zero, or a
+reference whose farthest point lies past the simulation's divergence
+radius, raises InvalidParams. `make_trajectory` checks once what the target asks
 of the structure's DOF (each kind's `full_attitude` and `pitch`).
 """
 
@@ -20,6 +21,7 @@ import numpy as np
 from . import geometry
 from .control import Setpoint
 from .errors import InvalidParams
+from .simulation import DIVERGENCE_RADIUS
 
 TWO_PI = 2.0 * np.pi
 
@@ -57,6 +59,15 @@ def _check_rest_to_rest(key, duration):
     duration."""
     _check_finite(key, "the acceleration of its quintic must be finite",
                   _rest_to_rest, duration * (0.5 - math.sqrt(3.0) / 6.0), duration)
+
+
+def _check_reach(keys, distance):
+    """Raise InvalidParams naming `keys` (with their verb) unless `distance`,
+    that of the reference's farthest point from the origin, lies within the
+    divergence radius: a flight along it would diverge there."""
+    if not distance <= DIVERGENCE_RADIUS:
+        raise InvalidParams(f"{keys} out of range: the reference reaches {distance:.4g} m from "
+                            f"the origin, past the {DIVERGENCE_RADIUS:g} m divergence radius")
 
 
 def _body_rate(phi, phi_rate):
@@ -127,6 +138,10 @@ class HelixDef(_Kind):
         super().__post_init__()
         for name in ("xy_period", "z_period", "yaw_period"):
             _check_rate(f"{name}_s", getattr(self, name))
+        # a bound the path reaches when its periods allow: the circle's point
+        # farthest from the z axis, at the z end farther from 0
+        _check_reach("center_m, radius_m, z_min_m and z_max_m are", math.hypot(
+            math.hypot(*self.center) + self.radius, max(abs(self.z_min), abs(self.z_max))))
 
     def __call__(self, t):
         w_xy = TWO_PI / self.xy_period
@@ -177,6 +192,8 @@ class RectangleDef(_Kind):
     def __post_init__(self):
         super().__post_init__()
         _check_rest_to_rest("lap_time_s", self.lap_time / 4.0)
+        _check_reach("length_m, width_m and height_m are",
+                     math.hypot(self.length / 2.0, self.width / 2.0, self.height))
 
     def __call__(self, t):
         half_l, half_w, z = self.length / 2.0, self.width / 2.0, self.height
@@ -211,6 +228,7 @@ class AttitudeSineDef(_Kind):
         if self.axis not in ("x", "y", "z"):
             raise InvalidParams(f"axis must be x, y or z, got {self.axis!r}")
         _check_rate("period_s", self.period)
+        _check_reach("hover_point_m is", math.hypot(*self.hover_point))
 
     def __call__(self, t):
         rate = TWO_PI / self.period
@@ -234,6 +252,8 @@ class Waypoint:
             raise InvalidParams(f"rotation_rad must hold 3 angles, not {len(self.rotation)}")
         _check_finite("rotation_rad", "its angle cubed must be finite",
                       _body_rate, self.rotation, (0.0, 0.0, 0.0))
+        # a segment runs straight from one waypoint to the next
+        _check_reach("position_m is", math.hypot(*self.position))
 
 
 @dataclass(frozen=True)
@@ -291,6 +311,10 @@ class HoverDef(_Kind):
 
     kind = "hover"
     label = "a hover trajectory"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_reach("point_m is", math.hypot(*self.point))
 
     def __call__(self, t):
         return Setpoint([float(x) for x in self.point], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],

@@ -582,24 +582,35 @@ def test_simulate_forks_encoders_only_outside_its_pool(tmp_path, monkeypatch):
                 (tmp_path / f"pooled-{os.getpid()}").touch()
             super().__init__(*args, **kwargs)
 
-    def pooled():
-        return sorted(p.name for p in tmp_path.glob("pooled-*"))
+    fork = telemetry._Encoder.__init__
+
+    def marked_fork(encoder, log):
+        """Marks each flight's encoder by the id of the process that forks it."""
+        (tmp_path / f"encoder-{os.getpid()}").touch()
+        fork(encoder, log)
+
+    def started(kind):
+        return sorted(p.name for p in tmp_path.glob(f"{kind}-*"))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", EncoderPool)
+    monkeypatch.setattr(telemetry._Encoder, "__init__", marked_fork)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     configs = [tmp_path / "c0.cfg", tmp_path / "c1.cfg"]
     for config in configs:
         write_hover_config(config, duration=3.0)  # 1501 rows, two blocks
-    # one config flies in this process, which forks an encoder per block
+    # one config flies in this process, which forks one encoder during the
+    # flight; the write encodes in a pool what the encoder did not
     alone = tmp_path / "alone.csv"
     assert cli.main(["simulate", str(configs[0]), "-o", str(alone)]) == 0
-    assert pooled() == [f"pooled-{os.getpid()}"]
+    assert started("encoder") == [f"encoder-{os.getpid()}"]
+    assert started("pooled") in ([], [f"pooled-{os.getpid()}"])
     assert multiprocessing.active_children() == []
     # two config workers on two CPUs encode their own CSVs, forking nothing
-    (tmp_path / f"pooled-{os.getpid()}").unlink()
+    for mark in tmp_path.glob("*-[0-9]*"):
+        mark.unlink()
     runs = tmp_path / "runs"
     assert cli.main(["simulate", *map(str, configs), "-o", str(runs)]) == 0
-    assert pooled() == []
+    assert started("encoder") == [] and started("pooled") == []
     assert multiprocessing.active_children() == []
     assert (runs / "c0.csv").read_bytes() == alone.read_bytes()
 
@@ -651,6 +662,45 @@ def test_trajectory_time_scale_out_of_range_exits_2(tmp_path, capsys, command, t
     assert len(err) == 1 and "Traceback" not in captured.err
     # the trajectory block starts on line 22
     assert f"(line 22): {key} is out of range" in err[0]
+
+
+EXP2 = (FIXTURES / "exp2.cfg").read_text()
+EXP2_RECTANGLE = EXP2[EXP2.index("    kind: rectangle"):EXP2.index("  duration_s")]
+
+
+@pytest.mark.parametrize("trajectory, keys, reach", [
+    ("    kind: hover\n    point_m: [200.0, 0, 0]\n", "point_m is", "200"),
+    ("    kind: hover\n    point_m: [1.0e+308, 0, 0]\n", "point_m is", "1e+308"),
+    (EXP2_RECTANGLE.replace("length_m: 0.8", "length_m: 1.0e+308"),
+     "length_m, width_m and height_m are", "5e+307"),
+], ids=["hover", "hover_huge", "rectangle_huge"])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_reference_past_the_divergence_radius_exits_2(tmp_path, capsys, command, trajectory,
+                                                      keys, reach):
+    # on exp2's structure `analyze` exited 0 on each of these, and `simulate`
+    # exited 4 at t = 0.002 s: the flight starts on the reference
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(EXP2.replace(EXP2_RECTANGLE, trajectory))
+    out = tmp_path / "x.csv"
+    argv = [command, str(cfg)] + (["-o", str(out)] if command == "simulate" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    # the trajectory block starts on line 19
+    assert captured.err == (f"{cfg}: scenario.trajectory (line 19): {keys} out of range: "
+                            f"the reference reaches {reach} m from the origin, past the "
+                            "100 m divergence radius\n")
+
+
+def test_waypoint_past_the_divergence_radius_named_with_its_line(tmp_path, capsys):
+    cfg = tmp_path / "far.cfg"
+    write_hover_config(cfg, trajectory=(
+        "\n    kind: quintic_chain\n    durations_s: [1.0, 1.0]\n    waypoints:\n"
+        "      - position_m: [0, 0, 0.5]\n      - position_m: [0, 0, 0.6]\n"
+        "      - position_m: [0, 120.0, 0]\n"))
+    assert cli.main(["analyze", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: scenario.trajectory.waypoints[2] (line 28): position_m is out of " in err
 
 
 def test_analysis_result_logged_at_info(caplog):

@@ -25,15 +25,23 @@ from modquad.trajectories import (
 )
 
 
-def number(default, positive=False):
-    values = st.floats(min_value=0.0 if positive else None, exclude_min=positive,
+def number(default, positive=False, bound=None):
+    """Finite floats other than `default`, within +-`bound` when given."""
+    low = 0.0 if positive else None if bound is None else -bound
+    values = st.floats(min_value=low, max_value=bound, exclude_min=positive,
                        allow_nan=False, allow_infinity=False)
     return values.filter(lambda x: x != default)
 
 
-def vector(size, default=None, positive=False):
-    values = st.tuples(*[number(None, positive)] * size)
+def vector(size, default=None, positive=False, bound=None):
+    values = st.tuples(*[number(None, positive, bound)] * size)
     return values.filter(lambda v: v != default)
+
+
+# a path's coordinates and lengths, each within +-REACH, keep its farthest
+# point inside the simulation's 100 m divergence radius: the farthest, a
+# helix's, is sqrt((sqrt(2) REACH + REACH)**2 + REACH**2) = 78 m
+REACH = 30.0
 
 
 # time scales and rotations that the trajectories' arithmetic keeps finite:
@@ -49,19 +57,19 @@ rotation = st.tuples(*[st.floats(-1e100, 1e100)] * 3).filter(any)  # not the def
 
 helix = st.builds(
     HelixDef,
-    center=vector(2, HelixDef.center),
-    radius=number(HelixDef.radius, positive=True),
-    z_min=number(HelixDef.z_min),
-    z_max=number(HelixDef.z_max),
+    center=vector(2, HelixDef.center, bound=REACH),
+    radius=number(HelixDef.radius, positive=True, bound=REACH),
+    z_min=number(HelixDef.z_min, bound=REACH),
+    z_max=number(HelixDef.z_max, bound=REACH),
     z_period=time_scale(HelixDef.z_period),
     xy_period=time_scale(HelixDef.xy_period),
     yaw_period=time_scale(HelixDef.yaw_period),
 )
 rectangle = st.builds(
     RectangleDef,
-    length=number(RectangleDef.length, positive=True),
-    width=number(RectangleDef.width, positive=True),
-    height=number(RectangleDef.height),
+    length=number(RectangleDef.length, positive=True, bound=REACH),
+    width=number(RectangleDef.width, positive=True, bound=REACH),
+    height=number(RectangleDef.height, bound=REACH),
     lap_time=time_scale(RectangleDef.lap_time),
     pitch_hold=number(RectangleDef.pitch_hold),
     yaw_hold=number(RectangleDef.yaw_hold),
@@ -71,18 +79,18 @@ attitude_sine = st.builds(
     axis=st.sampled_from(("x", "z")),
     amplitude=number(AttitudeSineDef.amplitude),
     period=time_scale(AttitudeSineDef.period),
-    hover_point=vector(3, AttitudeSineDef.hover_point),
+    hover_point=vector(3, AttitudeSineDef.hover_point, bound=REACH),
 )
 hover = st.builds(
     HoverDef,
-    point=vector(3, HoverDef.point),
+    point=vector(3, HoverDef.point, bound=REACH),
     yaw=number(HoverDef.yaw),
     pitch=number(HoverDef.pitch),
 )
 quintic_chain = st.integers(min_value=2, max_value=4).flatmap(
     lambda n: st.builds(
         QuinticChainDef,
-        waypoints=st.tuples(*[st.builds(Waypoint, position=vector(3),
+        waypoints=st.tuples(*[st.builds(Waypoint, position=vector(3, bound=REACH),
                                         rotation=rotation)] * n),
         durations=st.tuples(*[time_scale(None)] * (n - 1)),
     )

@@ -3,6 +3,7 @@ import csv
 import math
 import multiprocessing
 import os
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from modquad import geometry, telemetry
-from modquad.errors import MalformedTelemetry
+from modquad import actuation, control, geometry, simulation, telemetry, trajectories, vehicle
+from modquad.errors import MalformedTelemetry, NonFiniteState
 from modquad.simulation import Telemetry, VehicleState
 from modquad.control import Setpoint
 
@@ -419,13 +420,19 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_csv_matches_log(log, folder):
-    """The log's CSV equals the row writer's byte for byte, and reads back
-    bit-equal; returns the CSV's path."""
+def assert_csv_matches_row_writer(log, folder):
+    """The log's CSV equals the row writer's byte for byte; returns its path."""
     path, reference = folder / "run.csv", folder / "reference.csv"
     telemetry.write_csv(log, path)
     reference_write_csv(log, reference)
     assert path.read_bytes() == reference.read_bytes()
+    return path
+
+
+def assert_csv_matches_log(log, folder):
+    """The log's CSV equals the row writer's byte for byte, and reads back
+    bit-equal; returns the CSV's path."""
+    path = assert_csv_matches_row_writer(log, folder)
     table = telemetry.read_csv(path)
     quaternions = [telemetry.rotation_to_quaternion(r) for r in log.attitude]
     yaw_d, pitch_d = geometry.yaw_pitch(log.attitude_d)
@@ -684,3 +691,142 @@ def test_csv_write_and_read_memory_stay_bounded(tmp_path):
     table_bytes = sum(getattr(table, f.name).nbytes for f in fields(table))
     block_bytes = telemetry._BLOCK_ROWS * table_bytes // len(table.t)
     assert read_peak <= 1.5 * table_bytes + block_bytes
+
+
+# -- the encoder that a flight forks ------------------------------------------
+
+BLOCK = telemetry._BLOCK_ROWS
+_csv_lines = telemetry._csv_lines
+GAINS = control.ControllerGains(k_pos=[6, 6, 6], k_vel=[4, 4, 4], k_att=[100, 100, 100],
+                                k_omega=[20, 20, 20])
+
+
+def four_t(f_max=F_MAX):
+    """exp4's structure of four T modules (6 DOF), and its analysis."""
+    tp, tm = (vehicle.make_t_module(eta) for eta in (np.pi / 4, -np.pi / 4))
+    structure = vehicle.assemble_structure(
+        [(tp, (0, 0, 0)), (tm, (0, 1, 0)), (tm, (1, 0, 0)), (tp, (1, 1, 0))])
+    return structure, actuation.analyze_structure(structure, f_max=f_max)
+
+
+def fly(n_rows, trajectory=trajectories.HelixDef(), f_max=F_MAX):
+    """The log of a flight of `n_rows` control ticks of `four_t`."""
+    structure, analysis = four_t(f_max)
+    return simulation.run_scenario(structure, analysis, GAINS, trajectory,
+                                   duration=(n_rows - 1) * simulation.DEFAULT_DT_CTRL,
+                                   motor=simulation.MotorModel(f_max))
+
+
+def waiting_at_tick(tick, seconds=0.5, trajectory=trajectories.HelixDef()):
+    """`trajectory`, pausing for `seconds` at control tick `tick`, so that
+    an encoder catches up with the blocks the flight has handed it."""
+    def paused(t):
+        if round(t / simulation.DEFAULT_DT_CTRL) == tick:
+            time.sleep(seconds)
+        return trajectory(t)
+    return paused
+
+
+@pytest.fixture
+def encoders(monkeypatch):
+    """The process ids of the encoders forked while the test runs."""
+    pids, fork = [], telemetry._Encoder.__init__
+
+    def recording_fork(encoder, log):
+        fork(encoder, log)
+        pids.append(encoder.pid)
+
+    monkeypatch.setattr(telemetry._Encoder, "__init__", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """Each of the processes `pids` has exited and been waited for."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
+                                    2 * BLOCK + 1])
+def test_flown_csv_matches_row_writer(tmp_path, monkeypatch, encoders, n_rows, cpus):
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: cpus)
+    log = fly(n_rows)
+    assert len(log) == n_rows
+    assert_csv_matches_row_writer(log, tmp_path)
+    # two CPUs fork one encoder at the first finished block that is not the
+    # flight's last row; it has exited when the flight returns
+    assert len(encoders) == (1 if cpus == 2 and n_rows > BLOCK else 0)
+    assert_reaped(encoders)
+
+
+def test_flown_csv_copies_the_encoders_blocks(tmp_path, monkeypatch, encoders):
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
+    n_rows = 3 * BLOCK + 1
+    log = fly(n_rows, waiting_at_tick(n_rows - 1))
+    # every block the flight finished before its last row was encoded
+    # during the flight, and `write_csv` encodes only that row
+    assert log._encoded[0] == 3 * BLOCK
+    encoded = []
+    monkeypatch.setattr(telemetry, "_csv_lines", lambda log, rows: (
+        encoded.append(rows) or _csv_lines(log, rows)))
+    assert_csv_matches_row_writer(log, tmp_path)
+    assert encoded[0] == slice(3 * BLOCK, 4 * BLOCK)
+    assert_reaped(encoders)
+
+
+def test_flown_csv_after_the_encoder_fails(tmp_path, monkeypatch, encoders):
+    # the encoder fails on its second block: the first block's text is
+    # copied and the rest is encoded by `write_csv`, with the same bytes
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
+    in_encoder, encode_blocks = [], telemetry._encode_blocks
+
+    def marked_encoder(*args):
+        in_encoder.append(True)  # in the encoder's own copy of the list
+        return encode_blocks(*args)
+
+    def failing_in_the_encoder(log, rows):
+        if in_encoder and rows.start == BLOCK:
+            raise RuntimeError("encoder failed")
+        return _csv_lines(log, rows)
+
+    monkeypatch.setattr(telemetry, "_encode_blocks", marked_encoder)
+    monkeypatch.setattr(telemetry, "_csv_lines", failing_in_the_encoder)
+    n_rows = 3 * BLOCK + 1
+    log = fly(n_rows, waiting_at_tick(n_rows - 1))
+    assert log._encoded[0] == BLOCK and len(encoders) == 1
+    assert_reaped(encoders)
+    assert_csv_matches_row_writer(log, tmp_path)
+
+
+def test_diverged_flight_writes_the_ticks_reached(tmp_path, monkeypatch, encoders):
+    # exp4's structure at its 0.912 N rotor limit, pitching 57 degrees every
+    # 2 s, leaves the 100 m radius after about 5.5 s: 2,700-odd rows
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
+    sine = trajectories.AttitudeSineDef(axis="y", amplitude=1.0, period=2.0)
+    with pytest.raises(NonFiniteState, match="diverged at t = ") as excinfo:
+        fly(5001, sine, f_max=0.912)
+    log = excinfo.value.telemetry
+    t_end = float(str(excinfo.value).split("t = ")[1].split()[0])
+    assert len(log) == round(t_end / simulation.DEFAULT_DT_CTRL) > 2 * BLOCK
+    assert len(encoders) == 1
+    assert_reaped(encoders)
+    path = assert_csv_matches_row_writer(log, tmp_path)
+    assert len(path.read_bytes().splitlines()) == len(log) + 1
+
+
+def test_flight_that_raises_leaves_no_encoder(monkeypatch, encoders):
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
+    helix = trajectories.HelixDef()
+
+    def failing_helix(t):
+        if t >= 1500 * simulation.DEFAULT_DT_CTRL:
+            raise RuntimeError("trajectory failed")
+        return helix(t)
+
+    with pytest.raises(RuntimeError, match="trajectory failed"):
+        fly(3 * BLOCK, failing_helix)
+    assert len(encoders) == 1
+    assert_reaped(encoders)
+

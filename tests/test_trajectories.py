@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modquad import geometry, trajectories
+from modquad import geometry, simulation, trajectories
 from modquad.errors import InvalidParams
 from modquad.trajectories import (
     AttitudeSineDef,
@@ -389,6 +389,49 @@ def test_time_scales_out_of_range(build, key):
     with pytest.raises(InvalidParams) as excinfo:
         build()
     assert str(excinfo.value).startswith(f"{key} is out of range: ")
+
+
+HELIX_KEYS = "center_m, radius_m, z_min_m and z_max_m are"
+RECTANGLE_KEYS = "length_m, width_m and height_m are"
+
+
+@pytest.mark.parametrize("build, keys, reach", [
+    (lambda: HoverDef(point=(200.0, 0.0, 0.0)), "point_m is", 200.0),
+    (lambda: HoverDef(point=(1e308, 0.0, 0.0)), "point_m is", 1e308),
+    (lambda: HoverDef(point=(0.0, 0.0, math.nextafter(100.0, math.inf))), "point_m is",
+     math.nextafter(100.0, math.inf)),
+    (lambda: AttitudeSineDef(hover_point=(60.0, 60.0, 60.0)), "hover_point_m is",
+     math.sqrt(3) * 60.0),
+    (lambda: RectangleDef(length=1e308), RECTANGLE_KEYS, 5e307),
+    (lambda: RectangleDef(length=160.0, width=120.0, height=1.0), RECTANGLE_KEYS,
+     math.hypot(80.0, 60.0, 1.0)),
+    # the circle's farthest point from the z axis, at the farther z end
+    (lambda: HelixDef(center=(-99.0, 0.0), radius=2.0, z_min=0.5, z_max=-1.0),
+     HELIX_KEYS, math.hypot(101.0, 1.0)),
+    (lambda: HelixDef(radius=1e300), HELIX_KEYS, 1e300),
+    (lambda: HelixDef(z_min=-1e308, z_max=1e308), HELIX_KEYS, 1e308),
+    (lambda: HelixDef(center=(1.5e308, 1.5e308)), HELIX_KEYS, math.inf),
+    (lambda: QuinticChainDef((*CHAIN_POINTS, Waypoint((0.0, -150.0, 0.0))), (1.0,) * 3),
+     "position_m is", 150.0),
+], ids=["hover", "hover_huge", "hover_just_past", "attitude_sine", "rectangle_huge",
+        "rectangle", "helix", "helix_radius", "helix_z", "helix_center_overflow", "chain"])
+def test_references_past_the_divergence_radius(build, keys, reach):
+    # a flight starts on its reference, so one past the radius diverged at
+    # once: `simulate` exited 4 at t = 0.002 s where `analyze` exited 0
+    with pytest.raises(InvalidParams) as excinfo:
+        build()
+    assert str(excinfo.value) == (
+        f"{keys} out of range: the reference reaches {reach:.4g} m from the origin, "
+        f"past the {simulation.DIVERGENCE_RADIUS:g} m divergence radius")
+
+
+def test_references_up_to_the_divergence_radius_accepted():
+    radius = simulation.DIVERGENCE_RADIUS
+    HoverDef(point=(0.0, 0.0, radius))
+    AttitudeSineDef(hover_point=(0.0, -radius, 0.0))
+    RectangleDef(length=120.0, width=160.0, height=0.0)
+    HelixDef(center=(-50.0, 0.0), radius=10.0, z_min=80.0, z_max=0.0)
+    QuinticChainDef((*CHAIN_POINTS, Waypoint((radius, 0.0, 0.0))), (1.0,) * 3)
 
 
 @pytest.mark.parametrize("rotation, message", [

@@ -14,9 +14,9 @@ log) are numpy arrays; `run_scenario` reads the caller's state in once.
 State feedback is perfect: no sensors, no estimator, no noise. Each control
 tick appends one float row, the state, the setpoint and the clamped thrusts,
 to a preallocated `telemetry.Telemetry` log. Where a second CPU is free, the
-log's finished blocks are encoded as CSV text in one forked process while
-the vehicle flies (`Telemetry.encoding`); `run_scenario` joins that process
-before it returns or raises.
+log's finished rows are encoded as CSV text in one forked process while
+the vehicle flies (`Telemetry.encoding`); `run_scenario` stops it after
+its current quarter block and joins it before it returns or raises.
 """
 
 import itertools

@@ -8,22 +8,15 @@ tick, an integer from 0 to the rotor count, which `read_csv` checks.
 Floats are written with repr precision so identical runs produce
 byte-identical files.
 
-No pass over the rows copies the whole table: `write_csv` encodes
-`_BLOCK_ROWS` rows at a time, `read_csv` streams the file's lines into
-`np.loadtxt`, and `compute_metrics` copies the window of only the columns
-it reads and builds its attitude errors block by block. Almost all of the
-write is `repr` of each float, and of the read `np.loadtxt`'s parse. So
-while a flight appends rows inside `Telemetry.encoding`, one forked
-encoder turns each finished block into text on a spare CPU, and
-`write_csv` copies that text and encodes only the rest. The rest of the
-write, and the read of a file of more than one `_SPAN_BYTES` span, go
-through `_ordered_map`, which runs one block or span per task, in a fork
-pool where `_may_fork` allows one. Neither the bytes nor the table depend
-on where the work ran.
+No pass over the rows copies the whole table. A flight forks one encoder
+(`Telemetry.encoding`) that turns its rows into text on a spare CPU; the
+rest of the write, and the read of a file of more than one `_SPAN_BYTES`
+span, run in even shares through `_ordered_map`. Neither the bytes nor the
+table depend on where the work ran.
 """
 
-import collections
 import contextlib
+import functools
 import gc
 import itertools
 import math
@@ -31,6 +24,7 @@ import mmap
 import os
 import select
 import shutil
+import signal
 import struct
 import sys
 import tempfile
@@ -44,7 +38,7 @@ from .errors import MalformedTelemetry
 
 # rows per block of the passes over a log or a table
 _BLOCK_ROWS = 1024
-# bytes per span of a CSV that `read_csv` parses in a pool, and per read
+# bytes per span of a CSV that `read_csv` parses span by span, and per read
 # of the pass that counts its lines
 _SPAN_BYTES = 1 << 20
 _READ_BYTES = 1 << 16
@@ -107,12 +101,12 @@ class Telemetry:
 
     @contextlib.contextmanager
     def encoding(self):
-        """Encode this log's finished blocks while the caller appends rows.
-        Yields the function to call after each append: when the rows end a
-        `_BLOCK_ROWS` block, it hands them to the encoder, which the first
-        such block forks where `_may_fork` allows a second process. On exit,
-        on return or raise, the encoder stops after its current block and
-        is joined, and the text it reported is kept for `write_csv`."""
+        """Encode this log's finished rows while the caller appends more.
+        Yields the function to call after each append: it hands each
+        finished `_BLOCK_ROWS` block to the encoder that the first one forks
+        where `_may_fork` allows. On exit, on return or raise, the encoder
+        stops after its current quarter block and is joined, and the text
+        it stored is kept for `write_csv`."""
         encoder = None  # then the _Encoder, or False where none is forked
 
         def offer_rows():
@@ -122,11 +116,12 @@ class Telemetry:
             if encoder is None:
                 encoder = False
                 if _may_fork(os.cpu_count() or 1):
-                    # without an encoder `write_csv` encodes every block
                     with contextlib.suppress(OSError):
                         encoder = _Encoder(self)
             if encoder:
-                encoder.send(self._length)
+                # a count lost to a dead encoder or a full pipe leaves its rows to `write_csv`
+                with contextlib.suppress(OSError):
+                    os.write(encoder.rows, struct.pack("q", self._length))
 
         try:
             yield offer_rows
@@ -226,30 +221,33 @@ def csv_header(n_rotors):
     return [name for f in fields(TelemetryTable) for name in f.metadata["columns"] or rotors]
 
 
-def _blocks(n_rows, start=0):
-    """Slices of at most _BLOCK_ROWS consecutive rows covering rows `start`
-    to n_rows."""
-    return [slice(first, first + _BLOCK_ROWS) for first in range(start, n_rows, _BLOCK_ROWS)]
+def _blocks(n_rows, start=0, cpus=1):
+    """Slices of at most _BLOCK_ROWS consecutive rows, equal to a row,
+    covering rows `start` to n_rows: the fewest that split evenly into one
+    share per CPU of `cpus`, or per block the rows start if fewer."""
+    blocks = -(-(n_rows - start) // _BLOCK_ROWS)
+    shares = max(min(blocks, cpus), 1)
+    count = shares * -(-blocks // shares)
+    bounds = [start + (n_rows - start) * i // max(count, 1) for i in range(count + 1)]
+    return [slice(first, stop) for first, stop in zip(bounds, bounds[1:])]
 
 
 def write_csv(telemetry, path):
     """Write one CSV row per control tick of a telemetry log: its float
     columns in TelemetryTable field order, then `sat`, the count of its
     thrusts at a motor limit. The `yaw_d` and `pitch_d` columns are those
-    of the target attitudes. The text of the blocks that the flight's
-    encoder reported is copied, so those rows are written as they were
-    appended; the other rows are encoded one block at a time where
-    `_ordered_map` decides. Every worker has been joined when it returns."""
+    of the target attitudes. The text that the flight's encoder stored is
+    copied, so those rows are written as they were appended; the others
+    are encoded through `_ordered_map`."""
     encoded_rows, text = telemetry._encoded
     with open(path, "wb") as handle:
         handle.write((",".join(csv_header(telemetry.n_rotors)) + "\r\n").encode())
         if text is not None:
             text.seek(0)
             shutil.copyfileobj(text, handle)
-        # a pool's workers inherit the log, so a task sends only its row
-        # slice and returns one block's bytes
+        # a child inherits the log, so a task is only its row slice
         texts = _ordered_map(lambda rows: _block_text(telemetry, rows),
-                             _blocks(len(telemetry), encoded_rows))
+                             _blocks(len(telemetry), encoded_rows, os.cpu_count() or 1))
         with contextlib.closing(texts):
             handle.writelines(texts)
 
@@ -267,137 +265,140 @@ def _may_fork(processes):
     started (a `simulate` config worker's pool already shares the CPUs)."""
     if processes < 2 or sys.platform != "linux" or sys.version_info >= (3, 12):
         return False
-    # imported past the cheap checks: importing it takes about 5 ms, and
-    # only a pool or an encoder needs it
+    # imported past the cheap checks: only a fork needs its 5 ms import
     import multiprocessing
     return multiprocessing.parent_process() is None
 
 
+def _fork_into_file(run):
+    """Fork a child that calls `run` on a new unlinked temporary file with
+    garbage collection off (a cycle of this process's garbage must not be
+    finalized there too) and exits 0 if it returns, else 1. Returns the
+    child's id and the file."""
+    text = tempfile.TemporaryFile()
+    try:
+        pid = os.fork()
+    except OSError:
+        text.close()
+        raise
+    if pid == 0:
+        try:
+            gc.disable()
+            run(text)
+            text.flush()
+            os._exit(0)
+        finally:
+            os._exit(1)  # a raise never leaves the child
+    return pid, text
+
+
 def _ordered_map(function, tasks):
-    """Yield `function(task)` for each of the sequence `tasks`, in order:
-    in a pool of `min(len(tasks), os.cpu_count())` forked workers where
-    `_may_fork` allows that many, else in this process. The workers inherit
-    `function` with this process's memory, so only tasks and results are
-    pickled, and at most one task per worker is submitted ahead of the
-    result yielded. Every worker has been joined once the generator is
-    exhausted, closed or has raised a worker's exception."""
-    workers = min(len(tasks), os.cpu_count() or 1)
-    if not _may_fork(workers):
+    """Yield `function(task)`, bytes or None, for each of the sequence
+    `tasks`, in order. Where `_may_fork` allows `min(len(tasks), cpus)`
+    processes, the tasks are cut into that many even contiguous shares:
+    this process runs the first, and a forked child each other, whose
+    results are read back from its file if it exits 0, else its share runs
+    here. Every child is reaped once the generator ends, closes or raises."""
+    processes = min(len(tasks), os.cpu_count() or 1)
+    if not _may_fork(processes):
         yield from map(function, tasks)
         return
-    import concurrent.futures
-    import multiprocessing
-
-    tasks = iter(tasks)
-    with concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_inherit, initargs=(function,)) as pool:
-        pending = collections.deque(pool.submit(_call_inherited, task)
-                                    for task in itertools.islice(tasks, workers))
-        while pending:
-            result = pending.popleft().result()
-            task = next(tasks, None)
-            if task is not None:
-                pending.append(pool.submit(_call_inherited, task))
-            yield result
-
-
-# the function a forked pool worker calls on each task; set only in those processes
-_inherited_function = None
-
-
-def _inherit(function):
-    global _inherited_function
-    _inherited_function = function
+    bounds = [len(tasks) * i // processes for i in range(processes + 1)]
+    first, *shares = (tasks[start:stop] for start, stop in zip(bounds, bounds[1:]))
+    children = []  # (share, id, file) of each child not reaped yet
+    try:
+        for share in shares:
+            children.append((share, *_fork_into_file(
+                functools.partial(_write_records, function, share))))
+        yield from map(function, first)
+        while children:
+            share, pid, text = children[0]
+            exited = _exit_code(pid) == 0
+            del children[0]
+            with text:
+                yield from _records(text) if exited else map(function, share)
+    finally:
+        for _, pid, text in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            _exit_code(pid)
+            text.close()
 
 
-def _call_inherited(task):
-    return _inherited_function(task)
+def _exit_code(pid):
+    """Wait for the child `pid`: its exit code, None if reaped already."""
+    with contextlib.suppress(ChildProcessError):
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _write_records(function, tasks, text):
+    """Write `function(task)` for each task into the file `text`: its length
+    in 8 bytes, -1 for None, then its bytes."""
+    for result in map(function, tasks):
+        text.writelines([struct.pack("q", -1 if result is None else len(result)), result or b""])
+
+
+def _records(text):
+    """The results that `_write_records` wrote into the file `text`."""
+    text.seek(0)
+    for length in iter(lambda: text.read(8), b""):
+        size = struct.unpack("q", length)[0]
+        yield None if size < 0 else text.read(size)
 
 
 class _Encoder:
-    """One process forked from a flight that encodes the flight's finished
-    blocks, in order, into an unlinked temporary file. The flight sends it
-    each new count of finished rows, 8 bytes on a non-blocking pipe; after
-    each block it writes, it reports the rows and bytes done, 16 bytes on a
-    second one. Closing the first pipe tells it to stop after its current
-    block. A report that does not fit the pipe is dropped, so an earlier,
-    shorter one stands."""
+    """One process forked from a flight that encodes its finished rows, in
+    order and a quarter block at a time, into a temporary file. The flight
+    sends it each new count of finished rows, 8 bytes on a non-blocking
+    pipe, and closes the pipe to stop it after its current quarter block;
+    it stores the rows and bytes written so far in the shared `progress`."""
 
     def __init__(self, log):
         """Fork the encoder of `log`; raises OSError where it cannot."""
-        self.text = tempfile.TemporaryFile()
-        weakref.finalize(log, self.text.close)
-        fds = []
+        self.progress = np.frombuffer(mmap.mmap(-1, 16), np.int64)
+        rows_in, self.rows = os.pipe()
         try:
-            fds += os.pipe() + os.pipe()
-            self.pid = os.fork()
+            self.pid, self.text = _fork_into_file(functools.partial(
+                _encode_blocks, log, (rows_in, self.rows), self.progress))
         except OSError:
-            for fd in fds:
-                os.close(fd)
-            self.text.close()
+            os.close(self.rows)
             raise
-        rows_in, self.rows, self.reports, reports_out = fds
-        if self.pid == 0:
-            status = 1
-            try:
-                # a cycle of the flight's garbage must not be finalized here too
-                gc.disable()
-                os.close(self.rows)
-                os.close(self.reports)
-                os.set_blocking(reports_out, False)
-                _encode_blocks(log, rows_in, reports_out, self.text)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(rows_in)
-        os.close(reports_out)
+        finally:
+            os.close(rows_in)
+        weakref.finalize(log, self.text.close)
         os.set_blocking(self.rows, False)
 
-    def send(self, rows):
-        """Tell the encoder that `rows` rows are finished; if it has died,
-        or the pipe is full, the message is lost and `write_csv` encodes
-        those rows itself."""
-        with contextlib.suppress(OSError):
-            os.write(self.rows, struct.pack("q", rows))
-
     def join(self):
-        """Stop the encoder after its current block and wait for it. Returns
-        the rows of its last report and the file cut to that report's
-        bytes, or (0, None)."""
+        """Stop and reap the encoder: the rows it stored, and their text."""
         os.close(self.rows)
-        with contextlib.suppress(ChildProcessError):  # reaped already, SIGCHLD ignored
-            os.waitpid(self.pid, 0)
-        with open(self.reports, "rb") as reports:
-            last = reports.read()[-16:]
-        if not last:
-            self.text.close()
-            return 0, None
-        rows, size = struct.unpack("2q", last)
+        _exit_code(self.pid)
+        rows, size = self.progress.tolist()
         self.text.truncate(size)
         return rows, self.text
 
 
-def _encode_blocks(log, rows_in, reports_out, text):
-    """The encoder's loop. The count of finished rows goes into its own copy
+def _encode_blocks(log, pipe, progress, text):
+    """The encoder's loop. Each count of finished rows goes into its own copy
     of `log._length`, which the fork left at the count it was forked at."""
+    rows_in, rows_out = pipe
+    os.close(rows_out)  # so that the flight's close ends the pipe
     done = size = 0
+    unit = _BLOCK_ROWS // 4  # the rows encoded between two looks at the flight
     news = select.poll()
     news.register(rows_in, select.POLLIN)
     while True:
-        # wait for the flight only when every finished block is encoded
+        # wait for the flight only when every finished row is encoded
         ready = news.poll(None if done == log._length else 0)
         if ready and ready[0][1] & select.POLLHUP:
             return  # the flight is over, whatever counts are still unread
         if ready:
             log._length = struct.unpack("q", os.read(rows_in, 8 * 1024)[-8:])[0]
         if done < log._length:
-            block = _block_text(log, slice(done, done + _BLOCK_ROWS))
+            block = _block_text(log, slice(done, done + unit))
             text.write(block)
             text.flush()
-            done, size = done + _BLOCK_ROWS, size + len(block)
-            with contextlib.suppress(BlockingIOError):
-                os.write(reports_out, struct.pack("2q", done, size))
+            done, size = done + unit, size + len(block)
+            progress[:] = done, size
 
 
 def _csv_lines(log, rows):
@@ -417,13 +418,12 @@ def read_csv(path):
     """Load a telemetry CSV; raises MalformedTelemetry on schema problems.
 
     The body lines stream through np.loadtxt. A file of more than one
-    `_SPAN_BYTES` span is parsed span by span, where `_ordered_map`
-    decides: each span's lines are those that start inside it, and their
-    rows are copied into one preallocated table in span order. A span that
-    does not parse to the rows counted in it, a bare "\\r" line end
-    included, sends the read back to one np.loadtxt call in this process
-    over all the lines. The file is read once more only to name the line
-    at fault. Every worker has been joined when it returns."""
+    `_SPAN_BYTES` span is parsed span by span through `_ordered_map`: each
+    span's lines are those that start inside it, and their rows are copied
+    into one preallocated table in span order. A span that does not parse
+    to the rows counted in it, a bare "\\r" line end included, sends the
+    read back to one np.loadtxt call in this process over all the lines.
+    The file is read once more only to name the line at fault."""
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline()
         if not header:
@@ -492,12 +492,12 @@ def _read_spans(path, size, width):
     table = np.empty((firsts[-1], width))
     spans = [(start, first, stop) for start, first, stop
              in zip(starts, firsts, firsts[1:]) if stop > first]
-    rows = _ordered_map(lambda span: _parse_span(path, *span), spans)
+    rows = _ordered_map(lambda span: _parse_span(path, *span, width), spans)
     with contextlib.closing(rows):
         for (_, first, stop), block in zip(spans, rows):
-            if block is None or block.shape != (stop - first, width):
+            if block is None:
                 return None
-            table[first:stop] = block
+            table[first:stop] = np.frombuffer(block).reshape(stop - first, width)
     return table
 
 
@@ -513,17 +513,17 @@ def _newlines_before(path, offsets):
     return counts
 
 
-def _parse_span(path, start, first, stop):
-    """The rows of the `stop - first` body lines that start in the span
-    from byte `start` on, parsed by `_parse_lines`. The line read from byte
-    start - 1 on is the header or ends before the span. The lines are split
-    at "\\n" only; where a text-mode read would split one at a bare "\\r",
-    np.loadtxt rejects the line ("unquoted embedded newline") as it does
-    any "\\r" inside an element, and reads "\\r\\n" as "\\n"."""
+def _parse_span(path, start, first, stop, width):
+    """The bytes of the `stop - first` rows of `width` numbers that
+    `_parse_lines` reads from the lines that start in the span from byte
+    `start` on (the line from byte start - 1 on ends before it), or None.
+    Lines are split at "\\n" only: np.loadtxt rejects a bare "\\r"
+    ("unquoted embedded newline"), and reads "\\r\\n" as "\\n"."""
     with open(path, "rb") as raw:
         raw.seek(max(start - 1, 0))
         lines = itertools.islice(raw, 1, 1 + stop - first)
-        return _parse_lines(line.decode("utf-8") for line in lines)
+        block = _parse_lines(line.decode("utf-8") for line in lines)
+    return None if block is None or block.shape != (stop - first, width) else block.tobytes()
 
 
 def _first_bad_line(path, width):

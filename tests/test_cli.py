@@ -1,7 +1,6 @@
 import concurrent.futures
 import json
 import logging
-import multiprocessing
 import os
 import pickle
 import re
@@ -572,16 +571,28 @@ def test_importing_cli_and_telemetry_loads_no_process_pool():
     assert result.stdout == "[]\n"
 
 
-def test_simulate_forks_encoders_only_outside_its_pool(tmp_path, monkeypatch):
-    class EncoderPool(concurrent.futures.ProcessPoolExecutor):
-        """Marks each encoder pool, not the config pool, by the id of the
-        process that starts it."""
+def test_writing_and_reading_a_forked_log_loads_no_process_pool(tmp_path):
+    # on two CPUs the write's tail and the read's spans each fork a child,
+    # and neither loads the process pool
+    src = Path(cli.__file__).resolve().parent.parent
+    code = (
+        "import os, sys; from modquad import telemetry\n"
+        "os.cpu_count, telemetry._SPAN_BYTES = lambda: 2, 1 << 12\n"
+        "forks, fork = [], telemetry._fork_into_file\n"
+        "telemetry._fork_into_file = lambda run: forks.append(run) or fork(run)\n"
+        "log = telemetry.Telemetry(4, 3 * telemetry._BLOCK_ROWS, 1.0)\n"
+        "log._floats[:, [7, 11, 15, 22, 26, 30]] = 1.0  # identity attitudes\n"
+        "log._length = len(log._floats)\n"
+        "telemetry.write_csv(log, sys.argv[1])\n"
+        "assert len(telemetry.read_csv(sys.argv[1]).t) == len(log)\n"
+        "print(len(forks), 'concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run.csv")], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "2 False\n"
 
-        def __init__(self, *args, **kwargs):
-            if kwargs.get("initializer") is telemetry._inherit:
-                (tmp_path / f"pooled-{os.getpid()}").touch()
-            super().__init__(*args, **kwargs)
 
+def test_simulate_forks_only_outside_its_config_workers(tmp_path, monkeypatch, forks):
     fork = telemetry._Encoder.__init__
 
     def marked_fork(encoder, log):
@@ -589,29 +600,28 @@ def test_simulate_forks_encoders_only_outside_its_pool(tmp_path, monkeypatch):
         (tmp_path / f"encoder-{os.getpid()}").touch()
         fork(encoder, log)
 
-    def started(kind):
-        return sorted(p.name for p in tmp_path.glob(f"{kind}-*"))
+    def encoders():
+        return sorted(p.name for p in tmp_path.glob("encoder-*"))
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", EncoderPool)
     monkeypatch.setattr(telemetry._Encoder, "__init__", marked_fork)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     configs = [tmp_path / "c0.cfg", tmp_path / "c1.cfg"]
     for config in configs:
         write_hover_config(config, duration=3.0)  # 1501 rows, two blocks
     # one config flies in this process, which forks one encoder during the
-    # flight; the write encodes in a pool what the encoder did not
+    # flight; the write forks a child for its tail's second share, or none
+    # where the encoder left one block or less
     alone = tmp_path / "alone.csv"
     assert cli.main(["simulate", str(configs[0]), "-o", str(alone)]) == 0
-    assert started("encoder") == [f"encoder-{os.getpid()}"]
-    assert started("pooled") in ([], [f"pooled-{os.getpid()}"])
-    assert multiprocessing.active_children() == []
+    assert encoders() == [f"encoder-{os.getpid()}"]
+    assert forks.parents in ([os.getpid()], [os.getpid()] * 2)
+    forks.assert_reaped()
     # two config workers on two CPUs encode their own CSVs, forking nothing
-    for mark in tmp_path.glob("*-[0-9]*"):
-        mark.unlink()
+    started = len(forks.parents)
+    (tmp_path / f"encoder-{os.getpid()}").unlink()
     runs = tmp_path / "runs"
     assert cli.main(["simulate", *map(str, configs), "-o", str(runs)]) == 0
-    assert started("encoder") == [] and started("pooled") == []
-    assert multiprocessing.active_children() == []
+    assert encoders() == [] and len(forks.parents) == started
     assert (runs / "c0.csv").read_bytes() == alone.read_bytes()
 
 

@@ -1,8 +1,8 @@
-import concurrent.futures
 import csv
 import math
 import multiprocessing
 import os
+import signal
 import time
 import tracemalloc
 from dataclasses import fields
@@ -28,6 +28,7 @@ def hover_setpoint(pos):
 
 
 F_MAX = 0.645
+BLOCK = telemetry._BLOCK_ROWS
 
 
 def synthetic_log(n_rows, offset=(0.0, 0.0, 0.0), dt=0.5):
@@ -454,15 +455,49 @@ def test_csv_columns_roundtrip_bit_equal_and_match_row_writer(tmp_path_factory, 
     assert_csv_matches_log(log, tmp_path_factory.mktemp("csv"))
 
 
-def test_csv_longer_than_one_block(tmp_path, monkeypatch):
+def assert_reaped(pids):
+    """Each of the processes `pids` has exited and been waited for."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def failing_in_a_child(function, fault):
+    """`function`, except that in a process forked from this one it raises
+    or, for the fault "dies", kills its own process."""
+    parent = os.getpid()
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if fault == "dies":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError(f"failed in process {os.getpid()}")
+        return function(*args)
+    return failing
+
+
+@pytest.mark.parametrize("n_tasks, cpus, children", [
+    (0, 2, 0), (1, 2, 0), (5, 1, 0), (5, 2, 1), (3, 4, 2), (9, 4, 3)])
+def test_ordered_map_forks_one_child_per_share_after_the_first(
+        monkeypatch, forks, n_tasks, cpus, children):
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: cpus)
+    tasks = [None if i % 3 == 1 else bytes([i]) * 1000 * i for i in range(n_tasks)]
+    assert list(telemetry._ordered_map(lambda task: task, tasks)) == tasks
+    assert forks.parents == [os.getpid()] * children
+    forks.assert_reaped()
+
+
+def test_csv_longer_than_one_block(tmp_path, monkeypatch, forks):
     n_rows = 5 * telemetry._BLOCK_ROWS // 2
     log = long_log(n_rows)
-    # one CPU encodes in this process, two in a pool of two workers
+    # one CPU writes and reads in this process; two fork one child for the
+    # write's second share and one for the read's
     for cpus in (1, 2):
         monkeypatch.setattr(telemetry.os, "cpu_count", lambda n=cpus: n)
         (tmp_path / str(cpus)).mkdir()
         path = assert_csv_matches_log(log, tmp_path / str(cpus))
-        assert multiprocessing.active_children() == []
+        assert forks.parents == [os.getpid()] * 2 * (cpus - 1)
+        forks.assert_reaped()
     lines = path.read_text().splitlines()
     last_block = 2 * telemetry._BLOCK_ROWS  # row index; row i is on line i + 2
     short, blank = last_block + 100, last_block + 300
@@ -474,88 +509,101 @@ def test_csv_longer_than_one_block(tmp_path, monkeypatch):
     path.write_text("\n".join(lines[:blank + 1] + [""] + lines[blank + 1:]) + "\n")
     with pytest.raises(MalformedTelemetry, match=f"line {blank + 2} "):
         telemetry.read_csv(path)
+    forks.assert_reaped()
 
 
-def test_csv_pool_joins_its_workers_when_a_block_fails(tmp_path, monkeypatch):
-    encode = telemetry._csv_lines
+def test_csv_write_in_even_shares():
+    # the rows a flight left unencoded are cut into one even share per
+    # started block, up to one per CPU, of slices of at most one block
+    rows = telemetry._blocks(12001, 9216, 2)
+    assert [(r.start, r.stop) for r in rows] == [
+        (9216, 9912), (9912, 10608), (10608, 11304), (11304, 12001)]
+    assert telemetry._blocks(3073, 3072, 2) == [slice(3072, 3073)]
+    assert telemetry._blocks(3072, 3072, 2) == []
+    assert telemetry._blocks(BLOCK + 1, 0, 2) == [slice(0, 512), slice(512, BLOCK + 1)]
+    assert telemetry._blocks(5 * BLOCK, 0, 1) == [slice(i * BLOCK, (i + 1) * BLOCK)
+                                                  for i in range(5)]
 
-    def failing_second_block(log, rows):
-        if rows.start == telemetry._BLOCK_ROWS:
-            raise RuntimeError(f"block encoded in process {os.getpid()}")
+
+@pytest.mark.parametrize("fault", ["raises", "dies"])
+def test_csv_write_after_a_child_fails(tmp_path, monkeypatch, forks, fault):
+    # this process encodes the failed child's share again, with the same bytes
+    monkeypatch.setattr(telemetry, "_csv_lines", failing_in_a_child(telemetry._csv_lines, fault))
+    monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
+    assert_csv_matches_row_writer(long_log(3 * BLOCK), tmp_path)
+    assert forks.parents == [os.getpid()]
+    forks.assert_reaped()
+
+
+def test_csv_write_reaps_its_child_when_a_share_fails(tmp_path, monkeypatch, forks):
+    encode, n_rows = telemetry._csv_lines, 3 * BLOCK
+
+    def failing_last_slice(log, rows):
+        if rows.stop == n_rows:
+            raise RuntimeError(f"rows encoded in process {os.getpid()}")
         return encode(log, rows)
 
-    monkeypatch.setattr(telemetry, "_csv_lines", failing_second_block)
+    monkeypatch.setattr(telemetry, "_csv_lines", failing_last_slice)
     monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
-    with pytest.raises(RuntimeError, match="block encoded in process") as excinfo:
-        telemetry.write_csv(long_log(3 * telemetry._BLOCK_ROWS), tmp_path / "run.csv")
-    # the block failed in a worker, and the error reached the caller
-    assert str(excinfo.value) != f"block encoded in process {os.getpid()}"
-    assert multiprocessing.active_children() == []
-
-
-def pooled_reads(monkeypatch, span_bytes):
-    """Parse CSVs in spans of `span_bytes`; returns the list that each
-    started process pool appends the id of the process starting it to."""
-    monkeypatch.setattr(telemetry, "_SPAN_BYTES", span_bytes)
-    calls = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            calls.append(os.getpid())
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return calls
+    with pytest.raises(RuntimeError, match="rows encoded in process") as excinfo:
+        telemetry.write_csv(long_log(n_rows), tmp_path / "run.csv")
+    # the slice failed in the child, then again here, and this process's
+    # error reached the caller
+    assert str(excinfo.value) == f"rows encoded in process {os.getpid()}"
+    assert forks.parents == [os.getpid()]
+    forks.assert_reaped()
 
 
 def table_bytes(table):
     return [getattr(table, f.name).tobytes() for f in fields(table)]
 
 
-def read_with_cpus(monkeypatch, path, cpus):
-    """`read_csv` on `cpus` CPUs: the table, or the message of its error."""
+def read_with_cpus(monkeypatch, path, cpus, forks):
+    """`read_csv` on `cpus` CPUs: the table, or the message of its error;
+    every child forked so far has been reaped when it returns."""
     monkeypatch.setattr(telemetry.os, "cpu_count", lambda: cpus)
     try:
         return telemetry.read_csv(path)
     except MalformedTelemetry as error:
         return str(error)
     finally:
-        assert multiprocessing.active_children() == []
+        forks.assert_reaped()
 
 
 # 64 KiB spans put a 600-row log of 8 rotors in 5 spans; 300-byte spans are
 # shorter than a line, so most spans hold no line start
 @pytest.mark.parametrize("span_bytes", [1 << 16, 300])
-def test_csv_read_in_spans_bit_equal_to_one_parse(tmp_path, monkeypatch, span_bytes):
-    calls = pooled_reads(monkeypatch, span_bytes)
+def test_csv_read_in_spans_bit_equal_to_one_parse(tmp_path, monkeypatch, forks, span_bytes):
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", span_bytes)
     log = long_log(600 if span_bytes > 300 else 40)
     tables = {}
     for cpus in (1, 2):
         monkeypatch.setattr(telemetry.os, "cpu_count", lambda n=cpus: n)
         (tmp_path / str(cpus)).mkdir()
         path = assert_csv_matches_log(log, tmp_path / str(cpus))
-        assert multiprocessing.active_children() == []
+        forks.assert_reaped()
         tables[cpus] = table_bytes(telemetry.read_csv(path))
     assert path.stat().st_size >= 3 * span_bytes
-    # a one-block log is written in this process; only the read with two CPUs forks
-    assert calls == [os.getpid()] * 2
+    # a one-block log is written in this process; only the reads with two CPUs fork
+    assert forks.parents == [os.getpid()] * 2
+    forks.assert_reaped()
     assert tables[1] == tables[2]
 
 
-def test_csv_read_in_spans_with_a_line_at_a_span_start(tmp_path, monkeypatch):
+def test_csv_read_in_spans_with_a_line_at_a_span_start(tmp_path, monkeypatch, forks):
     # the line that starts at a span's first byte is that span's, not the one before's
     path = tmp_path / "run.csv"
     telemetry.write_csv(long_log(100), path)
     text = path.read_bytes()
     tenth = [i + 1 for i, byte in enumerate(text) if byte == ord("\n")][10]
-    calls = pooled_reads(monkeypatch, tenth)
-    expected = table_bytes(read_with_cpus(monkeypatch, path, 1))
-    assert table_bytes(read_with_cpus(monkeypatch, path, 2)) == expected
-    assert calls == [os.getpid()]
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", tenth)
+    expected = table_bytes(read_with_cpus(monkeypatch, path, 1, forks))
+    assert table_bytes(read_with_cpus(monkeypatch, path, 2, forks)) == expected
+    assert forks.parents == [os.getpid()]
 
 
-def test_csv_read_in_spans_on_one_cpu_parses_in_process(tmp_path, monkeypatch):
-    calls = pooled_reads(monkeypatch, 1 << 16)
+def test_csv_read_in_spans_on_one_cpu_parses_in_process(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", 1 << 16)
     path = tmp_path / "run.csv"
     telemetry.write_csv(long_log(600), path)
     parse, parsed_in = telemetry._parse_span, []
@@ -565,14 +613,16 @@ def test_csv_read_in_spans_on_one_cpu_parses_in_process(tmp_path, monkeypatch):
         return parse(*span)
 
     monkeypatch.setattr(telemetry, "_parse_span", recording_parse)
-    expected = table_bytes(read_with_cpus(monkeypatch, path, 1))
+    expected = table_bytes(read_with_cpus(monkeypatch, path, 1, forks))
     assert path.stat().st_size >= 3 * telemetry._SPAN_BYTES
-    assert calls == []
+    assert forks.parents == []
     assert len(parsed_in) >= 3 and set(parsed_in) == {os.getpid()}
-    # on two CPUs a pool's workers parse the spans, each recording in its own copy
+    # on two CPUs this process parses the first half of the spans and a
+    # child the rest, recording in its own copy of the list
     in_process = list(parsed_in)
-    assert table_bytes(read_with_cpus(monkeypatch, path, 2)) == expected
-    assert calls == [os.getpid()] and parsed_in == in_process
+    assert table_bytes(read_with_cpus(monkeypatch, path, 2, forks)) == expected
+    assert forks.parents == [os.getpid()]
+    assert parsed_in == in_process + [os.getpid()] * (len(in_process) // 2)
 
 
 def malformed_last_span(lines):
@@ -591,82 +641,128 @@ def malformed_last_span(lines):
     ]
 
 
-def test_csv_read_in_spans_names_the_same_line(tmp_path, monkeypatch):
-    calls = pooled_reads(monkeypatch, 1 << 16)
+def test_csv_read_in_spans_names_the_same_line(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", 1 << 16)
     path = tmp_path / "run.csv"
     telemetry.write_csv(long_log(600), path)
     lines = path.read_bytes().decode("latin-1").split("\r\n")[:-1]
     for edited, message in malformed_last_span(lines):
         path.write_bytes("\r\n".join(edited + [""]).encode("latin-1"))
         assert path.stat().st_size >= 3 * telemetry._SPAN_BYTES
-        in_process = read_with_cpus(monkeypatch, path, 1)
+        in_process = read_with_cpus(monkeypatch, path, 1, forks)
         assert in_process.startswith(message)
-        assert read_with_cpus(monkeypatch, path, 2) == in_process
-    assert len(calls) == 4
+        assert read_with_cpus(monkeypatch, path, 2, forks) == in_process
+    assert len(forks.parents) == 4
 
 
-def test_csv_read_in_spans_raises_a_workers_error(tmp_path, monkeypatch):
-    pooled_reads(monkeypatch, 1 << 16)
+@pytest.mark.parametrize("fault", ["raises", "dies"])
+def test_csv_read_in_spans_after_a_child_fails(tmp_path, monkeypatch, forks, fault):
+    # this process parses the failed child's spans again: the same table
+    # bits, and the same message naming the same line
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", 1 << 16)
+    path = tmp_path / "run.csv"
+    telemetry.write_csv(long_log(600), path)
+    expected = table_bytes(read_with_cpus(monkeypatch, path, 1, forks))
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    monkeypatch.setattr(telemetry, "_parse_span",
+                        failing_in_a_child(telemetry._parse_span, fault))
+    assert table_bytes(read_with_cpus(monkeypatch, path, 2, forks)) == expected
+    edited, message = malformed_last_span([line.decode() for line in lines])[0]
+    path.write_text("\n".join(edited) + "\n")
+    assert read_with_cpus(monkeypatch, path, 2, forks).startswith(message)
+    assert forks.parents == [os.getpid()] * 2
+
+
+def test_csv_read_stopped_at_a_malformed_first_span_reaps_its_child(
+        tmp_path, monkeypatch, forks):
+    # the first span, this process's, is malformed while the child still
+    # parses: the read stops there, kills the child and reaps it
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", 1 << 16)
+    path = tmp_path / "run.csv"
+    telemetry.write_csv(long_log(600), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]) + "\n")
+    expected = read_with_cpus(monkeypatch, path, 1, forks)
+    assert expected.startswith("line 3 is not ")
+    parent, parse = os.getpid(), telemetry._parse_span
+
+    def slow_in_a_child(*span):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return parse(*span)
+
+    monkeypatch.setattr(telemetry, "_parse_span", slow_in_a_child)
+    start = time.monotonic()
+    assert read_with_cpus(monkeypatch, path, 2, forks) == expected
+    assert time.monotonic() - start < 30
+    assert forks.parents == [parent]
+
+
+def test_csv_read_in_spans_raises_the_in_process_error(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", 1 << 16)
     monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
     path = tmp_path / "run.csv"
     telemetry.write_csv(long_log(600), path)
     parse = telemetry._parse_span
 
-    def failing_third_span(path, start, *rows):
-        if start == 2 * telemetry._SPAN_BYTES:
+    def failing_last_span(path, start, *rows):
+        if start + telemetry._SPAN_BYTES >= path.stat().st_size:
             raise RuntimeError(f"span parsed in process {os.getpid()}")
         return parse(path, start, *rows)
 
-    monkeypatch.setattr(telemetry, "_parse_span", failing_third_span)
+    monkeypatch.setattr(telemetry, "_parse_span", failing_last_span)
     with pytest.raises(RuntimeError, match="span parsed in process") as excinfo:
         telemetry.read_csv(path)
-    # the span failed in a worker, and the error reached the caller
-    assert str(excinfo.value) != f"span parsed in process {os.getpid()}"
-    assert multiprocessing.active_children() == []
+    # the span failed in the child, then again here, and this process's
+    # error reached the caller
+    assert str(excinfo.value) == f"span parsed in process {os.getpid()}"
+    assert forks.parents == [os.getpid()]
+    forks.assert_reaped()
 
 
 @pytest.mark.parametrize("line_end", ["bare_cr", "mixed"])
-def test_csv_read_in_spans_takes_every_line_end(tmp_path, monkeypatch, line_end):
-    # text mode splits lines at "\r", "\n" and "\r\n"; the span workers split
+def test_csv_read_in_spans_takes_every_line_end(tmp_path, monkeypatch, forks, line_end):
+    # text mode splits lines at "\r", "\n" and "\r\n"; the span parse splits
     # at "\n" only, so a bare "\r" sends the read back to one parse
-    calls = pooled_reads(monkeypatch, 1 << 16)
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", 1 << 16)
     path = tmp_path / "run.csv"
     telemetry.write_csv(long_log(600), path)
-    expected = table_bytes(read_with_cpus(monkeypatch, path, 1))
+    expected = table_bytes(read_with_cpus(monkeypatch, path, 1, forks))
     lines = path.read_bytes().split(b"\r\n")[:-1]
     if line_end == "bare_cr":
         path.write_bytes(b"".join(line + b"\r" for line in lines))
     else:
         path.write_bytes(b"".join(line + (b"\n", b"\r\n")[i % 2] for i, line in enumerate(lines)))
     for cpus in (1, 2):
-        assert table_bytes(read_with_cpus(monkeypatch, path, cpus)) == expected
+        assert table_bytes(read_with_cpus(monkeypatch, path, cpus, forks)) == expected
     # a header that ends in a bare "\r" is parsed in this process from the start
-    assert len(calls) == (0 if line_end == "bare_cr" else 1)
-    # a bare "\r" in the body reaches the span workers
+    assert len(forks.parents) == (0 if line_end == "bare_cr" else 1)
+    # a bare "\r" in the body reaches the span parse
     path.write_bytes(b"".join(line + (b"\r" if i == len(lines) - 5 else b"\r\n")
                               for i, line in enumerate(lines)))
     for cpus in (1, 2):
-        assert table_bytes(read_with_cpus(monkeypatch, path, cpus)) == expected
-    assert len(calls) == (1 if line_end == "bare_cr" else 2)
+        assert table_bytes(read_with_cpus(monkeypatch, path, cpus, forks)) == expected
+    assert len(forks.parents) == (1 if line_end == "bare_cr" else 2)
 
 
-def test_csv_read_in_a_multiprocessing_child_parses_in_process(tmp_path, monkeypatch):
-    calls = pooled_reads(monkeypatch, 1 << 16)
+def test_csv_read_in_a_multiprocessing_child_parses_in_process(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(telemetry, "_SPAN_BYTES", 1 << 16)
     monkeypatch.setattr(telemetry.os, "cpu_count", lambda: 2)
     path = tmp_path / "run.csv"
     telemetry.write_csv(long_log(600), path)
     expected = table_bytes(telemetry.read_csv(path))
-    assert calls == [os.getpid()]
+    assert forks.parents == [os.getpid()]
 
     def read_in_child():
         table = telemetry.read_csv(path)
-        # the child's calls land in its own copy of `calls`
-        os._exit(0 if calls == [os.getppid()] and table_bytes(table) == expected else 1)
+        # a fork in this child would be recorded with the parent's
+        os._exit(0 if table_bytes(table) == expected else 1)
 
     child = multiprocessing.get_context("fork").Process(target=read_in_child)
     child.start()
     child.join(timeout=60)
     assert not child.is_alive() and child.exitcode == 0
+    assert forks.parents == [os.getpid()]
 
 
 def traced_peak(function, *args):
@@ -695,7 +791,6 @@ def test_csv_write_and_read_memory_stay_bounded(tmp_path):
 
 # -- the encoder that a flight forks ------------------------------------------
 
-BLOCK = telemetry._BLOCK_ROWS
 _csv_lines = telemetry._csv_lines
 GAINS = control.ControllerGains(k_pos=[6, 6, 6], k_vel=[4, 4, 4], k_att=[100, 100, 100],
                                 k_omega=[20, 20, 20])
@@ -740,13 +835,6 @@ def encoders(monkeypatch):
     return pids
 
 
-def assert_reaped(pids):
-    """Each of the processes `pids` has exited and been waited for."""
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
                                     2 * BLOCK + 1])
@@ -772,7 +860,7 @@ def test_flown_csv_copies_the_encoders_blocks(tmp_path, monkeypatch, encoders):
     monkeypatch.setattr(telemetry, "_csv_lines", lambda log, rows: (
         encoded.append(rows) or _csv_lines(log, rows)))
     assert_csv_matches_row_writer(log, tmp_path)
-    assert encoded[0] == slice(3 * BLOCK, 4 * BLOCK)
+    assert encoded == [slice(3 * BLOCK, 3 * BLOCK + 1)]
     assert_reaped(encoders)
 
 

@@ -12,6 +12,7 @@ the dataclass's `__post_init__` checks the block as a whole. Module entries and 
 dataclass per kind, named by the block's `kind` key.
 """
 
+import collections.abc
 import functools
 import math
 import re
@@ -34,30 +35,106 @@ class _LocatedDict(dict):
     line = None
 
 
+_MAP_TAG = "tag:yaml.org,2002:map"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+
+
 class _LineLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    pass
+    """Safe loader that reads a document's node tree in one pass: mappings
+    become `_LocatedDict`s that reject a repeated key, and each distinct
+    scalar is resolved and constructed once per document.
+
+    It builds what `yaml.SafeLoader` builds, alias for alias: a mapping or
+    sequence is registered before its entries are read only where the safe
+    loader defers it (the root, and entries of a deferred sequence), so the
+    same aliases are rejected as recursive. Other tags go to the safe
+    loader's own constructors.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        # memos of this loader's one document; safe scalars are immutable,
+        # so equal ones may share one object
+        self._tags = {}      # (kind, value, implicit) -> tag
+        self._scalars = {}   # (tag, value) -> object
+
+    def resolve(self, kind, value, implicit):
+        key = (kind, value, implicit)
+        tag = self._tags.get(key)
+        if tag is None:
+            tag = self._tags[key] = super().resolve(kind, value, implicit)
+        return tag
+
+    def construct_document(self, node):
+        data = self.construct_object(node)
+        # deferred (node, container) pairs and other tags' generators, in the
+        # order they were deferred; the list grows while it runs
+        for task in self.state_generators:
+            if type(task) is tuple:
+                self._fill(*task)
+            else:
+                for _ in task:
+                    pass
+        return data
+
+    def construct_object(self, node, deep=False):
+        kind = type(node)
+        if kind is yaml.ScalarNode:
+            key = (node.tag, node.value)
+            if key not in self._scalars:
+                self._scalars[key] = super().construct_object(node)
+            return self._scalars[key]
+        if node in self.constructed_objects:
+            return self.constructed_objects[node]
+        if not (node.tag == _MAP_TAG and kind is yaml.MappingNode
+                or node.tag == _SEQ_TAG and kind is yaml.SequenceNode):
+            return super().construct_object(node, deep)
+        if node in self.recursive_objects:
+            raise yaml.constructor.ConstructorError(
+                None, None, "found unconstructable recursive node", node.start_mark)
+        if kind is yaml.MappingNode:
+            data = _LocatedDict()
+            data.line = node.start_mark.line + 1
+        else:
+            data = []
+        if deep or self.deep_construct:
+            outer, self.deep_construct = self.deep_construct, True
+            self.recursive_objects[node] = None
+            self._fill(node, data)
+            del self.recursive_objects[node]
+            self.deep_construct = outer
+        else:
+            self.state_generators.append((node, data))
+        self.constructed_objects[node] = data
+        return data
+
+    def _fill(self, node, data):
+        """Read the entries of `node` into its empty container `data`."""
+        if type(data) is list:
+            data.extend([self.construct_object(item) for item in node.value])
+            return
+        written = node.value[:]  # `flatten_mapping` merges `<<` entries into node.value
+        self.flatten_mapping(node)
+        for key_node, value_node in node.value:
+            key = self.construct_object(key_node, deep=True)
+            if not isinstance(key, collections.abc.Hashable):
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    "found unhashable key", key_node.start_mark)
+            data[key] = self.construct_object(value_node, deep=True)
+        if len(data) < len(node.value):  # a key repeated, or one merged in overridden
+            written = [key for key, _ in written if key.tag != "tag:yaml.org,2002:merge"]
+            keys = [self.construct_object(key) for key in written]  # built above
+            if len(set(keys)) < len(keys):
+                i = next(i for i, key in enumerate(keys) if key in keys[:i])
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {keys[i]!r}", written[i].start_mark)
 
 
 class _ReprDumper(yaml.SafeDumper):
     """Dump floats with repr so render/parse round trips exactly."""
 
 
-def _construct_located_mapping(loader, node):
-    data = _LocatedDict()
-    data.line = node.start_mark.line + 1
-    yield data
-    written = node.value[:]  # `construct_mapping` merges `<<` entries into node.value
-    data.update(loader.construct_mapping(node, deep=True))
-    if len(data) < len(node.value):  # a key repeated, or one merged in overridden
-        written = [key for key, _ in written if key.tag != "tag:yaml.org,2002:merge"]
-        keys = [loader.construct_object(key) for key in written]  # built above
-        if len(set(keys)) < len(keys):
-            i = next(i for i, key in enumerate(keys) if key in keys[:i])
-            raise yaml.constructor.ConstructorError(
-                None, None, f"found duplicate key {keys[i]!r}", written[i].start_mark)
-
-
-_LineLoader.add_constructor("tag:yaml.org,2002:map", _construct_located_mapping)
 _ReprDumper.add_representer(
     float,
     lambda dumper, value: dumper.represent_scalar(

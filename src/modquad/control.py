@@ -40,6 +40,12 @@ class Setpoint:
 
 
 def _diag_gains(values, name, zero_ok=False):
+    # three accepted floats, as every config and default gives them, pass
+    # without numpy; any other input takes the numpy path and its message
+    if type(values) is tuple and len(values) == 3 and all(
+            type(v) is float and math.isfinite(v) and (v >= 0.0 if zero_ok else v > 0.0)
+            for v in values):
+        return values
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 2 and np.array_equal(arr, np.diag(np.diag(arr))):
         arr = np.diag(arr)

@@ -79,7 +79,9 @@ class ModuleSpec:
             raise InvalidParams("body dimensions must be positive")
         if np.abs(p[:, 2]).max() > 1e-12:
             raise InvalidParams("propeller must lie in the module xy-plane")
-        if (any(isinstance(s, (bool, np.bool_)) for s in self.spin_signs)
+        # `asarray` returns only a float array as it is, and that holds no bools
+        if ((spins is not self.spin_signs
+                and any(isinstance(s, (bool, np.bool_)) for s in self.spin_signs))
                 or not np.all(np.abs(spins) == 1.0)):
             raise InvalidParams(f"spin signs must be +1 or -1, got {self.spin_signs}")
         if not geometry.is_rotation(o):
@@ -165,7 +167,14 @@ def rotor_wrenches(positions, orientations, spin_signs, k_m):
     drag-to-thrust ratio or one per rotor.
     """
     axes = orientations @ geometry.E3
-    return axes, np.cross(positions, axes), (spin_signs * k_m)[:, None] * axes
+    # p x a written out as np.cross computes it, which gives its bits
+    # without its axis bookkeeping
+    (px, py, pz), (ax, ay, az) = np.asarray(positions, dtype=float).T, axes.T
+    torque = np.empty_like(axes)
+    torque[:, 0] = py * az - pz * ay
+    torque[:, 1] = pz * ax - px * az
+    torque[:, 2] = px * ay - py * ax
+    return axes, torque, (spin_signs * k_m)[:, None] * axes
 
 
 def design_matrix(positions, orientations, spin_signs, k_m):
@@ -220,6 +229,11 @@ def grid_cell(value):
     """`value` as a grid cell (row, col, layer): three exact integers within
     +-MAX_CELL, never read through floats, so that every cell keeps its own
     value."""
+    if type(value) is tuple and len(value) == 3:  # a cell as this returns it
+        row, col, layer = value
+        if (type(row) is int and type(col) is int and type(layer) is int
+                and max(abs(row), abs(col), abs(layer)) <= MAX_CELL):
+            return value
     if not (isinstance(value, (list, tuple)) and len(value) == 3
             and all(type(c) is int or isinstance(c, np.integer) for c in value)):
         raise InvalidParams("cell must hold three integers")

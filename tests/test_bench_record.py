@@ -1,13 +1,18 @@
 """The newest committed BENCH_<n>.json matches the benchmark's declaration.
 
 It must hold, for every workload of BENCHMARK.json, exactly its end-to-end
-metric names and units, plus the environment the medians came from. This
-checks the file's form, not a speed.
+metric names and units, plus the environment the medians came from, and
+each metric's quartiles; a record made against a parent commit also holds
+the parent's values and the change's wins per pair. This checks the
+file's form, not a speed.
 """
 
 import json
 import re
+import statistics
 from pathlib import Path
+
+import bench_record
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -31,3 +36,56 @@ def test_newest_bench_file_holds_the_declared_metrics():
         for name, m in metrics.items():
             assert len(m["values"]) == bench["runs"], (workload, name)
             assert m["median"] > 0, (workload, name)
+
+
+def check_summary(summary, runs, where):
+    assert len(summary["values"]) == runs, where
+    assert summary["q1"] <= summary["median"] <= summary["q3"], where
+    assert summary["median"] == statistics.median(summary["values"]), where
+
+
+def test_newest_bench_file_summarizes_each_side():
+    """Quartiles on every record; a paired record (made with --parent) also
+    holds the parent's runs and the per-pair win count of the change."""
+    bench = json.loads(newest_bench_file().read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+    paired = "parent" in bench
+    if paired:
+        assert re.fullmatch(r"[0-9a-f]{40}", bench["parent"]["rev"])
+        assert bench["parent"]["failed"] == dict.fromkeys(bench["workloads"], 0)
+    for workload, metrics in bench["workloads"].items():
+        for name, m in metrics.items():
+            if name == "failed":
+                continue
+            check_summary(m, bench["runs"], (workload, name))
+            if paired:
+                check_summary(m["parent"], bench["runs"], (workload, name, "parent"))
+                assert m["better"] == better[name]
+                pairs = zip(m["values"], m["parent"]["values"])
+                assert m["wins"] == sum(after < before if m["better"] == "lower"
+                                        else after > before for after, before in pairs)
+
+
+def test_pairs_alternate_which_side_runs_first():
+    calls = []
+
+    def fake_run(root, workload, seconds):
+        calls.append((root, workload))
+        value = 1.0 if root == "change" else 2.0 + len(calls)
+        return {"failed": 0, "metrics": {m["name"]: {"value": value}
+                                         for m in SPEC["end_to_end"]}}
+
+    values, failed = bench_record.record(1, {"parent": "parent", "change": "change"}, 4,
+                                         run=fake_run)
+    workloads = [w["name"] for w in SPEC["workloads"]]
+    firsts = [calls[i][0] for i in range(0, len(calls), 2)]
+    assert firsts == [side for side in ("parent", "change", "parent", "change")
+                      for _ in workloads]
+    assert [w for _, w in calls[::2]] == workloads * 4
+    table = bench_record.workload_table(values["change"], failed["change"],
+                                        values["parent"])
+    for workload in workloads:
+        for m in SPEC["end_to_end"]:
+            entry = table[workload][m["name"]]
+            assert entry["wins"] == (4 if m["better"] == "lower" else 0)
+            assert len(entry["parent"]["values"]) == 4 and entry["median"] == 1.0

@@ -135,6 +135,28 @@ def test_repeated_key_rejected_but_merged_key_may_be_overridden():
         config.parse_config(text + "  f_max_n: 0.6\n")
 
 
+# Messages of documents with anchors, merges and repeated keys, pinned as
+# the generator-based reader gave them.
+@pytest.mark.parametrize("text, error, message", [
+    ("modules:\n  - &m {kind: R, cell: [0, 0, 0], again: *m}\n", ParseError,
+     'found unconstructable recursive node\n  in "<unicode string>", line 2, column 5'),
+    ("modules:\n  - kind: T\n    eta_rad: 0.5\n    cell: [0, 0, 0]\n    eta_rad: 0.6\n",
+     ParseError,
+     'found duplicate key \'eta_rad\'\n  in "<unicode string>", line 5, column 5'),
+    ("modules:\n  - <<: {kind: T, eta_rad: 0.5}\n    kind: X\n    cell: [0, 0, 0]\n",
+     SchemaError, "modules[0] (line 2): kind must be R, T or custom, got 'X'"),
+    ("modules:\n  - &m {kind: T, eta_rad: 0.5, cell: [0, 0, 0]}\n  - *m\n",
+     SchemaError, "$ (line 1): two modules share a grid cell"),
+    # the root is built before its entries, so an alias of it is no recursion
+    ("&r\nmodules:\n  - {kind: T, cell: [0, 0, 0], eta_rad: 0.5, extra: *r}\n",
+     SchemaError, "modules[0] (line 3): unknown key 'extra'"),
+])
+def test_anchor_merge_and_repeat_messages(text, error, message):
+    with pytest.raises(error) as info:
+        config.parse_config(text)
+    assert str(info.value) == message
+
+
 def test_invalid_yaml_raises_parse_error():
     with pytest.raises(ParseError):
         config.parse_config("modules: [unclosed")

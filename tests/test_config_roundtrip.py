@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,3 +192,74 @@ def test_defaults_render_and_parse_back(kind):
             f"scenario:\n  trajectory: {{kind: {kind}}}\n")
     cfg = config.parse_config(text)
     assert_fields_equal(cfg, config.parse_config(config.render_config(cfg)))
+
+
+class SafeReference(yaml.SafeLoader):
+    """PyYAML's pure-Python safe loader, resolving scalars as the config
+    reader does (it also reads exponent-only forms such as `1e-3` as floats)."""
+
+    yaml_implicit_resolvers = config._LineLoader.yaml_implicit_resolvers
+
+
+def assert_read_as_safe_loader(data, expected, node):
+    """`data` equals the safe loader's `expected`, value type for value
+    type, and each of its mappings carries the line its `node` starts on."""
+    if isinstance(node, yaml.MappingNode):
+        assert type(data) is config._LocatedDict and type(expected) is dict
+        assert data.line == node.start_mark.line + 1
+        assert list(data) == list(expected)
+        values = dict(zip(expected, (value for _, value in node.value)))  # no merges
+        for key in expected:
+            assert_read_as_safe_loader(data[key], expected[key], values[key])
+    elif isinstance(node, yaml.SequenceNode):
+        assert type(data) is type(expected) is list and len(data) == len(expected)
+        for item, want, child in zip(data, expected, node.value):
+            assert_read_as_safe_loader(item, want, child)
+    else:
+        assert type(data) is type(expected) and repr(data) == repr(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(physical=physical, gains=gains, scenario=scenario, modules=modules)
+def test_reader_builds_what_the_safe_loader_builds(physical, gains, scenario, modules):
+    text = config.render_config(config.StructureConfig(
+        modules=modules, physical=physical, gains=gains, scenario=scenario))
+    assert_read_as_safe_loader(yaml.load(text, Loader=config._LineLoader),
+                               yaml.load(text, Loader=SafeReference),
+                               yaml.compose(text, Loader=SafeReference))
+
+
+@pytest.mark.parametrize("text", [
+    "a: &x {b: 1, c: [1, 2.5, x]}\nd: *x\ne: [*x, *x]\n",
+    "base: &b {f_max_n: 0.9, arm_m: 0.04}\nphysical:\n  <<: *b\n  f_max_n: 0.5\n",
+    "a: &p {x: 1}\nb: &q {y: 2, x: 3}\nc: {<<: [*p, *q], z: 4}\n",
+    "- &m {kind: T, cell: [0, 0, 0]}\n- *m\n- {<<: *m, cell: [0, 1, 0]}\n",
+    "a: ~\nb: [true, 0x10, 1e-3, 1.5e3, '7', 2001-12-14, !!str 3, !!float 1]\n",
+])
+def test_reader_keeps_aliases_and_merges_of_the_safe_loader(text):
+    data = yaml.load(text, Loader=config._LineLoader)
+    assert data == yaml.load(text, Loader=SafeReference)
+    lines = [node.start_mark.line + 1
+             for node in _mapping_nodes(yaml.compose(text, Loader=SafeReference))]
+    assert sorted(d.line for d in _mappings(data)) == sorted(lines)
+
+
+def _mapping_nodes(node, seen=None):
+    seen = set() if seen is None else seen
+    if id(node) in seen or isinstance(node, yaml.ScalarNode):
+        return []
+    seen.add(id(node))
+    own = [node] if isinstance(node, yaml.MappingNode) else []
+    children = ([n for pair in node.value for n in pair]
+                if isinstance(node, yaml.MappingNode) else node.value)
+    return own + [m for child in children for m in _mapping_nodes(child, seen)]
+
+
+def _mappings(data, seen=None):
+    seen = set() if seen is None else seen
+    if id(data) in seen or not isinstance(data, (dict, list)):
+        return []
+    seen.add(id(data))
+    own = [data] if isinstance(data, dict) else []
+    children = data.values() if isinstance(data, dict) else data
+    return own + [m for child in children for m in _mappings(child, seen)]

@@ -50,6 +50,33 @@ def test_gains_accept_diagonal_matrices():
     assert gains.k_att == (1.0, 2.0, 3.0) and gains.k_int == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("values", [
+    (1.0, 2.0, 3.0), [1.0, 2.0, 3.0], (1, 2, 3), np.array([1.0, 2.0, 3.0]),
+    (0.0, 0.0, 0.0), (-0.0, 0.0, 1e-300), (1e308, 5e-324, 1.0), (1.0, -0.5, 2.0),
+    (np.nan, 1.0, 1.0), (1.0, 1.0, -np.inf),
+])
+def test_gains_read_as_the_numpy_path_reads_them(values):
+    expected = np.asarray(values, dtype=float)
+    for zero_ok in (False, True):
+        if np.all(np.isfinite(expected) & (expected >= 0.0 if zero_ok else expected > 0.0)):
+            got = control._diag_gains(values, "k", zero_ok)
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert np.asarray(got).tobytes() == expected.tobytes()
+        else:
+            kind = "non-negative" if zero_ok else "positive"
+            with pytest.raises(InvalidParams, match=f"^k must be three finite {kind} gains$"):
+                control._diag_gains(values, "k", zero_ok)
+
+
+def test_gains_of_three_floats_are_kept_as_given():
+    values = (6.0, 5.0, 4.0)
+    assert control._diag_gains(values, "k_pos") is values
+    assert ControllerGains(k_pos=values).k_pos is values
+    for bad in ((1.0, -1.0, 1.0), (1.0, np.nan, 1.0), (np.inf, 1.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(InvalidParams, match="^k_pos must be three finite positive gains$"):
+            ControllerGains(k_pos=bad)
+
+
 def test_position_accel_hover():
     a = control.position_accel(np.zeros(3), np.zeros(3), np.zeros(3), unit_gains())
     assert np.allclose(a, [0.0, 0.0, G])

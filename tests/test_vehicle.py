@@ -286,3 +286,34 @@ def test_placement_cell_must_hold_three_integers(cell):
     m = vehicle.make_r_module(np.eye(3))
     with pytest.raises(InvalidParams, match="three integers"):
         vehicle.assemble_structure([(m, cell)])
+
+
+def test_rotor_torque_is_np_cross_bit_for_bit():
+    # signed zeros and magnitudes from 1e-300 to 1e300, overflow included
+    rng = np.random.default_rng(7)
+    for n in (1, 4, 12, 64):
+        positions, orientations = (
+            rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+            for size in ((n, 3), (n, 3, 3)))
+        positions[rng.random((n, 3)) < 0.2] = 0.0
+        positions[rng.random((n, 3)) < 0.2] = -0.0
+        orientations[rng.random((n, 3, 3)) < 0.2] = -0.0
+        spins, k_m = rng.choice([-1.0, 1.0], n), rng.uniform(0.0, 0.1, n)
+        with np.errstate(all="ignore"):
+            axes, torque, drag = vehicle.rotor_wrenches(positions, orientations, spins, k_m)
+            expected = np.cross(positions, orientations @ geometry.E3)
+        assert torque.shape == expected.shape and torque.flags.c_contiguous
+        assert torque.tobytes() == expected.tobytes()
+        assert np.array_equal(axes, orientations @ geometry.E3)
+
+
+def test_a_checked_cell_passes_again_unchanged():
+    cell = vehicle.grid_cell([1, -2, vehicle.MAX_CELL])
+    assert cell == (1, -2, vehicle.MAX_CELL) and vehicle.grid_cell(cell) is cell
+    assert vehicle.grid_cell((np.int64(3), 0, 0)) == (3, 0, 0)
+    assert type(vehicle.grid_cell((np.int64(3), 0, 0))[0]) is int
+    with pytest.raises(InvalidParams, match="grid cells"):
+        vehicle.grid_cell((0, vehicle.MAX_CELL + 1, 0))
+    for bad in ((0, 0, 1.0), (0, False, 0), (0, 0, 0, 0), [0, 0]):
+        with pytest.raises(InvalidParams, match="three integers"):
+            vehicle.grid_cell(bad)

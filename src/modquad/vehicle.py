@@ -79,9 +79,7 @@ class ModuleSpec:
             raise InvalidParams("body dimensions must be positive")
         if np.abs(p[:, 2]).max() > 1e-12:
             raise InvalidParams("propeller must lie in the module xy-plane")
-        # `asarray` returns only a float array as it is, and that holds no bools
-        if ((spins is not self.spin_signs
-                and any(isinstance(s, (bool, np.bool_)) for s in self.spin_signs))
+        if (any(isinstance(s, (bool, np.bool_)) for s in self.spin_signs)
                 or not np.all(np.abs(spins) == 1.0)):
             raise InvalidParams(f"spin signs must be +1 or -1, got {self.spin_signs}")
         if not geometry.is_rotation(o):

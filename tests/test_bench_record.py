@@ -1,10 +1,9 @@
 """The newest committed BENCH_<n>.json matches the benchmark's declaration.
 
 It must hold, for every workload of BENCHMARK.json, exactly its end-to-end
-metric names and units, plus the environment the medians came from, and
-each metric's quartiles; a record made against a parent commit also holds
-the parent's values and the change's wins per pair. This checks the
-file's form, not a speed.
+metric names and units, plus the environment the medians came from, each
+metric's quartiles on both sides, parent and change, and the change's wins
+per pair. This checks the file's form, not a speed.
 """
 
 import json
@@ -45,25 +44,23 @@ def check_summary(summary, runs, where):
 
 
 def test_newest_bench_file_summarizes_each_side():
-    """Quartiles on every record; a paired record (made with --parent) also
-    holds the parent's runs and the per-pair win count of the change."""
+    """Quartiles on both sides of the record, and the per-pair win count of
+    the change."""
     bench = json.loads(newest_bench_file().read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
-    paired = "parent" in bench
-    if paired:
-        assert re.fullmatch(r"[0-9a-f]{40}", bench["parent"]["rev"])
-        assert bench["parent"]["failed"] == dict.fromkeys(bench["workloads"], 0)
+    assert bench["runs"] == bench_record.PAIRS
+    assert re.fullmatch(r"[0-9a-f]{40}", bench["parent"]["rev"])
+    assert bench["parent"]["failed"] == dict.fromkeys(bench["workloads"], 0)
     for workload, metrics in bench["workloads"].items():
         for name, m in metrics.items():
             if name == "failed":
                 continue
             check_summary(m, bench["runs"], (workload, name))
-            if paired:
-                check_summary(m["parent"], bench["runs"], (workload, name, "parent"))
-                assert m["better"] == better[name]
-                pairs = zip(m["values"], m["parent"]["values"])
-                assert m["wins"] == sum(after < before if m["better"] == "lower"
-                                        else after > before for after, before in pairs)
+            check_summary(m["parent"], bench["runs"], (workload, name, "parent"))
+            assert m["better"] == better[name]
+            pairs = zip(m["values"], m["parent"]["values"])
+            assert m["wins"] == sum(after < before if m["better"] == "lower"
+                                    else after > before for after, before in pairs)
 
 
 def test_pairs_alternate_which_side_runs_first():

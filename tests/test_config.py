@@ -147,6 +147,9 @@ def test_repeated_key_rejected_but_merged_key_may_be_overridden():
      SchemaError, "modules[0] (line 2): kind must be R, T or custom, got 'X'"),
     ("modules:\n  - &m {kind: T, eta_rad: 0.5, cell: [0, 0, 0]}\n  - *m\n",
      SchemaError, "$ (line 1): two modules share a grid cell"),
+    # PyYAML builds every `.nan` as one shared float, so two of them repeat a key
+    ("modules:\n  - {kind: T, cell: [0, 0, 0], .nan: 1, .NaN: 2}\n", ParseError,
+     'found duplicate key nan\n  in "<unicode string>", line 2, column 41'),
     # the root is built before its entries, so an alias of it is no recursion
     ("&r\nmodules:\n  - {kind: T, cell: [0, 0, 0], eta_rad: 0.5, extra: *r}\n",
      SchemaError, "modules[0] (line 3): unknown key 'extra'"),

@@ -1,22 +1,18 @@
-"""Record the benchmark's end-to-end medians in one BENCH_<n>.json file.
+"""Record the benchmark, parent against change, in one BENCH_<n>.json file.
 
-    python3 tools/bench_record.py --out BENCH_<n>.json
     python3 tools/bench_record.py --out BENCH_<n>.json --parent REV
 
-Run from anywhere; it measures the checkout it belongs to. It runs
-`perfbench/run.py --seed 0 --trace 0` at BENCHMARK.json's run length five
-times for every workload, one run at a time and cycling through the workloads,
-so that each sees the same drift of the machine. It writes the median and
-quartiles of each end-to-end metric with its unit, every run's value, the
-failed operations, the CPU count, and the Python and numpy versions.
-
-With `--parent REV` the record carries its own "before": REV is checked
-out with `git worktree` into a temporary directory (removed afterwards),
-and each workload runs in ten pairs of one parent and one change run, the
-side that goes first alternating from pair to pair. Each metric then also
-holds the parent's median, quartiles and values, and `wins`, the number
-of pairs in which the change's value is the better one. A speed claim
-quotes such a file alone.
+Run from anywhere; it measures the checkout it belongs to against REV.
+REV is checked out with `git worktree` into a temporary directory (removed
+afterwards), and each workload runs `perfbench/run.py --seed 0 --trace 0`
+at BENCHMARK.json's run length in ten pairs of one parent and one change
+run, cycling through the workloads so that each sees the same drift of
+the machine, and alternating from pair to pair the side that goes first.
+For each end-to-end metric it writes both sides' medians, quartiles and
+values with the unit, and `wins`, the number of pairs in which the
+change's value is the better one; it also writes the failed operations,
+the CPU count, and the Python and numpy versions. A speed claim quotes
+such a file alone.
 """
 
 import argparse
@@ -33,7 +29,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-RUNS = 5
 PAIRS = 10
 SEED = 0
 
@@ -76,23 +71,21 @@ def record(seconds, roots, runs, run=run_once):
     return values, failed
 
 
-def workload_table(values, failed, parent_values=None):
-    """{workload: {metric: summary, "failed": n}}; with the parent's
-    values, each metric also holds the parent's summary and its `wins`."""
+def workload_table(values, failed, parent_values):
+    """{workload: {metric: summary, "failed": n}}; each metric also holds
+    the parent's summary and the change's `wins`."""
     spec = {m["name"]: m for m in SPEC["end_to_end"]}
     table = {}
     for workload, metrics in values.items():
         table[workload] = {}
         for name, vals in metrics.items():
-            entry = {"unit": spec[name]["unit"], **summary(vals)}
-            if parent_values is not None:
-                before = parent_values[workload][name]
-                lower = spec[name]["better"] == "lower"
-                entry["better"] = spec[name]["better"]
-                entry["parent"] = summary(before)
-                entry["wins"] = sum(after < was if lower else after > was
-                                    for after, was in zip(vals, before))
-            table[workload][name] = entry
+            before = parent_values[workload][name]
+            lower = spec[name]["better"] == "lower"
+            table[workload][name] = {
+                "unit": spec[name]["unit"], **summary(vals),
+                "better": spec[name]["better"], "parent": summary(before),
+                "wins": sum(after < was if lower else after > was
+                            for after, was in zip(vals, before))}
         table[workload]["failed"] = failed[workload]
     return table
 
@@ -105,34 +98,28 @@ def git(*args):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--parent", metavar="REV",
-                        help="also run REV, in alternating pairs with this checkout")
+    parser.add_argument("--parent", metavar="REV", required=True,
+                        help="commit to run in alternating pairs with this checkout")
     args = parser.parse_args(argv)
     seconds = SPEC["run_seconds"]
+    rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        checkout = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(checkout), rev)
+        try:
+            values, failed = record(seconds, {"parent": checkout, "change": ROOT}, PAIRS)
+        finally:
+            git("worktree", "remove", "--force", str(checkout))
     payload = {
         "command": f"python3 perfbench/run.py --workload <w> --seed {SEED} "
                    f"--seconds {seconds:g} --trace 0",
-        "runs": PAIRS if args.parent else RUNS,
+        "runs": PAIRS,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "parent": {"rev": rev, "failed": failed["parent"]},
+        "workloads": workload_table(values["change"], failed["change"], values["parent"]),
     }
-    if args.parent is None:
-        values, failed = record(seconds, {"change": ROOT}, RUNS)
-        payload["workloads"] = workload_table(values["change"], failed["change"])
-    else:
-        rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-        with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-            checkout = Path(tmp) / "parent"
-            git("worktree", "add", "--detach", str(checkout), rev)
-            try:
-                values, failed = record(seconds, {"parent": checkout, "change": ROOT},
-                                        PAIRS)
-            finally:
-                git("worktree", "remove", "--force", str(checkout))
-        payload["parent"] = {"rev": rev, "failed": failed["parent"]}
-        payload["workloads"] = workload_table(values["change"], failed["change"],
-                                              values["parent"])
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return 0
 
